@@ -26,6 +26,7 @@ from cretan.constructions import (
 from cretan.designs import (
     MissingFixture,
     build_family,
+    fixture_search_dirs,
     qr_difference_set,
     registered_designs,
 )
@@ -204,20 +205,23 @@ def _rank(c: Candidate) -> tuple:
     return (-c.omega_float, c.matrix.tau, METHOD_ORDER.index(c.method))
 
 
+# keyed on the order and the fixture search directories, so a fixture
+# directory set after a first call is not hidden by the memo
 _MEMO: dict = {}
 
 
 def construct_best(v: int) -> CatalogEntry:
     """Verified construction with the largest radius for an odd order."""
     _check_range(v)
-    if v in _MEMO:
-        return _MEMO[v]
+    key = (v, tuple(fixture_search_dirs()))
+    if key in _MEMO:
+        return _MEMO[key]
     methods, cands = _candidates_for(v)
     viable = sorted((c for c in cands if c.ok), key=_rank)
     best = viable[0] if viable else None
     entry = CatalogEntry(v, methods, cands, best,
                          TABLE2_EXPECTED.get(v, ()))
-    _MEMO[v] = entry
+    _MEMO[key] = entry
     return entry
 
 

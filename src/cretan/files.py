@@ -118,6 +118,8 @@ def parse_matrix(text: str):
         order = int(header["order"])
     except (KeyError, ValueError):
         raise ParseError("missing or bad order header", 2)
+    if order < 1:
+        raise ParseError("order must be positive, got %d" % order, 2)
     rows = lines[body_at:]
     if len(rows) != order:
         raise ParseError("expected %d entry rows, found %d"
@@ -142,16 +144,26 @@ def _parse_level(header, params, notes, rows, body_at, order):
         omega = parse_scalar(header["omega"])
     except (KeyError, ValueError):
         raise ParseError("missing or bad omega header", 2)
+    # f1.0 compares and hashes equal to 1, so from_values would merge a
+    # float token into an exact level: exact rows must hold no float token
+    # ('f' occurs in no exact token), and a float file must stay float
+    exact = header["mode"] == "exact"
     values = []
     for i, row in enumerate(rows):
         line = body_at + 1 + i
+        if exact and "f" in row:
+            raise ParseError("float entry in a mode exact file", line)
         toks = _tokens(row, order, line)
         try:
             values.append([parse_scalar(t) for t in toks])
         except ValueError as exc:
             raise ParseError(str(exc), line)
-    return from_values(values, omega, header.get("method", ""),
-                       params, tuple(notes))
+    m = from_values(values, omega, header.get("method", ""),
+                    params, tuple(notes))
+    if m.mode != header["mode"]:
+        raise ParseError("header says mode %s, but the entries and omega "
+                         "are %s" % (header["mode"], m.mode), 2)
+    return m
 
 
 def _parse_complex(header, params, rows, body_at, order):

@@ -330,14 +330,15 @@ ONE = _ONE
 # -- text grammar -----------------------------------------------------------
 #
 #   INT   := ['-'] digits
-#   RAT   := INT '/' digits
-#   QUAD  := '(' INT ('+'|'-') digits '*sqrt(' digits ')' ')/' digits
+#   DEN   := digits, not all zero
+#   RAT   := INT '/' DEN
+#   QUAD  := '(' INT ('+'|'-') digits '*sqrt(' digits ')' ')/' DEN
 #   FLOAT := 'f' decimal-literal
 
 _QUAD_RE = re.compile(
-    r"^\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(\d+)$"
+    r"^\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(0*[1-9]\d*)$"
 )
-_RAT_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_RAT_RE = re.compile(r"^(-?\d+)/(0*[1-9]\d*)$")
 _INT_RE = re.compile(r"^-?\d+$")
 
 

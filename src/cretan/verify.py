@@ -1,11 +1,21 @@
 """Certification of Cretan matrices and the determinant bound suite.
 
 verify_cretan recomputes everything from the entries: the Gram matrix
-(exactly, via indicator decomposition, whenever the levels live in one
+(exactly, by integer coordinates, whenever the levels live in one
 quadratic field), the level census, modulus bounds, the strict unit-entry
 condition, and the determinant identity |det| = omega^(n/2).  It trusts
 none of the metadata on its input and never raises on a failing matrix;
 the certificate carries the verdicts.
+
+The exact Gram check writes every level of Q(sqrt d) over one common
+denominator R as (P[u] + Q[u] sqrt d) / R with integers P[u] and Q[u].
+With Pg = P[grid] and Qg = Q[grid],
+
+    R^2 S S^T = (Pg Pg^T + d Qg Qg^T) + sqrt(d) (Pg Qg^T + Qg Pg^T),
+
+so both Gram products are a few integer matrix products.  They run as
+float64 BLAS when every partial sum stays below 2^53, and is therefore
+exact, and on Python integers otherwise; nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -59,6 +69,24 @@ def bareiss_det(rows) -> int:
     return sign * M[-1][-1]
 
 
+def _lift(levels) -> tuple:
+    """Integer coordinates of exact levels over one field Q(sqrt d).
+
+    Returns (P, Q, d, R) with level u = (P[u] + Q[u] sqrt d) / R, where
+    R is the lcm of the level denominators; d is 0 when every level is
+    rational.  Raises IncompatibleRadicands when levels span two fields.
+    """
+    radicands = sorted({l.d for l in levels if l.q})
+    if len(radicands) > 1:
+        raise IncompatibleRadicands(
+            "levels span sqrt(%d) and sqrt(%d)" % tuple(radicands[:2]))
+    d = radicands[0] if radicands else 0
+    R = math.lcm(*(l.r for l in levels))
+    P = [l.p * (R // l.r) for l in levels]
+    Q = [l.q * (R // l.r) for l in levels]
+    return P, Q, d, R
+
+
 _EXACT_DET_MAX_ORDER = 45
 
 
@@ -68,27 +96,25 @@ def exact_abs_det(S) -> Fraction | None:
         return None
     if not all(l.is_rational for l in S.levels):
         return None
-    fracs = [l.as_fraction() for l in S.levels]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    lut = np.array(ints, dtype=object)
-    M = lut[S.grid]
+    P, _, _, R = _lift(S.levels)
+    M = np.array(P, dtype=object)[S.grid]
     d = bareiss_det(M.tolist())
-    return abs(Fraction(d, denom ** S.order))
+    return abs(Fraction(d, R ** S.order))
+
+
+def _log_abs_det(S, exact: Fraction | None) -> float:
+    if exact is None:
+        sign, ld = np.linalg.slogdet(S.to_float_array())
+        return float(ld)
+    if exact == 0:
+        return float("-inf")
+    return _log_big(exact.numerator) - _log_big(exact.denominator)
 
 
 def log_abs_det(S) -> float:
     """log |det S|: exact elimination when the matrix is rational and
     small, float partial-pivot elimination otherwise."""
-    exact = exact_abs_det(S)
-    if exact is not None:
-        if exact == 0:
-            return float("-inf")
-        return _log_big(exact.numerator) - _log_big(exact.denominator)
-    sign, ld = np.linalg.slogdet(S.to_float_array())
-    return float(ld)
+    return _log_abs_det(S, exact_abs_det(S))
 
 
 @dataclass
@@ -106,15 +132,12 @@ def check_det_identity(S, omega: Scalar | None = None) -> DetIdentity:
     wf = w.to_float()
     expected = 0.5 * n * math.log(wf) if wf > 0 else float("-inf")
     exact = exact_abs_det(S)
+    ld = _log_abs_det(S, exact)
+    resid = abs(ld - expected) / max(1.0, abs(ld))
     if exact is not None and not w.is_float and w.is_rational:
         identical = exact * exact == w.as_fraction() ** n
-        ld = (_log_big(exact.numerator) - _log_big(exact.denominator)
-              if exact else float("-inf"))
-        resid = abs(ld - expected) / max(1.0, abs(ld))
         return DetIdentity(0.0 if identical else resid, identical,
                            ld, expected)
-    ld = log_abs_det(S)
-    resid = abs(ld - expected) / max(1.0, abs(ld))
     return DetIdentity(resid, False, ld, expected)
 
 
@@ -226,55 +249,36 @@ class Certificate:
         return rows
 
 
-def _indicator_grams(grid: np.ndarray, tau: int):
-    # float64 matmul is exact here (counts < 2^53) and far faster than
-    # numpy's integer paths
-    B = [(grid == u).astype(np.float64) for u in range(tau)]
-    left = [(B[u] @ B[w].T).astype(np.int64)
-            for u in range(tau) for w in range(tau)]
-    right = [(B[u].T @ B[w]).astype(np.int64)
-             for u in range(tau) for w in range(tau)]
-    return np.stack(left), np.stack(right)
+def _exact_gram_check(S) -> Scalar | None:
+    """omega when S S^T = S^T S = omega I holds exactly, else None.
 
-
-def _exact_gram_check(S):
-    """Evaluate both Gram products exactly through level-pair counts.
-
-    Returns (ok_offdiag, omega, diag_constant) or raises
-    IncompatibleRadicands when the levels span different fields.
+    Raises IncompatibleRadicands when the levels span different fields.
     """
-    n, tau = S.order, S.tau
-    left, right = _indicator_grams(S.grid, tau)
-    pair_values = [S.levels[u] * S.levels[w]
-                   for u in range(tau) for w in range(tau)]
-    omega = None
-    for stack in (left, right):
-        flat = stack.reshape(tau * tau, n * n)
-        uniq, inv = np.unique(flat, axis=1, return_inverse=True)
-        evaluated = []
-        for col in range(uniq.shape[1]):
-            total = Scalar(0)
-            for t in range(tau * tau):
-                c = int(uniq[t, col])
-                if c:
-                    total = total + Scalar(c) * pair_values[t]
-            evaluated.append(total)
-        cell = np.asarray(inv).reshape(n, n)
-        off = cell[~np.eye(n, dtype=bool)]
-        for pid in set(off.tolist()):
-            if not evaluated[pid].is_zero():
-                return False, None, False
-        # distinct diagonal count patterns may still share one value
-        diag_vals = [evaluated[pid] for pid in set(np.diag(cell).tolist())]
-        w = diag_vals[0]
-        for other in diag_vals[1:]:
-            if not (w - other).is_zero():
-                return False, None, False
-        if omega is None:
-            omega = w
-        elif not (omega - w).is_zero():
-            return False, None, False
-    return True, omega, True
+    P, Q, d, R = _lift(S.levels)
+    n = S.order
+    big = max(map(abs, P + Q))
+    # bounds |Pg Pg^T + d Qg Qg^T| and |Pg Qg^T + Qg Pg^T| entrywise, and
+    # every partial sum on the way there
+    bound = (d + 1) * n * big * big
+    dtype = np.float64 if bound < 2 ** 53 else object
+    Pg = np.array(P, dtype=dtype)[S.grid]
+    Qg = np.array(Q, dtype=dtype)[S.grid]
+    for A, B in ((Pg, Qg), (Pg.T, Qg.T)):
+        rat = A @ A.T
+        irr = np.zeros_like(rat)
+        if d:
+            rat = rat + d * (B @ B.T)
+            X = A @ B.T
+            irr = X + X.T
+        diag = (rat[0, 0], irr[0, 0])
+        for part, first in zip((rat, irr), diag):
+            # all zero iff the diagonal is constant and the rest is zero
+            # (a float64 difference is 0 only when its operands agree)
+            part.flat[::n + 1] -= first
+            if part.any():
+                return None
+    # tr(S S^T) = tr(S^T S), so the two constant diagonals agree
+    return Scalar(int(diag[0]), int(diag[1]), d, R * R)
 
 
 def verify_cretan(S, mode: str = "strict",
@@ -292,16 +296,14 @@ def verify_cretan(S, mode: str = "strict",
 
     moduli_ok = all(l.abs_le_one() for l in S.levels)
 
-    gram_exact = False
     max_offdiag = 0.0
     omega = None
-    gram_ok = False
     if S.mode == "exact":
         try:
-            gram_ok, omega, _ = _exact_gram_check(S)
-            gram_exact = gram_ok
+            omega = _exact_gram_check(S)
         except IncompatibleRadicands:
-            omega = None
+            pass
+    gram_exact = gram_ok = omega is not None
     if omega is None:
         A = S.to_float_array()
         resid = 0.0
@@ -313,7 +315,6 @@ def verify_cretan(S, mode: str = "strict",
         omega = Scalar.from_float(float((A * A).sum() / n))
         max_offdiag = resid
         gram_ok = resid <= tolerance
-        gram_exact = False
 
     try:
         omega_claim_ok = (S.omega - omega).is_zero() if gram_exact else \

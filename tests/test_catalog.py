@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cretan.catalog import (
@@ -140,3 +141,27 @@ def test_structured_output_is_json_ready(full_report):
 def test_catalog_rejects_out_of_range():
     with pytest.raises(ValueError):
         catalog_table(1001)
+
+
+def test_memo_follows_fixture_dir(tmp_path, monkeypatch):
+    import dataclasses
+
+    from cretan.designs import (FIXTURE_DIR_ENV, format_fixture,
+                                load_fixture)
+
+    monkeypatch.delenv(FIXTURE_DIR_ENV, raising=False)
+    first = construct_best(45)
+    # a translate of the shipped (45,12,3) difference set is another one
+    fx = load_fixture("45-12-3")
+    shifted = tuple((a, b, (c + 1) % 5) for a, b, c in fx.elements)
+    (tmp_path / "45-12-3.txt").write_text(
+        format_fixture(dataclasses.replace(fx, elements=shifted)))
+    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+    second = construct_best(45)
+    assert second is not first
+    assert second.best.method == "sbibd-ds"
+    assert second.best.matrix.omega == first.best.matrix.omega
+    assert not np.array_equal(second.best.matrix.grid,
+                              first.best.matrix.grid)
+    monkeypatch.delenv(FIXTURE_DIR_ENV)
+    assert construct_best(45) is first

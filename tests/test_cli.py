@@ -144,6 +144,27 @@ def test_verify_usage_errors(tmp_path, capsys):
     assert "parse" in err
 
 
+def _exact_file(order: int, rows) -> str:
+    return ("cretan-matrix 1\nmode exact\norder %d\ntau 2\nomega 2\n"
+            "method hand\nentries\n" % order) + "".join(r + "\n" for r in rows)
+
+
+def test_verify_zero_denominator(tmp_path, capsys):
+    f = tmp_path / "zero.cm"
+    f.write_text(_exact_file(2, ["1 1/0", "1 -1"]))
+    assert main(["verify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "line 8" in err and "1/0" in err
+
+
+def test_verify_order_zero(tmp_path, capsys):
+    f = tmp_path / "empty.cm"
+    f.write_text(_exact_file(0, []))
+    assert main(["verify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and "order must be positive" in err
+
+
 def test_verify_complex_and_group_files(tmp_path, capsys):
     cf = tmp_path / "conf.cm"
     main(["construct", "--order", "6", "--method", "conference",

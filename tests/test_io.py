@@ -209,3 +209,32 @@ def test_certificate_report():
     assert doc["radius"] == "81/49"
     assert doc["tau"] == 2
     assert doc["bounds"]["hadamard_log"] > doc["det"]["log_abs_det"] / 1e9
+
+
+def test_float_token_never_merges_into_exact_level():
+    # 1 and f1.0 compare equal; merged, they would pass as one exact level
+    text = serialize_matrix(identity2()).replace("0 1\n", "0 f1.0\n")
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    assert err.value.line == 9 and "float entry" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text.replace("mode exact", "mode float"))
+    assert "header says mode float" in str(err.value)
+    with pytest.raises(ParseError):
+        parse_matrix(serialize_matrix(identity2())
+                     .replace("omega 1", "omega f1.0"))
+
+
+def test_parse_rejects_zero_denominator_and_order():
+    text = serialize_matrix(identity2())
+    for token in ("1/0", "(1+1*sqrt(2))/0"):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(text.replace("0 1\n", "0 %s\n" % token))
+        assert err.value.line == 9
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text.replace("omega 1", "omega 1/0"))
+    for order in ("0", "-1"):
+        bad = text.replace("order 2", "order " + order)
+        with pytest.raises(ParseError) as err:
+            parse_matrix(bad)
+        assert err.value.line == 2

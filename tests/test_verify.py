@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cretan.constructions import (
     basic_family,
@@ -15,7 +18,7 @@ from cretan.constructions import (
 )
 from cretan.designs import fixture_difference_set, singer_difference_set
 from cretan.hadamard import paley_conference, sylvester
-from cretan.scalar import Scalar
+from cretan.scalar import VERIFY_TOL, Scalar
 from cretan.verify import (
     bareiss_det,
     check_det_identity,
@@ -210,3 +213,144 @@ def test_verify_complex_conference():
     assert verify_complex(B)
     B.entries[0, 1] += 1e-6
     assert not verify_complex(B)
+
+
+# -- the exact Gram kernel against an independent oracle ----------------------
+
+def _sym(x):
+    return (sympy.Integer(x.p) + x.q * sympy.sqrt(x.d)) / x.r
+
+
+def _oracle_omega(values):
+    """omega when S S^T = S^T S = omega I in sympy arithmetic, else None."""
+    S = sympy.Matrix([[_sym(x) for x in row] for row in values])
+    n = S.rows
+    omegas = []
+    for G in (S * S.T, S.T * S):
+        G = G.applyfunc(sympy.expand)
+        w = G[0, 0]
+        if any(G[i, j] != (w if i == j else 0)
+               for i in range(n) for j in range(n)):
+            return None
+        omegas.append(w)
+    assert omegas[0] == omegas[1]
+    return omegas[0]
+
+
+@st.composite
+def _level_matrices(draw):
+    """Small square matrices over one Q(sqrt d): Cretan ones (a scaled
+    Hadamard or basic-family matrix, possibly Kronecker-multiplied, under
+    a random signed permutation), such matrices with one entry changed,
+    and matrices with random entries."""
+    d = draw(st.sampled_from((2, 3, 5, 37)))
+    # denominators near 2^31 push the kernel past float64
+    denoms = st.one_of(st.integers(1, 12),
+                       st.integers(2 ** 31, 2 ** 31 + 64))
+    scalars = st.builds(lambda p, q, r: Scalar(p, q, d, r),
+                        st.integers(-9, 9), st.integers(-3, 3), denoms)
+    kind = draw(st.sampled_from(("cretan", "changed", "random")))
+    if kind == "random":
+        n = draw(st.integers(1, 8))
+        pool = draw(st.lists(scalars, min_size=1, max_size=4))
+        return [[draw(st.sampled_from(pool)) for _ in range(n)]
+                for _ in range(n)]
+
+    def base():
+        u = draw(scalars.filter(lambda x: not x.is_zero()))
+        shape = draw(st.sampled_from(("identity", "hadamard", "basic")))
+        if shape == "identity":
+            return [[u]]
+        if shape == "hadamard":
+            return [[u, u], [u, -u]]
+        m = basic_family(draw(st.integers(4, 8)))
+        return [[u * m.entry(i, j) for j in range(m.order)]
+                for i in range(m.order)]
+
+    A = base()
+    if len(A) <= 4 and draw(st.booleans()):
+        B = base()
+        if len(A) * len(B) <= 8:
+            A = [[a * b for a in ra for b in rb] for ra in A for rb in B]
+    n = len(A)
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=2 * n,
+                          max_size=2 * n))
+    out = [[A[rows[i]][cols[j]] * (signs[i] * signs[n + j])
+            for j in range(n)] for i in range(n)]
+    if kind == "changed":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        out[i][j] = draw(scalars)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_level_matrices())
+def test_exact_gram_agrees_with_sympy(values):
+    cert = verify_cretan(from_values(values, Scalar(1), "random"))
+    want = _oracle_omega(values)
+    assert cert.gram_exact == (want is not None)
+    if want is not None:
+        assert cert.mode == "exact"
+        assert sympy.expand(_sym(cert.omega) - want) == 0
+
+
+def test_exact_gram_checks_the_sqrt_part():
+    one, r2 = Scalar(1), Scalar(0, 1, 2)
+    # off-diagonal 2 sqrt(2): rational part zero, sqrt(2) part not
+    cross = from_values([[one, r2], [r2, one]], Scalar(3), "cross")
+    # diagonal 3 + 2 sqrt(2) and 3 - 2 sqrt(2): equal rational parts
+    diag = from_values([[one + r2, Scalar(0)], [Scalar(0), one - r2]],
+                       Scalar(3), "diag")
+    for M in (cross, diag):
+        assert _oracle_omega([[M.entry(i, j) for j in range(2)]
+                              for i in range(2)]) is None
+        assert not verify_cretan(M).gram_exact
+
+
+def _rotation_square(m: int):
+    """Kronecker square of the rational rotation [[a, -b], [b, a]] / c for
+    the Pythagorean triple (m^2 - 1, 2m, m^2 + 1)."""
+    a, b, c = m * m - 1, 2 * m, m * m + 1
+    rot = [[Scalar(a, 0, 0, c), Scalar(-b, 0, 0, c)],
+           [Scalar(b, 0, 0, c), Scalar(a, 0, 0, c)]]
+    return [[rot[i // 2][j // 2] * rot[i % 2][j % 2] for j in range(4)]
+            for i in range(4)]
+
+
+# the common denominator is (m^2 + 1)^2, so n * max|coordinate|^2 is about
+# 2^34 (float64 products) and 2^114 (Python-integer products)
+@pytest.mark.parametrize("m", [2 ** 4, 2 ** 14])
+def test_exact_gram_large_coordinates(m):
+    values = _rotation_square(m)
+    cert = verify_cretan(from_values(values, Scalar(1), "rotation"))
+    assert cert.gram_exact and cert.mode == "exact"
+    assert cert.omega == Scalar(1) and cert.relaxed
+
+    x = values[0][0]
+    values[0][0] = Scalar(x.p + 1, 0, 0, x.r)
+    nudged = verify_cretan(from_values(values, Scalar(1), "nudged"))
+    assert not nudged.gram_exact and nudged.mode == "float"
+
+
+def test_exact_gram_sees_what_float64_cannot():
+    values = _rotation_square(2 ** 14)
+    exact = from_values(values, Scalar(1), "rotation")
+    x = values[0][0]
+    values[0][0] = Scalar(x.p + 1, 0, 0, x.r)
+    nudged = from_values(values, Scalar(1), "nudged")
+    # the change is about 2^-56, below the float64 spacing near 1
+    assert np.array_equal(exact.to_float_array(), nudged.to_float_array())
+    assert verify_cretan(exact).gram_exact
+    cert = verify_cretan(nudged)
+    assert not cert.gram_exact and cert.max_offdiag <= VERIFY_TOL
+
+
+def test_mixed_radicands_fall_back_to_float():
+    a, b = Scalar(0, 1, 10, 5), Scalar(0, 1, 15, 5)    # sqrt(10)/5, sqrt(15)/5
+    M = from_values([[a, b], [b, -a]], Scalar(1), "mixed")
+    assert M.mode == "exact"
+    cert = verify_cretan(M, mode="relaxed")
+    assert cert.mode == "float" and not cert.gram_exact
+    assert cert.relaxed and abs(cert.omega.to_float() - 1) < 1e-12
