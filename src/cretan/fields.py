@@ -1,4 +1,4 @@
-"""Small finite fields GF(p^k) with explicit log tables.
+"""Small finite fields GF(p^k) with exp, log and trace tables.
 
 Elements are coefficient tuples (length k, constant term first) over a
 fixed monic irreducible modulus.  The modulus is chosen deterministically:
@@ -7,8 +7,11 @@ vector, read as the base-p integer c0 + c1*p + ..., is smallest.  The
 generator is the least primitive element under the same ordering, so two
 calls to make_field with the same (p, k) agree everywhere.
 
-Intended for the design constructions in this package; sizes are capped at
-p^k <= 10^6 and full exp/log tables are built eagerly.
+make_field builds the exp/log tables eagerly with a polynomial product;
+after that, products, powers and Frobenius are table lookups.  The trace
+table is built on the first trace_to_prime call for a field, from the
+traces of the k basis elements x^i and linearity.  Sizes are capped at
+p^k <= 10^6.
 """
 
 from __future__ import annotations
@@ -139,9 +142,11 @@ def _is_irreducible(m, p) -> bool:
 
 
 class FieldSpec:
-    """GF(p^k) with a fixed modulus, generator, and exp/log tables."""
+    """GF(p^k) with a fixed modulus, generator, exp/log tables, and a
+    trace table built on first use."""
 
-    __slots__ = ("p", "k", "modulus", "generator", "_exp", "_log")
+    __slots__ = ("p", "k", "modulus", "generator", "_exp", "_log",
+                 "_trace")
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -150,6 +155,7 @@ class FieldSpec:
         self.generator = None    # set by make_field
         self._exp = None
         self._log = None
+        self._trace = None        # built by trace_to_prime on first use
 
     @property
     def order(self) -> int:
@@ -228,10 +234,11 @@ class FieldElem:
 
     def __mul__(self, other):
         spec = self.spec
-        prod = _pmod(_pmul(list(self.coeffs), list(other.coeffs), spec.p),
-                     list(spec.modulus), spec.p)
-        prod = prod + [0] * (spec.k - len(prod))
-        return FieldElem(spec, tuple(prod))
+        i = spec._log.get(self.coeffs)
+        j = spec._log.get(other.coeffs)
+        if i is None or j is None:
+            return spec.zero()
+        return FieldElem(spec, spec._exp[(i + j) % len(spec._exp)])
 
     def __pow__(self, e: int):
         spec = self.spec
@@ -250,21 +257,26 @@ class FieldElem:
         return self.spec.exp(-self.spec.log(self))
 
     def frobenius(self) -> "FieldElem":
-        """x -> x^p, computed directly so it works before tables exist."""
+        """x -> x^p, as exp[p * log x] (zero maps to zero)."""
         spec = self.spec
-        xp = _xpow_mod(spec.p, list(spec.modulus), spec.p)
-        res: list = []
-        acc = [1]
-        for c in self.coeffs:
-            if c:
-                res = _padd(res, [(c * a) % spec.p for a in acc], spec.p)
-            acc = _pmod(_pmul(acc, xp, spec.p), list(spec.modulus), spec.p)
-        res = res + [0] * (spec.k - len(res))
-        return FieldElem(spec, tuple(res[: spec.k]))
+        if self.is_zero():
+            return self
+        exp = spec._exp
+        return FieldElem(spec, exp[(spec.p * spec._log[self.coeffs])
+                                   % len(exp)])
 
     def __repr__(self):
         return "FieldElem(GF(%d^%d), %s)" % (
             self.spec.p, self.spec.k, list(self.coeffs))
+
+
+def _poly_mul(x: FieldElem, y: FieldElem) -> FieldElem:
+    # product by polynomial arithmetic (used while building the tables)
+    spec = x.spec
+    prod = _pmod(_pmul(list(x.coeffs), list(y.coeffs), spec.p),
+                 list(spec.modulus), spec.p)
+    prod = prod + [0] * (spec.k - len(prod))
+    return FieldElem(spec, tuple(prod))
 
 
 def _pow_raw(g: FieldElem, e: int) -> FieldElem:
@@ -273,8 +285,8 @@ def _pow_raw(g: FieldElem, e: int) -> FieldElem:
     base = g
     while e:
         if e & 1:
-            result = result * base
-        base = base * base
+            result = _poly_mul(result, base)
+        base = _poly_mul(base, base)
         e >>= 1
     return result
 
@@ -333,7 +345,7 @@ def make_field(p: int, k: int) -> FieldSpec:
     for i in range(n - 1):
         exp_table.append(acc.coeffs)
         log_table[acc.coeffs] = i
-        acc = acc * gel
+        acc = _poly_mul(acc, gel)
     assert acc.coeffs == spec.one().coeffs, "generator order is wrong"
     spec._exp = exp_table
     spec._log = log_table
@@ -341,8 +353,8 @@ def make_field(p: int, k: int) -> FieldSpec:
     return spec
 
 
-def trace_to_prime(x: FieldElem) -> int:
-    """Absolute trace Tr(x) = x + x^p + ... + x^(p^(k-1)) as an integer."""
+def _frobenius_trace(x: FieldElem) -> int:
+    """Tr(x) = x + x^p + ... + x^(p^(k-1)), summed directly."""
     total = x
     acc = x
     for _ in range(x.spec.k - 1):
@@ -350,6 +362,25 @@ def trace_to_prime(x: FieldElem) -> int:
         total = total + acc
     assert not any(total.coeffs[1:]), "trace landed outside the prime field"
     return total.coeffs[0]
+
+
+def _trace_table(spec: FieldSpec) -> dict:
+    """Tr of every element, keyed by coefficient tuple.  The trace is
+    GF(p)-linear, so Tr(sum c_i x^i) = sum c_i Tr(x^i) mod p; only the k
+    basis traces are summed over Frobenius images."""
+    p = spec.p
+    # from_int(p^i) is x^i
+    basis = [_frobenius_trace(spec.from_int(p ** i)) for i in range(spec.k)]
+    elems = [spec.zero().coeffs] + spec._exp
+    return {cs: sum(c * t for c, t in zip(cs, basis)) % p for cs in elems}
+
+
+def trace_to_prime(x: FieldElem) -> int:
+    """Absolute trace Tr(x) = x + x^p + ... + x^(p^(k-1)) as an integer."""
+    spec = x.spec
+    if spec._trace is None:
+        spec._trace = _trace_table(spec)
+    return spec._trace[x.coeffs]
 
 
 def relative_trace(x: FieldElem, j: int) -> FieldElem:

@@ -18,7 +18,7 @@ from cretan.constructions import (
     ComplexLevelMatrix,
     GroupMatrix,
     LevelMatrix,
-    from_values,
+    from_codes,
 )
 from cretan.scalar import format_scalar, parse_scalar
 
@@ -55,9 +55,9 @@ def _serialize_level(m: LevelMatrix) -> str:
                                                      key=lambda kv: kv[0])]
     pairs += [("note", n) for n in m.notes]
     lines = _header(pairs) + ["entries"]
-    for i in range(m.order):
-        lines.append(" ".join(format_scalar(m.entry(i, j))
-                              for j in range(m.order)))
+    toks = [format_scalar(l) for l in m.levels]
+    for row in m.grid.tolist():
+        lines.append(" ".join([toks[u] for u in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -144,22 +144,30 @@ def _parse_level(header, params, notes, rows, body_at, order):
         omega = parse_scalar(header["omega"])
     except (KeyError, ValueError):
         raise ParseError("missing or bad omega header", 2)
-    # f1.0 compares and hashes equal to 1, so from_values would merge a
+    # f1.0 compares and hashes equal to 1, so from_codes would merge a
     # float token into an exact level: exact rows must hold no float token
     # ('f' occurs in no exact token), and a float file must stay float
     exact = header["mode"] == "exact"
+    # each distinct token is parsed once, on the line where it first
+    # appears; codes[i, j] indexes the token's scalar in values
+    ids: dict = {}
     values = []
+    codes = np.empty((order, order), dtype=np.intp)
     for i, row in enumerate(rows):
         line = body_at + 1 + i
         if exact and "f" in row:
             raise ParseError("float entry in a mode exact file", line)
         toks = _tokens(row, order, line)
-        try:
-            values.append([parse_scalar(t) for t in toks])
-        except ValueError as exc:
-            raise ParseError(str(exc), line)
-    m = from_values(values, omega, header.get("method", ""),
-                    params, tuple(notes))
+        for t in dict.fromkeys(toks):
+            if t not in ids:
+                try:
+                    values.append(parse_scalar(t))
+                except ValueError as exc:
+                    raise ParseError(str(exc), line)
+                ids[t] = len(ids)
+        codes[i] = [ids[t] for t in toks]
+    m = from_codes(values, codes, omega, header.get("method", ""),
+                   params, tuple(notes))
     if m.mode != header["mode"]:
         raise ParseError("header says mode %s, but the entries and omega "
                          "are %s" % (header["mode"], m.mode), 2)
@@ -191,8 +199,11 @@ def _parse_group(header, rows, body_at, order):
     try:
         g = int(header["group-order"])
         weight = int(header.get("weight", "0"))
-    except ValueError:
-        raise ParseError("bad group header", 2)
+    except (KeyError, ValueError):
+        raise ParseError("missing or bad group header", 2)
+    # entries are int16 with STAR = -1
+    if not 1 <= g <= np.iinfo(np.int16).max:
+        raise ParseError("group order %d out of range" % g, 2)
     kind = header.get("kind", "GH")
     if kind not in ("GH", "GW"):
         raise ParseError("kind must be GH or GW", 2)

@@ -47,7 +47,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             m //= p
             d *= p
     f = 49
-    while f * f <= m:
+    while f * f * f <= m:
         while m % (f * f) == 0:
             m //= f * f
             s *= f
@@ -55,7 +55,11 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             m //= f
             d *= f
         f += 2
-    # remaining m is 1 or a prime
+    # every prime factor of m is at least f and f^3 > m, so m is 1, a
+    # prime, a product of two distinct primes, or the square of a prime
+    r = math.isqrt(m)
+    if r > 1 and r * r == m:
+        return (s * r, d)
     return (s, d * m)
 
 
@@ -333,7 +337,7 @@ ONE = _ONE
 #   DEN   := digits, not all zero
 #   RAT   := INT '/' DEN
 #   QUAD  := '(' INT ('+'|'-') digits '*sqrt(' digits ')' ')/' DEN
-#   FLOAT := 'f' decimal-literal
+#   FLOAT := 'f' decimal-literal, finite
 
 _QUAD_RE = re.compile(
     r"^\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(0*[1-9]\d*)$"
@@ -356,7 +360,10 @@ def parse_scalar(text: str) -> Scalar:
     """Inverse of format_scalar.  Raises ValueError on malformed tokens."""
     text = text.strip()
     if text.startswith("f"):
-        return Scalar.from_float(float(text[1:]))
+        x = float(text[1:])
+        if not math.isfinite(x):
+            raise ValueError("non-finite float token: %r" % text)
+        return Scalar.from_float(x)
     m = _QUAD_RE.match(text)
     if m:
         p, sgn, q, d, r = m.groups()

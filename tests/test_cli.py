@@ -157,6 +157,15 @@ def test_verify_zero_denominator(tmp_path, capsys):
     assert "line 8" in err and "1/0" in err
 
 
+def test_verify_non_finite_float(tmp_path, capsys):
+    f = tmp_path / "nan.cm"
+    f.write_text(_exact_file(2, ["fnan fnan", "fnan fnan"])
+                 .replace("mode exact", "mode float"))
+    assert main(["verify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "line 8" in err and "non-finite" in err
+
+
 def test_verify_order_zero(tmp_path, capsys):
     f = tmp_path / "empty.cm"
     f.write_text(_exact_file(0, []))

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from cretan.constructions import (
+    STAR,
     ComplexLevelMatrix,
+    GroupCensusReport,
+    GroupMatrix,
     ModulusViolation,
     basic_family,
     bordered_feasibility,
@@ -283,6 +286,81 @@ def test_perturbed_gh_fails():
     g = gh_z3_order6()
     g.entries[3, 4] = (g.entries[3, 4] + 1) % 3
     assert not group_orthogonality_check(g).passed
+
+
+def census_by_row_pairs(G):
+    """The per-pair census: a bincount of differences for each ordered
+    pair i != j.  Oracle for group_orthogonality_check."""
+    E = G.entries
+    n, g = G.order, G.group_order
+    if G.kind == "GW":
+        per_col = (E != STAR).sum(axis=0)
+        if not (per_col == G.weight).all():
+            return GroupCensusReport(False, G.kind, 0,
+                                     "column star counts are uneven")
+    expect = n // g if G.kind == "GH" else None
+    uniform = expect or 0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            mask = (E[i] != STAR) & (E[j] != STAR)
+            diffs = (E[i][mask] - E[j][mask]) % g
+            counts = np.bincount(diffs, minlength=g)
+            want = expect if expect is not None else counts[0]
+            if not (counts == want).all():
+                return GroupCensusReport(
+                    False, G.kind, 0,
+                    "rows %d,%d: counts %s" % (i, j, counts.tolist()))
+            uniform = int(want)
+    return GroupCensusReport(True, G.kind, uniform, "ok")
+
+
+def census_cases():
+    """Field GH matrices up to GF(3^4), the published GH(6) and GW(5),
+    and copies of each with one entry perturbed."""
+    fields = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
+              (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2),
+              (13, 1), (31, 1)]
+    base = [gh_from_field(p, k) for p, k in fields]
+    base += [gh_z3_order6(), gw_z3_order5()]
+    rng = np.random.default_rng(7)
+    cases = list(base)
+    for G in base:
+        for _ in range(2):
+            E = G.entries.copy()
+            i, j = rng.integers(G.order, size=2)
+            if E[i, j] == STAR:
+                E[i, j] = rng.integers(G.group_order)
+            else:
+                E[i, j] = (E[i, j] + rng.integers(1, G.group_order)) \
+                    % G.group_order
+            cases.append(GroupMatrix(G.order, G.group_order, E, G.kind,
+                                     G.weight))
+        E = G.entries.copy()
+        E[rng.integers(G.order), rng.integers(G.order)] = STAR
+        cases.append(GroupMatrix(G.order, G.group_order, E, G.kind,
+                                 G.weight))
+    return cases
+
+
+def test_census_matches_row_pair_oracle():
+    verdicts = set()
+    for G in census_cases():
+        rep = group_orthogonality_check(G)
+        assert rep == census_by_row_pairs(G)
+        verdicts.add(rep.passed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (251, 1)])
+def test_gh_from_field_at_the_cap(p, k):
+    G = gh_from_field(p, k)
+    n = p ** k
+    rep = group_orthogonality_check(G)
+    assert rep.passed and rep.uniform_count == n // p
+    H = np.exp(2j * np.pi * G.entries / p)
+    assert np.abs(H @ H.conj().T - n * np.eye(n)).max() < 1e-9
 
 
 def test_gh_to_complex():

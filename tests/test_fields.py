@@ -3,6 +3,7 @@
 import pytest
 
 from cretan.fields import (
+    FieldElem,
     FieldSpec,
     factor_prime_power,
     is_prime,
@@ -145,3 +146,65 @@ def test_frobenius_fixes_prime_subfield():
         assert x.frobenius() == x
     g = f.gen()
     assert g.frobenius() == g ** 3
+
+
+# -- table kernels against polynomial arithmetic ------------------------------
+
+ORACLE_FIELDS = [(2, 4), (3, 3), (5, 2), (7, 2)]
+
+
+def poly_mul(x, y):
+    """Schoolbook product of coefficient tuples reduced by the (monic)
+    modulus: no exp/log table involved."""
+    spec = x.spec
+    p, k, m = spec.p, spec.k, spec.modulus
+    out = [0] * (2 * k - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = (out[i + j] + a * b) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = out[top]
+        for i, mi in enumerate(m):
+            out[top - k + i] = (out[top - k + i] - c * mi) % p
+    return FieldElem(spec, tuple(out[:k]))
+
+
+def poly_frobenius(x):
+    acc = x.spec.one()
+    for _ in range(x.spec.p):
+        acc = poly_mul(acc, x)
+    return acc
+
+
+def poly_trace(x):
+    total, acc = x, x
+    for _ in range(x.spec.k - 1):
+        acc = poly_frobenius(acc)
+        total = total + acc
+    assert not any(total.coeffs[1:])
+    return total.coeffs[0]
+
+
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS)
+def test_table_product_matches_polynomial_product(p, k):
+    elems = make_field(p, k).elements()
+    for x in elems:
+        for y in elems:
+            assert x * y == poly_mul(x, y)
+
+
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS)
+def test_table_frobenius_and_trace_match_direct_sums(p, k):
+    for x in make_field(p, k).elements():
+        assert x.frobenius() == poly_frobenius(x)
+        assert trace_to_prime(x) == poly_trace(x)
+
+
+def test_trace_table_is_built_on_first_use():
+    # GF(2^9) serves the Singer designs, which never take an absolute
+    # trace, so make_field must not pay for a trace table
+    f = make_field(2, 9)
+    assert f._trace is None
+    x = f.from_int(300)
+    assert trace_to_prime(x) == poly_trace(x)
+    assert len(f._trace) == f.order

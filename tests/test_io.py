@@ -1,9 +1,14 @@
 """Serialization round trips, parse failures, and rendering."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cretan.constructions import (
+    STAR,
+    GroupMatrix,
     basic_family,
     bordered_solver,
     conference_complex,
@@ -238,3 +243,129 @@ def test_parse_rejects_zero_denominator_and_order():
         with pytest.raises(ParseError) as err:
             parse_matrix(bad)
         assert err.value.line == 2
+
+
+def test_parse_rejects_non_finite_floats():
+    text = serialize_matrix(bordered_solver(qr_difference_set(7).develop())[0])
+    head, body = text.split("entries\n")
+    first_row = head.count("\n") + 2
+    for token in ("fnan", "finf", "f-inf"):
+        bad = head + "entries\n" + token + body[body.index(" "):]
+        with pytest.raises(ParseError) as err:
+            parse_matrix(bad)
+        assert err.value.line == first_row and "non-finite" in str(err.value)
+
+
+def test_parse_group_header_errors():
+    text = serialize_matrix(gw_z3_order5())
+    for old, new in (("group-order 3\n", ""),
+                     ("group-order 3", "group-order 0"),
+                     ("group-order 3", "group-order 40000")):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(text.replace(old, new))
+        assert err.value.line == 2
+
+
+def test_every_mode_swap_raises_parse_error():
+    samples = [identity2(), bordered_solver(qr_difference_set(7).develop())[0],
+               conference_complex(paley_conference(5)), gw_z3_order5()]
+    modes = ("exact", "float", "complex", "group")
+    for m in samples:
+        text = serialize_matrix(m)
+        mode = re.search(r"^mode (\w+)$", text, re.M).group(1)
+        for other in modes:
+            if other != mode:
+                with pytest.raises(ParseError):
+                    parse_matrix(text.replace("mode " + mode,
+                                              "mode " + other))
+
+
+# -- round-trip properties ----------------------------------------------------
+
+_ints = st.integers(-40, 40)
+_dens = st.integers(1, 12)
+
+
+@st.composite
+def exact_matrices(draw):
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+    levels = draw(st.lists(st.builds(Scalar, _ints, _ints, st.just(d), _dens),
+                           min_size=1, max_size=4))
+    n = draw(st.integers(1, 6))
+    grid = draw(st.lists(st.lists(st.sampled_from(levels), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    omega = draw(st.builds(Scalar, _ints, _ints, st.just(d), _dens))
+    return from_values(grid, omega, "random")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_matrices(draw):
+    levels = draw(st.lists(st.one_of(_finite.map(Scalar.from_float),
+                                     st.builds(Scalar, _ints)),
+                           min_size=1, max_size=4))
+    n = draw(st.integers(1, 6))
+    grid = draw(st.lists(st.lists(st.sampled_from(levels), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    omega = Scalar.from_float(draw(_finite))
+    return from_values(grid, omega, "random")
+
+
+@st.composite
+def group_matrices(draw):
+    n = draw(st.integers(1, 6))
+    g = draw(st.integers(1, 5))
+    cells = st.sampled_from([STAR] + list(range(g)))
+    entries = draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["GH", "GW"]))
+    return GroupMatrix(n, g, np.array(entries), kind,
+                       draw(st.integers(0, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(exact_matrices(), float_matrices()))
+def test_level_round_trip_property(m):
+    text = serialize_matrix(m)
+    again = parse_matrix(text)
+    assert again == m and again.mode == m.mode
+    assert serialize_matrix(again) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_matrices())
+def test_group_round_trip_property(m):
+    again = parse_matrix(serialize_matrix(m))
+    assert (again.order, again.group_order, again.kind, again.weight) == \
+        (m.order, m.group_order, m.kind, m.weight)
+    assert np.array_equal(again.entries, m.entries)
+
+
+_token_alphabet = "0123456789-+/*().,fsqrtina \u22c6\n"
+_replacements = st.one_of(
+    st.text(_token_alphabet, max_size=10),
+    st.sampled_from(["fnan", "finf", "f-inf", "1/0", "(1+1*sqrt(2))/0",
+                     "\u22c6", "*", "exact", "float", "complex", "group",
+                     "GW", "0", "-1", "40000", "f1.0", "1,0", "entries",
+                     "(1+1*sqrt(100000000000031))/3"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exact_matrices(), float_matrices(), group_matrices(),
+                 st.just(conference_complex(paley_conference(5)))),
+       st.data())
+def test_one_token_mutation_raises_only_parse_error(m, data):
+    text = serialize_matrix(m)
+    body = text.index("\nentries\n")
+    spans = [t.span() for t in re.finditer(r"\S+", text)]
+    # header and body tokens are picked equally often
+    a, b = data.draw(st.one_of(
+        st.sampled_from([s for s in spans if s[0] < body]),
+        st.sampled_from([s for s in spans if s[0] > body])))
+    mutated = text[:a] + data.draw(_replacements) + text[b:]
+    try:
+        parse_matrix(mutated)
+    except ParseError:
+        pass

@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from cretan.scalar import (
     IncompatibleRadicands,
@@ -142,6 +143,47 @@ def test_squarefree_decompose():
     assert squarefree_decompose(2 * 2 * 3 * 3 * 5) == (6, 5)
 
 
+_primes_below_50 = [p for p in range(2, 50) if sympy.isprime(p)]
+_mid_primes = st.integers(50, 3000).map(sympy.nextprime)
+_large_primes = st.integers(10 ** 6, 10 ** 7).map(sympy.nextprime)
+
+
+@st.composite
+def radicands_with_large_tails(draw):
+    """Products of small and mid-size prime powers times a tail of 1, p,
+    p^2 or p*q with p, q up to 10^7: the shapes left once trial division
+    stops at f^3 > m."""
+    n = 1
+    for p, e in draw(st.lists(st.tuples(st.sampled_from(_primes_below_50),
+                                        st.integers(1, 4)), max_size=3)):
+        n *= p ** e
+    for p, e in draw(st.lists(st.tuples(_mid_primes, st.integers(1, 3)),
+                              max_size=2)):
+        n *= p ** e
+    tail = draw(st.sampled_from(["one", "p", "pp", "pq"]))
+    p, q = draw(_large_primes), draw(_large_primes)
+    return n * {"one": 1, "p": p, "pp": p * p, "pq": p * q}[tail]
+
+
+@settings(max_examples=150, deadline=None)
+@given(radicands_with_large_tails())
+def test_squarefree_decompose_matches_factorint(n):
+    s, d = 1, 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    assert squarefree_decompose(n) == (s, d)
+
+
+def test_large_prime_radicand_parses_fast():
+    # trial division stops at the cube root, about 23k steps here
+    # instead of 5M up to the square root
+    d = 100000000000031
+    assert sympy.isprime(d)
+    x = parse_scalar("(0+1*sqrt(%d))/1" % d)
+    assert (x.q, x.d) == (1, d)
+
+
 def test_sqrt_fraction():
     assert Scalar.sqrt_fraction(Fraction(9, 4)) == Scalar(3, 0, 0, 2)
     s = Scalar.sqrt_fraction(Fraction(1, 2))
@@ -217,6 +259,9 @@ def test_grammar_forms():
     assert format_scalar(Scalar.from_float(0.25)) == "f0.25"
     assert parse_scalar("(14+3*sqrt(3))/2") == quad(14, 3, 3, 2)
     assert parse_scalar("f1.5").is_float
+    for bad in ["fnan", "finf", "f-inf", "f1e999"]:
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_scalar(bad)
     for bad in ["", "sqrt(3)", "(1+2*sqrt(3))", "1/0", "one"]:
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_scalar(bad)
