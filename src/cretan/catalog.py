@@ -24,6 +24,7 @@ from cretan.constructions import (
     sbibd_two_level,
 )
 from cretan.designs import (
+    BadFixture,
     MissingFixture,
     build_family,
     fixture_search_dirs,
@@ -117,8 +118,8 @@ def _odd_factor_pairs(v: int) -> list:
 
 def methods_for(v: int) -> list:
     """Applicable construction routes for an odd order, in fixed scan
-    order.  A regular-Hadamard core whose fixture is absent shows up as
-    fixture-missing so the gap is visible rather than silent.
+    order.  A regular-Hadamard core whose fixture is absent or malformed
+    shows up as fixture-missing so the gap is visible rather than silent.
     """
     _check_range(v)
     out = []
@@ -127,7 +128,7 @@ def methods_for(v: int) -> list:
         try:
             regular_hadamard(m)
             out.append("regular-hadamard")
-        except (NoConstructionAvailable, MissingFixture):
+        except (NoConstructionAvailable, MissingFixture, BadFixture):
             out.append("fixture-missing")
     if registered_designs(v):
         out.append("sbibd-ds")
@@ -171,7 +172,7 @@ def _candidates_for(v: int) -> tuple:
             for _, k, lam, fam, kw in registered_designs(v):
                 try:
                     ds = build_family(fam, **kw)
-                except MissingFixture as exc:
+                except (MissingFixture, BadFixture) as exc:
                     cands.append(Candidate(method, None, None, str(exc)))
                     continue
                 note = "(%d,%d,%d)" % (v, k, lam)
@@ -345,7 +346,7 @@ def _diff_table1(diff: DiffReport) -> None:
             continue
         try:
             design = build_family(rows[0][3], **rows[0][4]).develop()
-        except MissingFixture as exc:
+        except (MissingFixture, BadFixture) as exc:
             diff.paper_extra.append(("table1-ds", v, str(exc)))
             continue
         mats = sbibd_two_level(design) + sbibd_two_level(design.complement())
@@ -365,7 +366,7 @@ def _diff_table1(diff: DiffReport) -> None:
             continue
         try:
             mat = regular_hadamard_border(regular_hadamard(m))
-        except (NoConstructionAvailable, MissingFixture) as exc:
+        except (NoConstructionAvailable, MissingFixture, BadFixture) as exc:
             diff.paper_extra.append(("table1-rh", v, str(exc)))
             continue
         cert = verify_cretan(mat, mode="relaxed")

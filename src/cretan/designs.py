@@ -5,10 +5,20 @@ k-subset whose ordered differences cover every non-identity element of G
 exactly lam times.  Developing D gives a symmetric balanced incomplete
 block design: a v x v 0/1 matrix B with B B^T = (k - lam) I + lam J.
 
-Groups are products of cyclic factors; elements are int tuples.  Three
-families are constructed directly (quadratic residues, biquadratic
+Groups are products of cyclic factors; elements are int tuples.  Inside
+the kernels an element is its integer position in `GroupDesc.elements()`
+order (mixed radix, last factor fastest), and the position of a - b is
+built one cyclic factor at a time, pos = pos * o + (a_f - b_f) mod o, on
+int32 coordinate arrays.  Developing D is then one lookup,
+B[i, j] = inside[pos(g_j - g_i)], and the census is one `np.bincount`
+over the k x k difference positions, less the k diagonal hits on the
+identity.  Coordinates are range-checked first, so an element outside
+the group cannot alias to another one.
+
+Three families are constructed directly (quadratic residues, biquadratic
 residues, hyperplane-based sets in projective space) and the rest ship as
-fixture files validated by the same census used everywhere else.
+fixture files validated by the same census used everywhere else.  A
+fixture that fails to parse or fails its census raises `BadFixture`.
 """
 
 from __future__ import annotations
@@ -35,6 +45,10 @@ class NotADifferenceSet(ValueError):
 
 class MissingFixture(FileNotFoundError):
     """A named fixture file is not present in any search directory."""
+
+
+class BadFixture(ValueError):
+    """A fixture file failed to parse or failed its census."""
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,43 @@ class GroupDesc:
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple((x - y) % o for x, y, o in zip(a, b, self.orders))
 
+    def coords(self, elements) -> np.ndarray:
+        """Element tuples as a (len, rank) int32 coordinate array.
+
+        Raises ValueError for an element of the wrong arity or with a
+        coordinate outside 0..o-1.
+        """
+        rank = len(self.orders)
+        els = list(elements)
+        for e in els:
+            if len(e) != rank or not all(
+                    0 <= x < o for x, o in zip(e, self.orders)):
+                raise ValueError("element %r is not in %s" % (e, self))
+        return np.array(els, dtype=np.int32).reshape(len(els), rank)
+
+    def all_coords(self) -> np.ndarray:
+        """Coordinates of every element, in `elements()` order."""
+        return np.indices(self.orders, dtype=np.int32).reshape(
+            len(self.orders), -1).T
+
+    def positions(self, C: np.ndarray) -> np.ndarray:
+        """Index in `elements()` of each coordinate row of C."""
+        out = np.zeros(len(C), dtype=np.int32)
+        for f, o in enumerate(self.orders):
+            out *= o
+            out += C[:, f]
+        return out
+
+    def diff_positions(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """out[i, j] = position of A[j] - B[i], one factor at a time."""
+        out = np.zeros((len(B), len(A)), dtype=np.int32)
+        for f, o in enumerate(self.orders):
+            d = A[None, :, f] - B[:, None, f]
+            d %= o
+            out *= o
+            out += d
+        return out
+
     def __str__(self):
         return " x ".join("Z%d" % o for o in self.orders)
 
@@ -75,18 +126,25 @@ def cyclic(v: int) -> GroupDesc:
     return GroupDesc((v,))
 
 
+def _census_counts(group: GroupDesc, C: np.ndarray) -> np.ndarray:
+    """Count of each element, by position, among the differences a - b
+    over distinct pairs of the coordinate rows C (entry 0, the identity,
+    is zero)."""
+    counts = np.bincount(group.diff_positions(C, C).ravel(),
+                         minlength=group.order)
+    counts[0] -= len(C)
+    return counts
+
+
 def difference_census(group: GroupDesc, elements) -> dict:
     """Count ordered differences d1 - d2 over distinct pairs of the set.
 
     Returns {group element: count} for every non-identity element,
-    including zero counts.
+    including zero counts.  Raises ValueError for an element outside the
+    group.
     """
-    counts = {g: 0 for g in group.elements()}
-    els = list(elements)
-    for a in els:
-        for b in els:
-            if a != b:
-                counts[group.sub(a, b)] += 1
+    counts = dict(zip(group.elements(),
+                      _census_counts(group, group.coords(elements)).tolist()))
     del counts[group.identity()]
     return counts
 
@@ -119,14 +177,11 @@ class DifferenceSet:
 
     def develop(self) -> "Sbibd":
         """Incidence matrix: row g, column h carries 1 iff h - g is in D."""
-        els = self.group.elements()
-        inside = set(self.elements)
-        v = self.v
-        B = np.zeros((v, v), dtype=np.int8)
-        for i, g in enumerate(els):
-            for j, h in enumerate(els):
-                if self.group.sub(h, g) in inside:
-                    B[i, j] = 1
+        group = self.group
+        inside = np.zeros(self.v, dtype=np.int8)
+        inside[group.positions(group.coords(self.elements))] = 1
+        C = group.all_coords()
+        B = inside[group.diff_positions(C, C)]
         return Sbibd(self.v, self.k, self.lam, B, source=self.source)
 
 
@@ -136,12 +191,15 @@ def make_difference_set(group: GroupDesc, elements, lam: int,
     els = tuple(sorted(set(elements)))
     if len(els) != len(tuple(elements)):
         raise NotADifferenceSet("repeated elements in candidate set")
-    counts = difference_census(group, els)
-    bad = {g: c for g, c in counts.items() if c != lam}
+    try:
+        C = group.coords(els)
+    except ValueError as exc:
+        raise NotADifferenceSet(str(exc)) from None
+    bad = int((_census_counts(group, C)[1:] != lam).sum())
     if bad:
         raise NotADifferenceSet(
             "census mismatch for %s in %s: %d elements deviate from "
-            "lambda=%d" % (sorted(els)[:4], group, len(bad), lam))
+            "lambda=%d" % (sorted(els)[:4], group, bad, lam))
     k = len(els)
     v = group.order
     if lam * (v - 1) != k * (k - 1):
@@ -173,14 +231,16 @@ class Sbibd:
         v, k, lam = self.v, self.k, self.lam
         if lam * (v - 1) != k * (k - 1):
             raise ValueError("parameter identity fails for %s" % (self.params,))
-        B = self.incidence.astype(np.int64)
+        B = self.incidence
         if B.shape != (v, v) or not np.isin(B, (0, 1)).all():
             raise ValueError("incidence must be a v x v 0/1 matrix")
         if not (B.sum(axis=1) == k).all() or not (B.sum(axis=0) == k).all():
             raise ValueError("row or column sums differ from k")
-        G = B @ B.T
-        want = (k - lam) * np.eye(v, dtype=np.int64) + lam
-        if not (G == want).all():
+        # float64 BLAS is exact here: every partial sum of a 0/1 Gram
+        # product is an integer of at most v, far below 2^53
+        F = B.astype(np.float64)
+        want = (k - lam) * np.eye(v) + lam
+        if not (F @ F.T == want).all():
             raise ValueError("Gram identity fails for %s" % (self.params,))
 
     def complement(self) -> "Sbibd":
@@ -358,20 +418,32 @@ def format_fixture(fx: Fixture) -> str:
 
 
 def load_fixture(name: str) -> Fixture:
-    return parse_fixture(fixture_path(name).read_text())
+    """Find and parse a fixture.  Raises MissingFixture or BadFixture."""
+    path = fixture_path(name)
+    try:
+        return parse_fixture(path.read_text())
+    except ValueError as exc:
+        raise BadFixture("fixture %s: %s" % (path, exc)) from None
 
 
 def fixture_difference_set(name: str) -> DifferenceSet:
-    """Load a difference-set fixture and re-validate it by census."""
+    """Load a difference-set fixture and re-validate it by census.
+
+    Raises MissingFixture, or BadFixture when the file does not parse or
+    its set fails the census.
+    """
     fx = load_fixture(name)
-    if fx.kind != "difference-set":
-        raise ValueError("fixture %r is not a difference set" % name)
-    v, k, lam = fx.params
-    group = GroupDesc(fx.group_orders)
-    if group.order != v or len(fx.elements) != k:
-        raise NotADifferenceSet("fixture %r header disagrees with body" % name)
-    return make_difference_set(group, fx.elements, lam,
-                               source="fixture:%s" % name)
+    try:
+        if fx.kind != "difference-set":
+            raise ValueError("not a difference set")
+        v, k, lam = fx.params
+        group = GroupDesc(fx.group_orders)
+        if group.order != v or len(fx.elements) != k:
+            raise ValueError("header disagrees with body")
+        return make_difference_set(group, fx.elements, lam,
+                                   source="fixture:%s" % name)
+    except ValueError as exc:
+        raise BadFixture("fixture %r: %s" % (name, exc)) from None
 
 
 # -- registry of shipped designs ---------------------------------------------

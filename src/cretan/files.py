@@ -20,7 +20,7 @@ from cretan.constructions import (
     LevelMatrix,
     from_codes,
 )
-from cretan.scalar import format_scalar, parse_scalar
+from cretan.scalar import format_scalar, parse_float, parse_int, parse_scalar
 
 MATRIX_MAGIC = "cretan-matrix 1"
 STAR_TOKEN = "⋆"
@@ -115,7 +115,7 @@ def parse_matrix(text: str):
     if mode not in ("exact", "float", "complex", "group"):
         raise ParseError("unknown mode %r" % mode, 2)
     try:
-        order = int(header["order"])
+        order = parse_int(header["order"])
     except (KeyError, ValueError):
         raise ParseError("missing or bad order header", 2)
     if order < 1:
@@ -180,15 +180,16 @@ def _parse_complex(header, params, rows, body_at, order):
         line = body_at + 1 + i
         toks = _tokens(row, order, line)
         for j, t in enumerate(toks):
-            re, sep, im = t.partition(",")
+            real, sep, imag = t.partition(",")
             if not sep:
                 raise ParseError("expected re,im pair, got %r" % t, line)
             try:
-                entries[i, j] = complex(float(re), float(im))
+                entries[i, j] = complex(parse_float(real),
+                                        parse_float(imag))
             except ValueError:
                 raise ParseError("bad complex entry %r" % t, line)
     try:
-        omega = float(header["omega"])
+        omega = parse_float(header["omega"])
     except (KeyError, ValueError):
         raise ParseError("missing or bad omega header", 2)
     return ComplexLevelMatrix(order, entries, omega,
@@ -197,8 +198,8 @@ def _parse_complex(header, params, rows, body_at, order):
 
 def _parse_group(header, rows, body_at, order):
     try:
-        g = int(header["group-order"])
-        weight = int(header.get("weight", "0"))
+        g = parse_int(header["group-order"])
+        weight = parse_int(header.get("weight", "0"))
     except (KeyError, ValueError):
         raise ParseError("missing or bad group header", 2)
     # entries are int16 with STAR = -1
@@ -207,22 +208,25 @@ def _parse_group(header, rows, body_at, order):
     kind = header.get("kind", "GH")
     if kind not in ("GH", "GW"):
         raise ParseError("kind must be GH or GW", 2)
+    # each distinct token is checked once, on the line where it first
+    # appears
+    values = {STAR_TOKEN: STAR, "*": STAR}
     entries = np.zeros((order, order), dtype=np.int16)
     for i, row in enumerate(rows):
         line = body_at + 1 + i
         toks = _tokens(row, order, line)
-        for j, t in enumerate(toks):
-            if t == STAR_TOKEN or t == "*":
-                entries[i, j] = STAR
+        for t in dict.fromkeys(toks):
+            if t in values:
                 continue
             try:
-                val = int(t)
+                val = parse_int(t)
             except ValueError:
                 raise ParseError("bad group entry %r" % t, line)
             if not 0 <= val < g:
                 raise ParseError("entry %d outside group of order %d"
                                  % (val, g), line)
-            entries[i, j] = val
+            values[t] = val
+        entries[i] = [values[t] for t in toks]
     return GroupMatrix(order, g, entries, kind, weight)
 
 

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cretan.designs import Sbibd, fixture_difference_set, load_fixture
+from cretan.designs import (
+    BadFixture,
+    Sbibd,
+    fixture_difference_set,
+    load_fixture,
+)
 from cretan.fields import (
     factor_prime_power,
     is_prime,
@@ -38,10 +43,13 @@ class SignMatrix:
 
     def validate(self) -> None:
         n = self.order
-        E = self.entries.astype(np.int64)
+        E = self.entries
         if E.shape != (n, n) or not np.isin(E, (-1, 0, 1)).all():
             raise ValueError("entries must be an n x n matrix over {-1,0,1}")
-        if not (E @ E.T == self.weight * np.eye(n, dtype=np.int64)).all():
+        # float64 BLAS is exact here: every partial sum of a 0/+-1 Gram
+        # product is an integer of at most n, far below 2^53
+        F = E.astype(np.float64)
+        if not (F @ F.T == self.weight * np.eye(n)).all():
             raise ValueError("Gram matrix is not weight * I")
         if self.kind == "hadamard":
             if self.weight != n or (E == 0).any():
@@ -173,7 +181,9 @@ def regular_hadamard(m: int) -> SignMatrix:
 
     Covers m = 2^a and m = 3 * 2^a (the latter seeded by the shipped
     (36,15,6) design).  Other m fall back to a sign-matrix fixture named
-    regular-hadamard-<4m^2>; absent that, NoConstructionAvailable.
+    regular-hadamard-<4m^2>; absent that, NoConstructionAvailable.  A
+    fixture that does not parse or decode to a regular Hadamard matrix
+    with row sums 2m raises BadFixture.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -201,9 +211,12 @@ def regular_hadamard(m: int) -> SignMatrix:
         raise NoConstructionAvailable(
             "no regular Hadamard construction for m=%d; provide a "
             "sign-matrix fixture %r" % (m, name))
-    M = sign_matrix_from_fixture(fx, expect_regular=True)
-    if M.excess != 2 * m:
-        raise ValueError("fixture %r has the wrong row sums" % name)
+    try:
+        M = sign_matrix_from_fixture(fx, expect_regular=True)
+        if M.excess != 2 * m:
+            raise ValueError("wrong row sums")
+    except ValueError as exc:
+        raise BadFixture("fixture %r: %s" % (name, exc)) from None
     return M
 
 
@@ -213,6 +226,8 @@ def sign_matrix_from_fixture(fx, expect_regular: bool = False) -> SignMatrix:
         raise ValueError("fixture %r is not a sign matrix" % fx.label)
     n = fx.order
     chars = {"+": 1, "-": -1, "0": 0}
+    if not set("".join(fx.rows)) <= set(chars):
+        raise ValueError("sign rows may hold only '+', '-' and '0'")
     E = np.array([[chars[c] for c in row] for row in fx.rows], dtype=np.int8)
     if E.shape != (n, n):
         raise ValueError("fixture body disagrees with declared order")

@@ -338,12 +338,29 @@ ONE = _ONE
 #   RAT   := INT '/' DEN
 #   QUAD  := '(' INT ('+'|'-') digits '*sqrt(' digits ')' ')/' DEN
 #   FLOAT := 'f' decimal-literal, finite
+#
+# digits are ASCII 0-9 only: Python's \d, int() and float() also take
+# other Unicode decimal digits, and int() and float() take underscores
 
 _QUAD_RE = re.compile(
-    r"^\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(0*[1-9]\d*)$"
+    r"\((-?[0-9]+)([+-])([0-9]+)\*sqrt\(([0-9]+)\)\)/(0*[1-9][0-9]*)"
 )
-_RAT_RE = re.compile(r"^(-?\d+)/(0*[1-9]\d*)$")
-_INT_RE = re.compile(r"^-?\d+$")
+_RAT_RE = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An INT of the grammar: no blanks, underscores or non-ASCII digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError("malformed integer: %r" % text)
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """float() of ASCII text without underscores; may be non-finite."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("malformed float: %r" % text)
+    return float(text)
 
 
 def format_scalar(x: Scalar) -> str:
@@ -360,19 +377,19 @@ def parse_scalar(text: str) -> Scalar:
     """Inverse of format_scalar.  Raises ValueError on malformed tokens."""
     text = text.strip()
     if text.startswith("f"):
-        x = float(text[1:])
+        x = parse_float(text[1:])
         if not math.isfinite(x):
             raise ValueError("non-finite float token: %r" % text)
         return Scalar.from_float(x)
-    m = _QUAD_RE.match(text)
+    m = _QUAD_RE.fullmatch(text)
     if m:
         p, sgn, q, d, r = m.groups()
         qv = int(q) if sgn == "+" else -int(q)
         return Scalar(int(p), qv, int(d), int(r))
-    m = _RAT_RE.match(text)
+    m = _RAT_RE.fullmatch(text)
     if m:
         return Scalar(int(m.group(1)), 0, 0, int(m.group(2)))
-    if _INT_RE.match(text):
+    if _INT_RE.fullmatch(text):
         return Scalar(int(text))
     raise ValueError("malformed scalar token: %r" % text)
 

@@ -165,3 +165,40 @@ def test_memo_follows_fixture_dir(tmp_path, monkeypatch):
                               first.best.matrix.grid)
     monkeypatch.delenv(FIXTURE_DIR_ENV)
     assert construct_best(45) is first
+
+
+def test_malformed_fixture_is_a_failed_route(tmp_path, monkeypatch, capsys):
+    from cretan.cli import main
+    from cretan.designs import FIXTURE_DIR_ENV, fixture_path
+
+    src = fixture_path("45-12-3").read_text()
+    (tmp_path / "45-12-3.txt").write_text(
+        src.replace("params 45 12 3", "parameters 45 12 3"))
+    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+    e = construct_best(45)
+    failed = [c for c in e.candidates if c.method == "sbibd-ds"]
+    assert len(failed) == 1 and not failed[0].ok
+    assert "unknown fixture header line" in failed[0].note
+    assert e.best is not None and e.best.method != "sbibd-ds"
+    assert main(["catalog", "--max", "45", "--diff"]) == 0
+    assert "45" in capsys.readouterr().out
+
+
+def test_malformed_regular_hadamard_fixture_is_missing(tmp_path,
+                                                       monkeypatch):
+    from cretan.designs import FIXTURE_DIR_ENV, BadFixture
+    from cretan.hadamard import regular_hadamard
+
+    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+    # m = 3: the Menon core comes from the (36,15,6) fixture
+    (tmp_path / "36-15-6.txt").write_text("cretan-fixture 1\nkind nonsense\n")
+    with pytest.raises(BadFixture):
+        regular_hadamard(3)
+    assert methods_for(37)[0] == "fixture-missing"
+    # m = 5: a sign-matrix fixture with a stray character
+    (tmp_path / "regular-hadamard-100.txt").write_text(
+        "cretan-fixture 1\nkind sign-matrix\norder 2\nrows\n+x\n-+\n")
+    with pytest.raises(BadFixture, match="regular-hadamard-100"):
+        regular_hadamard(5)
+    assert methods_for(101)[0] == "fixture-missing"
+    assert construct_best(37).best is not None

@@ -1,10 +1,13 @@
 """Difference set families, census validation, and SBIBD development."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cretan.designs import (
     DESIGN_REGISTRY,
+    BadFixture,
     GroupDesc,
     MissingFixture,
     NotADifferenceSet,
@@ -169,3 +172,138 @@ def test_registered_designs_filter():
 def test_build_family_unknown():
     with pytest.raises(ValueError):
         build_family("mystery")
+
+
+# -- integer-position kernels against the tuple-loop oracle -------------------
+
+def _oracle_census(group, elements):
+    counts = {g: 0 for g in group.elements()}
+    els = list(elements)
+    for a in els:
+        for b in els:
+            if a != b:
+                counts[group.sub(a, b)] += 1
+    del counts[group.identity()]
+    return counts
+
+
+def _oracle_develop(ds):
+    els = ds.group.elements()
+    inside = set(ds.elements)
+    B = np.zeros((ds.v, ds.v), dtype=np.int8)
+    for i, g in enumerate(els):
+        for j, h in enumerate(els):
+            if ds.group.sub(h, g) in inside:
+                B[i, j] = 1
+    return B
+
+
+def _oracle_census_message(group, elements, lam):
+    els = tuple(sorted(set(elements)))
+    bad = [g for g, c in _oracle_census(group, els).items() if c != lam]
+    assert bad
+    return ("census mismatch for %s in %s: %d elements deviate from "
+            "lambda=%d" % (sorted(els)[:4], group, len(bad), lam))
+
+
+# every registry row and its complement (the 45-12-3 and 133-33-8 fixtures
+# are registry rows), the 36-15-6 fixture, and QR sets over Z3^3, Z3^5
+# and Z7^3
+_ORACLE_CASES = [(fam, kw, comp) for (_, _, _, fam, kw) in DESIGN_REGISTRY
+                 for comp in (False, True)]
+_ORACLE_CASES += [("fixture", {"name": "36-15-6"}, False)]
+_ORACLE_CASES += [("qr", {"q": q}, False) for q in (27, 243, 343)]
+
+
+@pytest.mark.parametrize(
+    "family, kw, comp", _ORACLE_CASES,
+    ids=["%s-%s%s" % (fam, "-".join(str(x) for x in kw.values()),
+                      "-complement" if comp else "")
+         for fam, kw, comp in _ORACLE_CASES])
+def test_kernels_match_tuple_oracle(family, kw, comp):
+    ds = build_family(family, **kw)
+    if comp:
+        ds = ds.complement()
+    assert difference_census(ds.group, ds.elements) == \
+        _oracle_census(ds.group, ds.elements)
+    B = ds.develop().incidence
+    assert B.dtype == np.int8
+    assert np.array_equal(B, _oracle_develop(ds))
+    # one element swapped for a non-member fails with the same message
+    outside = next(g for g in ds.group.elements() if g not in ds.elements)
+    swapped = (outside,) + ds.elements[1:]
+    with pytest.raises(NotADifferenceSet) as err:
+        make_difference_set(ds.group, swapped, ds.lam)
+    assert str(err.value) == _oracle_census_message(ds.group, swapped, ds.lam)
+
+
+def test_positions_follow_element_order():
+    g = GroupDesc((3, 2, 5))
+    C = g.all_coords()
+    assert C.dtype == np.int32
+    assert [tuple(c) for c in C.tolist()] == g.elements()
+    assert g.positions(C).tolist() == list(range(30))
+    D = g.diff_positions(C, C)
+    assert D.dtype == np.int32
+    els = g.elements()
+    assert all(els[D[i, j]] == g.sub(els[j], els[i])
+               for i in range(30) for j in range(30))
+
+
+def test_elements_outside_the_group_are_rejected():
+    z3z5 = GroupDesc((3, 5))
+    for bad in [(1,), (0, 16), (0, -1), (3, 0), (0, 1, 2)]:
+        with pytest.raises(NotADifferenceSet, match="not in Z3 x Z5"):
+            make_difference_set(z3z5, [(0, 0), bad], 1)
+        with pytest.raises(ValueError):
+            difference_census(z3z5, [(0, 0), bad])
+    # 8 = 1 (mod 7): the census must not wrap it onto a member
+    with pytest.raises(NotADifferenceSet, match="not in Z7"):
+        make_difference_set(cyclic(7), [(8,), (2,), (4,)], 1)
+    with pytest.raises(NotADifferenceSet, match="not in Z45"):
+        make_difference_set(cyclic(45), [(0,), (46,)], 1)
+
+
+def test_qr_983_develops_and_validates():
+    ds = qr_difference_set(983)
+    ds.develop().validate()
+    ds.complement().develop().validate()
+
+
+def test_validate_rejects_one_flipped_entry():
+    sb = qr_difference_set(11).develop()
+    sb.incidence[3, 4] ^= 1
+    sb.incidence[4, 3] ^= 1
+    with pytest.raises(ValueError):
+        sb.validate()
+
+
+# -- malformed fixtures -------------------------------------------------------
+
+def _write_fixture(tmp_path, monkeypatch, name, text):
+    (tmp_path / (name + ".txt")).write_text(text)
+    monkeypatch.setenv("CRETAN_FIXTURE_DIR", str(tmp_path))
+
+
+def test_unparsable_fixture_is_bad_fixture(tmp_path, monkeypatch):
+    src = fixture_path("45-12-3").read_text()
+    cases = [src.replace("params", "parameters"),
+             src.replace("cretan-fixture 1", "cretan-fixture 9"),
+             src.replace("params 45 12 3", "params 45 twelve 3"),
+             src.replace("params 45 12 3", "params 45 12"),
+             src.replace("group 3 3 5", "group 3 5")]
+    for text in cases:
+        assert text != src
+        _write_fixture(tmp_path, monkeypatch, "45-12-3", text)
+        with pytest.raises(BadFixture, match="45-12-3"):
+            fixture_difference_set("45-12-3")
+
+
+def test_census_failing_fixture_is_bad_fixture(tmp_path, monkeypatch):
+    fx = load_fixture("45-12-3")
+    moved = ((0, 0, 0),) + fx.elements[1:]
+    assert moved[0] not in fx.elements
+    _write_fixture(tmp_path, monkeypatch, "45-12-3",
+                   format_fixture(dataclasses.replace(fx, elements=moved)))
+    with pytest.raises(BadFixture, match="census mismatch"):
+        fixture_difference_set("45-12-3")

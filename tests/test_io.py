@@ -266,6 +266,28 @@ def test_parse_group_header_errors():
         assert err.value.line == 2
 
 
+def test_parse_takes_ascii_digits_only():
+    exact = serialize_matrix(identity2())
+    group = serialize_matrix(gw_z3_order5())
+    cmplx = serialize_matrix(conference_complex(paley_conference(5)))
+    cases = [(exact, "0 1\n", "0 \u0661\n", 9),
+             (exact, "order 2", "order \u0662", 2),
+             (exact, "order 2", "order 0_2", 2),
+             (group, " 2", " 0_2", None),
+             (group, " 2", " \u0662", None),
+             (group, "group-order 3", "group-order 0_3", 2),
+             (group, "group-order 3", "group-order \u0663", 2),
+             (group, "weight 4", "weight 0_4", 2),
+             (cmplx, "1.0,0.0", "1_0.0,0.0", None),
+             (cmplx, "1.0,0.0", "\u0661.0,0.0", None)]
+    for text, old, new, line in cases:
+        assert old in text
+        with pytest.raises(ParseError) as err:
+            parse_matrix(text.replace(old, new, 1))
+        if line is not None:
+            assert err.value.line == line
+
+
 def test_every_mode_swap_raises_parse_error():
     samples = [identity2(), bordered_solver(qr_difference_set(7).develop())[0],
                conference_complex(paley_conference(5)), gw_z3_order5()]

@@ -267,6 +267,15 @@ def test_grammar_forms():
             parse_scalar(bad)
 
 
+def test_grammar_takes_ascii_digits_only():
+    # int(), float() and \d also take other Unicode digits and underscores
+    for bad in ["\u0661", "-\u0661", "1_0", "1/\u0662", "1/1_0",
+                "(1+1*sqrt(\u0663))/1", "(1_0+1*sqrt(3))/1", "f1_0.5",
+                "f\u0661.0"]:
+        with pytest.raises(ValueError, match="malformed"):
+            parse_scalar(bad)
+
+
 def test_poly_evaluate_and_zero():
     p = ScalarPoly([1, 6, 6])
     b = solve_quadratic(1, 6, 6)[0]
