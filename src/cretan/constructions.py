@@ -381,7 +381,8 @@ def direct_sum(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
 def sign_to_level(M: SignMatrix) -> LevelMatrix:
     """View a sign matrix as a level matrix with omega = weight."""
     values = {-1: Scalar(-1), 0: Scalar(0), 1: Scalar(1)}
-    present = sorted(set(np.unique(M.entries)))
+    counts = np.bincount(M.entries.ravel() + 1, minlength=3)
+    present = [v for v in (-1, 0, 1) if counts[v + 1]]
     levels = tuple(values[v] for v in present)
     remap = {v: i for i, v in enumerate(present)}
     lut = np.zeros(3, dtype=np.int16)

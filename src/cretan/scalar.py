@@ -15,6 +15,7 @@ Tolerances used across the package are defined once, here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -31,8 +32,81 @@ class IncompatibleRadicands(ArithmeticError):
     """Raised when exact arithmetic would mix sqrt(d1) and sqrt(d2)."""
 
 
+# trial division stops at this bound (or at the cube root of the
+# leftover); larger prime factors are found by Miller-Rabin and rho
+_TRIAL_LIMIT = 1000
+# Pollard-Brent steps allowed per radicand: finds any factor below 10^9
+# with room to spare, and gives up on two 14-digit primes in about a second
+_RHO_BUDGET = 2 ** 20
+# with these bases Miller-Rabin is exact below
+# 3,317,044,064,679,887,385,961,981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_probable_prime(m: int) -> bool:
+    """Miller-Rabin with the first 13 primes as bases: exact below
+    3.3 * 10^24, a strong probable-prime test above."""
+    if m < 2:
+        return False
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(m: int, budget: int) -> tuple[int, int]:
+    """A proper factor of the odd composite m by Pollard-Brent rho, and
+    the steps left of budget; ValueError once the budget runs out."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(128, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += steps
+            budget -= 2 * r
+            if budget < 0:
+                raise ValueError("radicand %d: no factor found within %d "
+                                 "rho steps" % (m, _RHO_BUDGET))
+            r *= 2
+        if g == m:
+            # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g, budget
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n >= 0 as s*s*d with d squarefree; return (s, d)."""
+    """Write n >= 0 as s*s*d with d squarefree; return (s, d).
+
+    Raises ValueError when a large leftover cannot be split within the
+    rho budget (such as p^2 q with p and q both about 10^14).
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
@@ -47,7 +121,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             m //= p
             d *= p
     f = 49
-    while f * f * f <= m:
+    while f < _TRIAL_LIMIT and f * f * f <= m:
         while m % (f * f) == 0:
             m //= f * f
             s *= f
@@ -55,12 +129,27 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             m //= f
             d *= f
         f += 2
-    # every prime factor of m is at least f and f^3 > m, so m is 1, a
-    # prime, a product of two distinct primes, or the square of a prime
-    r = math.isqrt(m)
-    if r > 1 and r * r == m:
-        return (s * r, d)
-    return (s, d * m)
+    # every prime factor of m is at least f, so a factor of m below f^2
+    # is 1 or a prime; larger ones are split until every part is prime
+    if m < f * f:
+        return (s, d * m)
+    exponents: dict = {}
+    budget = _RHO_BUDGET
+    stack = [m]
+    while stack:
+        x = stack.pop()
+        r = math.isqrt(x)
+        if r * r == x and r > 1:
+            stack += [r, r]
+        elif x < f * f or is_probable_prime(x):
+            exponents[x] = exponents.get(x, 0) + 1
+        else:
+            g, budget = _brent_factor(x, budget)
+            stack += [g, x // g]
+    for x, e in exponents.items():
+        s *= x ** (e // 2)
+        d *= x ** (e % 2)
+    return (s, d)
 
 
 class Scalar:

@@ -383,6 +383,17 @@ def test_sign_to_level():
     assert verify_cretan(m).strict
 
 
+def test_sign_to_level_keeps_the_values_present():
+    ones = sylvester(2)
+    ones.entries[:] = 1
+    for M in (sylvester(8), paley_conference(13), regular_hadamard(3),
+              ones):
+        m = sign_to_level(M)
+        assert [int(l.p) for l in m.levels] == \
+            np.unique(M.entries).tolist()
+        assert m.tau == np.unique(M.entries).size
+
+
 def test_radius_never_exceeds_order():
     outputs = [
         basic_family(11),

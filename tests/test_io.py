@@ -245,6 +245,20 @@ def test_parse_rejects_zero_denominator_and_order():
         assert err.value.line == 2
 
 
+def test_parse_large_radicand_tokens():
+    p = 100000000000031
+    text = serialize_matrix(identity2())
+    m = parse_matrix(text.replace("0 1\n", "0 (0+1*sqrt(%d))/1\n"
+                                  % (3 * p * p)))
+    assert Scalar(0, p, 3) in m.levels
+    # p^2 q with two 14-digit primes cannot be split within the budget
+    q, r = 70000000000009, 30000000000011       # primes
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text.replace("0 1\n", "0 (0+1*sqrt(%d))/1\n"
+                                  % (q * q * r)))
+    assert err.value.line == 9
+
+
 def test_parse_rejects_non_finite_floats():
     text = serialize_matrix(bordered_solver(qr_difference_set(7).develop())[0])
     head, body = text.split("entries\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,8 +177,7 @@ def test_squarefree_decompose_matches_factorint(n):
 
 
 def test_large_prime_radicand_parses_fast():
-    # trial division stops at the cube root, about 23k steps here
-    # instead of 5M up to the square root
+    # a Miller-Rabin test, not trial division up to the square root
     d = 100000000000031
     assert sympy.isprime(d)
     x = parse_scalar("(0+1*sqrt(%d))/1" % d)
@@ -291,3 +291,56 @@ def test_mixed_number_coercion():
     assert 2 * Scalar(1, 0, 0, 2) == Scalar(1)
     assert 1 - Scalar(1, 0, 0, 2) == Scalar(1, 0, 0, 2)
     assert abs(Scalar(-3)) == Scalar(3)
+
+
+P14 = 100000000000031            # a 15-digit prime
+
+
+def test_square_leftover_resolves_fast():
+    # the leftover after trial division is P14^2: trial division to its
+    # cube root (2 * 10^9 steps) never finished
+    assert sympy.isprime(P14)
+    start = time.perf_counter()
+    assert squarefree_decompose(3 * P14 * P14) == (P14, 3)
+    assert squarefree_decompose(12 * P14 ** 2 * 5 ** 3) == (10 * P14, 15)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_unsplittable_leftover_raises_within_budget():
+    p = sympy.nextprime(7 * 10 ** 13)
+    q = sympy.nextprime(3 * 10 ** 13)
+    start = time.perf_counter()
+    for n in (p * p * q, 5 * p * q):
+        with pytest.raises(ValueError, match="rho"):
+            squarefree_decompose(n)
+    assert time.perf_counter() - start < 20
+
+
+_below_1e9 = st.one_of(st.integers(50, 10 ** 5),
+                       st.integers(10 ** 8, 10 ** 9)).map(sympy.prevprime)
+
+
+@st.composite
+def radicands_split_by_rho(draw):
+    """Products whose prime factors, but the largest, are below 10^9:
+    small primes, primes up to 10^9 to the power 1-3, and one prime up
+    to 10^30 to the power 0, 1 or 2."""
+    n = 1
+    for p, e in draw(st.lists(st.tuples(st.sampled_from(_primes_below_50),
+                                        st.integers(1, 3)), max_size=3)):
+        n *= p ** e
+    for p, e in draw(st.lists(st.tuples(_below_1e9, st.integers(1, 3)),
+                              max_size=3)):
+        n *= p ** e
+    top = sympy.nextprime(draw(st.integers(10 ** 9, 10 ** 30)))
+    return n * top ** draw(st.integers(0, 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(radicands_split_by_rho())
+def test_squarefree_decompose_matches_factorint_past_trial_division(n):
+    s, d = 1, 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    assert squarefree_decompose(n) == (s, d)

@@ -1,6 +1,7 @@
 """Verifier, exact determinants, and the bound suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,28 +20,184 @@ from cretan.constructions import (
 from cretan.designs import fixture_difference_set, singer_difference_set
 from cretan.hadamard import paley_conference, sylvester
 from cretan.scalar import VERIFY_TOL, Scalar
+from cretan.catalog import catalog_table
 from cretan.verify import (
-    bareiss_det,
+    _det_primes,
+    _lift,
     check_det_identity,
     det_bounds,
     exact_abs_det,
     log_abs_det,
+    multimodular_det,
     verify_complex,
     verify_cretan,
 )
 
 
+def bareiss_det(rows) -> int:
+    """Oracle: exact determinant of an integer matrix by fraction-free
+    (Bareiss) elimination on Python ints."""
+    M = [list(map(int, r)) for r in rows]
+    n = len(M)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for r in range(k + 1, n):
+                if M[r][k] != 0:
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def mdet(rows) -> int:
+    """multimodular_det of an integer matrix given as rows."""
+    values = sorted({int(x) for r in rows for x in r})
+    index = {v: i for i, v in enumerate(values)}
+    grid = np.array([[index[int(x)] for x in r] for r in rows],
+                    dtype=np.int16)
+    return multimodular_det(values, grid)
+
+
 def test_bareiss_small():
-    assert bareiss_det([[1, 2], [3, 4]]) == -2
-    assert bareiss_det([[0, 1], [1, 0]]) == -1      # pivot swap
-    assert bareiss_det([[1, 1], [1, 1]]) == 0
-    assert bareiss_det([[5]]) == 5
+    for rows, want in (([[1, 2], [3, 4]], -2),
+                       ([[0, 1], [1, 0]], -1),      # pivot swap
+                       ([[1, 1], [1, 1]], 0),
+                       ([[5]], 5)):
+        assert mdet(rows) == bareiss_det(rows) == want
 
 
 #SBIBD determinant k (k-lam)^((v-1)/2) = 4 * 3^6
 def test_bareiss_design_determinant():
     sb = singer_difference_set(2, 3).develop()
+    assert abs(mdet(sb.incidence.tolist())) == 2916
     assert abs(bareiss_det(sb.incidence.tolist())) == 2916
+
+
+# -- the multi-modular determinant against Bareiss and sympy ------------------
+
+P0 = 2 ** 31 - 1      # the first modulus
+
+
+def _agree(rows) -> int:
+    want = bareiss_det(rows)
+    assert int(sympy.Matrix(rows).det()) == want
+    assert mdet(rows) == want
+    return want
+
+
+def test_multimodular_det_random_orders_1_to_30():
+    rng = np.random.default_rng(6)
+    for n in range(1, 31):
+        bound = (2, 1000, 2 ** 40)[n % 3]
+        _agree(rng.integers(-bound, bound + 1, size=(n, n)).tolist())
+
+
+def test_multimodular_det_singular():
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 17):
+        rows = rng.integers(-9, 10, size=(n, n)).tolist()
+        rows[-1] = list(rows[0])                      # equal rows
+        assert _agree(rows) == 0
+        rows = rng.integers(-9, 10, size=(n, n)).tolist()
+        for r in rows:
+            r[n // 2] = 0                             # zero column
+        assert _agree(rows) == 0
+    assert _agree([[0, 0], [0, 0]]) == 0
+
+
+def test_multimodular_det_zero_leading_pivot():
+    assert _agree([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
+    assert _agree([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert _agree([[0, 2], [0, 3]]) == 0
+
+
+def test_multimodular_det_divisible_by_first_prime():
+    assert _det_primes(1) == [P0]
+    # the pivot at column 1 is P0, zero mod P0 only: that prime swaps
+    # rows 1 and 2 while the others do not
+    assert _agree([[1, 2, 0], [3, 6 + P0, 1], [0, 1, 1]]) == P0 - 1
+    # det = P0: the last pivot vanishes mod P0 with no row to swap in
+    assert _agree([[1, 2], [3, 6 + P0]]) == P0
+    assert _agree([[P0, 0], [0, P0]]) == P0 * P0
+    assert _agree([[P0, 1], [P0, 1 + P0 * P0]]) == P0 ** 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-3, 3),
+                       st.sampled_from((P0, -P0, 2 * P0, 2 ** 31,
+                                        2 ** 63 + 1, -(2 ** 70) - 3))),
+             min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_multimodular_det_matches_bareiss(rows):
+    assert mdet(rows) == bareiss_det(rows)
+
+
+def test_det_primes_are_the_largest_primes_below_2_31():
+    primes = _det_primes(40)
+    assert all(sympy.isprime(q) for q in primes)
+    want = [sympy.prevprime(2 ** 31)]
+    while len(want) < 40:
+        want.append(sympy.prevprime(want[-1]))
+    assert primes == want
+
+
+def _sympy_abs_det(values):
+    S = sympy.Matrix([[sympy.Rational(x.p, x.r) for x in row]
+                      for row in values])
+    return abs(S.det())
+
+
+def test_exact_abs_det_large_numerators():
+    # lifted numerators past 2^31 (a large denominator) and past 2^63
+    rng = np.random.default_rng(8)
+    big = (Scalar(1, 0, 0, 2 ** 31 + 11), Scalar(3, 0, 0, 7),
+           Scalar(2 ** 64 + 13), Scalar(-(2 ** 70), 0, 0, 3), Scalar(-1))
+    for n in (5, 9, 12):
+        codes = rng.integers(0, len(big), size=(n, n))
+        codes[0, :5] = range(5)          # every level appears
+        values = [[big[i] for i in row] for row in codes]
+        M = from_values(values, Scalar(1), "random")
+        P, _, _, R = _lift(M.levels)
+        assert max(map(abs, P)) > 2 ** 63
+        got = exact_abs_det(M)
+        assert got == _sympy_abs_det(values)
+        assert got == Fraction(abs(bareiss_det(
+            np.array(P, dtype=object)[M.grid].tolist())), R ** n)
+
+
+@pytest.fixture(scope="module")
+def candidates_45():
+    return [c.matrix for e in catalog_table(45).entries
+            for c in e.candidates if c.matrix is not None]
+
+
+def test_exact_abs_det_matches_bareiss_on_catalog_45(candidates_45):
+    checked = 0
+    for M in candidates_45:
+        got = exact_abs_det(M)
+        if M.mode != "exact" or not all(l.is_rational for l in M.levels):
+            assert got is None
+            continue
+        P, _, _, R = _lift(M.levels)
+        rows = np.array(P, dtype=object)[M.grid].tolist()
+        assert got == Fraction(abs(bareiss_det(rows)), R ** M.order)
+        checked += 1
+    assert checked >= 10
+
+
+def test_tau_counts_the_used_levels(candidates_45):
+    for M in candidates_45:
+        assert verify_cretan(M).tau == np.unique(M.grid).size
 
 
 def test_log_abs_det_exact_vs_float():
@@ -68,7 +225,6 @@ def test_det_identity_exact_order_45():
     M = sbibd_two_level(sb)[0]
     rep = check_det_identity(M)
     assert rep.exact_zero
-    from fractions import Fraction
     assert exact_abs_det(M) == Fraction(9, 2) ** 45
 
 
