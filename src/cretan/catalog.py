@@ -1,10 +1,11 @@
 """Best-known Cretan matrices per odd order, with a published-table diff.
 
-Every odd order from 3 up is covered by at least one route (two-level
-matrices over quadratic-residue or registry designs, bordered regular
-Hadamard cores, Kronecker products of smaller orders, and the basic
-two-level family).  construct_best verifies every candidate and keeps the
-one with the largest radius.  catalog_table reproduces the published
+Every odd order from 3 up is covered by at least one route of the ROUTES
+table (two-level matrices over quadratic-residue or registry designs,
+bordered regular Hadamard cores, Kronecker products of smaller orders,
+and the basic two-level family); the command line builds from the same
+table.  construct_best verifies every candidate and keeps the one with
+the largest radius.  catalog_table reproduces the published
 construction tables for odd orders up to 199 and reports agreements,
 orders we fill that the tables leave blank, claims we cannot realize,
 and outright conflicts.
@@ -13,7 +14,9 @@ and outright conflicts.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from cretan.constructions import (
     LevelMatrix,
@@ -31,12 +34,9 @@ from cretan.designs import (
     qr_difference_set,
     registered_designs,
 )
-from cretan.fields import factor_prime_power, is_prime
+from cretan.fields import is_prime_power
 from cretan.hadamard import NoConstructionAvailable, regular_hadamard
 from cretan.verify import Certificate, verify_cretan
-
-METHOD_ORDER = ("regular-hadamard", "sbibd-ds", "paley-sbibd",
-                "kronecker", "basic")
 
 MIN_ORDER = 3
 MAX_ORDER = 999
@@ -90,114 +90,115 @@ def _check_range(v: int) -> None:
                          % (MIN_ORDER, MAX_ORDER, v))
 
 
+# -- construction routes ------------------------------------------------------
+
 def _square_core_side(v: int) -> int | None:
-    # v = 4 m^2 + 1 exactly
-    if (v - 1) % 4:
-        return None
-    m = math.isqrt((v - 1) // 4)
-    return m if 4 * m * m + 1 == v else None
+    # v = 4 m^2 + 1 exactly, with m >= 1
+    m = math.isqrt(v // 4) if v > 4 else 0
+    return m if m and 4 * m * m + 1 == v else None
 
 
 def _is_prime_power_3mod4(v: int) -> bool:
-    if v % 4 != 3:
-        return False
-    try:
-        factor_prime_power(v)
-    except ValueError:
-        return False
-    return True
+    return v % 4 == 3 and is_prime_power(v)
 
 
 def _odd_factor_pairs(v: int) -> list:
-    out = []
-    for a in range(3, math.isqrt(v) + 1, 2):
-        if v % a == 0 and v // a >= 3:
-            out.append((a, v // a))
-    return out
+    return [(a, v // a) for a in range(3, math.isqrt(max(v, 0)) + 1, 2)
+            if v % a == 0 and v % 2]
 
 
-def methods_for(v: int) -> list:
-    """Applicable construction routes for an odd order, in fixed scan
-    order.  A regular-Hadamard core whose fixture is absent or malformed
-    shows up as fixture-missing so the gap is visible rather than silent.
-    """
-    _check_range(v)
-    out = []
-    m = _square_core_side(v)
-    if m is not None:
-        try:
-            regular_hadamard(m)
-            out.append("regular-hadamard")
-        except (NoConstructionAvailable, MissingFixture, BadFixture):
-            out.append("fixture-missing")
-    if registered_designs(v):
-        out.append("sbibd-ds")
+def design_sources(v: int) -> list:
+    """Symmetric designs at order v as (route, note, develop) triples: the
+    registered rows first, then the quadratic residues at a prime power
+    3 mod 4.  Listing them builds nothing; develop() builds the design."""
+    out = [("sbibd-ds", "(%d,%d,%d)" % (v, k, lam),
+            lambda fam=fam, kw=kw: build_family(fam, **kw).develop())
+           for _, k, lam, fam, kw in registered_designs(v)]
     if _is_prime_power_3mod4(v):
-        out.append("paley-sbibd")
-    if _odd_factor_pairs(v):
-        out.append("kronecker")
-    out.append("basic")
+        out.append(("paley-sbibd", "t=%d" % ((v + 1) // 4),
+                    lambda: qr_difference_set(v).develop()))
     return out
 
 
-def _verified(method: str, matrix: LevelMatrix, note: str = "") -> Candidate:
-    return Candidate(method, matrix, verify_cretan(matrix, mode="relaxed"),
-                     note)
+def _two_level(develop) -> list:
+    design = develop()
+    return sbibd_two_level(design) + sbibd_two_level(design.complement())
 
 
-def _two_level_candidates(method: str, design, note: str = "") -> list:
-    out = []
-    for sb in (design, design.complement()):
-        for m in sbibd_two_level(sb):
-            out.append(_verified(method, m, note))
-    return out
+def _design_parts(route: str):
+    return lambda v: [(note, partial(_two_level, develop))
+                      for name, note, develop in design_sources(v)
+                      if name == route]
+
+
+def _regular_hadamard_parts(v: int) -> list:
+    m = _square_core_side(v)
+    if m is None:
+        return []
+    return [("", lambda: [regular_hadamard_border(regular_hadamard(m))])]
+
+
+def _missing_core(v: int) -> str:
+    m = _square_core_side(v)
+    return ("no regular Hadamard fixture for m=%d (order %d core)"
+            % (m, 4 * m * m))
+
+
+def _kronecker(a: int, b: int) -> list:
+    left, right = construct_best(a).best, construct_best(b).best
+    if left is None or right is None:
+        return []
+    return [kronecker_cretan(left.matrix, right.matrix)]
+
+
+@dataclass(frozen=True)
+class Route:
+    """One construction route.  parts(v) lists (note, build) pairs and
+    builds nothing: the route applies at v when the list is non-empty.
+    build() returns the part's LevelMatrix values and may raise one of
+    ROUTE_FAILURES.  When missing is set, a failed build is reported as a
+    missing fixture, with the note missing(v)."""
+    parts: Callable[[int], list]
+    missing: Callable[[int], str] | None = None
+
+
+# the one table of routes, in scan order; ties in radius and tau go to the
+# earlier route
+ROUTES = {
+    "regular-hadamard": Route(_regular_hadamard_parts, _missing_core),
+    "sbibd-ds": Route(_design_parts("sbibd-ds")),
+    "paley-sbibd": Route(_design_parts("paley-sbibd")),
+    "kronecker": Route(lambda v: [("%d x %d" % ab, partial(_kronecker, *ab))
+                                  for ab in _odd_factor_pairs(v)]),
+    "basic": Route(lambda v: [("", lambda: [basic_family(v)])]),
+}
+METHOD_ORDER = tuple(ROUTES)
+
+ROUTE_FAILURES = (MissingFixture, BadFixture, NoConstructionAvailable,
+                  ModulusViolation)
 
 
 def _candidates_for(v: int) -> tuple:
-    methods = methods_for(v)
+    methods: list = []
     cands: list = []
-    for method in methods:
-        if method == "regular-hadamard":
-            m = _square_core_side(v)
-            cands.append(_verified(method,
-                                   regular_hadamard_border(
-                                       regular_hadamard(m))))
-        elif method == "fixture-missing":
-            m = _square_core_side(v)
-            cands.append(Candidate(
-                "regular-hadamard", None, None,
-                "no regular Hadamard fixture for m=%d (order %d core)"
-                % (m, 4 * m * m)))
-        elif method == "sbibd-ds":
-            for _, k, lam, fam, kw in registered_designs(v):
-                try:
-                    ds = build_family(fam, **kw)
-                except (MissingFixture, BadFixture) as exc:
-                    cands.append(Candidate(method, None, None, str(exc)))
-                    continue
-                note = "(%d,%d,%d)" % (v, k, lam)
-                cands.extend(_two_level_candidates(method, ds.develop(),
-                                                   note))
-        elif method == "paley-sbibd":
-            design = qr_difference_set(v).develop()
-            # alternate closed form for this route's radius at t=(v+1)/4:
-            # (2t^3+t-2t(2t-1)sqrt(t))/(t-1)^2; recorded, never evaluated
-            note = "t=%d" % ((v + 1) // 4)
-            cands.extend(_two_level_candidates(method, design, note))
-        elif method == "kronecker":
-            for a, b in _odd_factor_pairs(v):
-                left = construct_best(a).best
-                right = construct_best(b).best
-                if left is None or right is None:
-                    continue
-                prod = kronecker_cretan(left.matrix, right.matrix)
-                cands.append(_verified(method, prod,
-                                       "%d x %d" % (a, b)))
-        elif method == "basic":
+    for name, route in ROUTES.items():
+        parts = route.parts(v)
+        if not parts:
+            continue
+        label = name
+        for note, build in parts:
             try:
-                cands.append(_verified(method, basic_family(v)))
-            except ModulusViolation as exc:
-                cands.append(Candidate(method, None, None, str(exc)))
+                mats = build()
+            except ROUTE_FAILURES as exc:
+                if route.missing is not None:
+                    label, note = "fixture-missing", route.missing(v)
+                else:
+                    note = str(exc)
+                cands.append(Candidate(name, None, None, note))
+                continue
+            cands += [Candidate(name, m, verify_cretan(m, mode="relaxed"),
+                                note) for m in mats]
+        methods.append(label)
     return methods, cands
 
 

@@ -9,20 +9,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from functools import partial
 
 from cretan.catalog import (
+    ROUTES,
     catalog_structured,
     catalog_table,
     construct_best,
+    design_sources,
     format_catalog_text,
 )
 from cretan.constructions import (
     ComplexLevelMatrix,
     GroupMatrix,
     LevelMatrix,
-    ModulusViolation,
     basic_family,
     bordered_solver,
     conference_complex,
@@ -31,29 +32,20 @@ from cretan.constructions import (
     gh_from_field,
     gh_z3_order6,
     group_orthogonality_check,
-    kronecker_cretan,
-    regular_hadamard_border,
-    sbibd_two_level,
 )
 from cretan.designs import (
     DESIGN_REGISTRY,
     MissingFixture,
     NotADifferenceSet,
     biquadratic_difference_set,
-    build_family,
     qr_difference_set,
-    registered_designs,
     singer_difference_set,
 )
-from cretan.fields import factor_prime_power
-from cretan.files import ParseError, load_matrix, save_matrix, serialize_matrix
-from cretan.hadamard import (
-    NoConstructionAvailable,
-    paley_conference,
-    regular_hadamard,
-)
+from cretan.fields import factor_prime_power, is_prime_power
+from cretan.files import ParseError, load_matrix, serialize_matrix
+from cretan.hadamard import NoConstructionAvailable, paley_conference
 from cretan.render import render
-from cretan.scalar import Scalar, format_scalar
+from cretan.scalar import Scalar
 from cretan.verify import det_bounds, verify_complex, verify_cretan
 
 
@@ -61,38 +53,14 @@ class CliError(Exception):
     """Request that cannot be satisfied: reported on stderr, exit 2."""
 
 
-def _fail(msg: str) -> "CliError":
-    return CliError(msg)
-
-
-def _is_prime_power(n: int):
-    try:
-        return factor_prime_power(n)
-    except ValueError:
-        return None
-
-
-def _best_design_two_level(v: int):
-    mats = []
-    for _, _, _, fam, kw in registered_designs(v):
-        design = build_family(fam, **kw).develop()
-        mats += sbibd_two_level(design) + sbibd_two_level(design.complement())
-    if not mats and v % 4 == 3 and _is_prime_power(v):
-        design = qr_difference_set(v).develop()
-        mats += sbibd_two_level(design) + sbibd_two_level(design.complement())
+def _best_of(routes: tuple, n: int):
+    """The largest-radius matrix the catalog routes build at order n."""
+    mats = [m for name in routes for _, build in ROUTES[name].parts(n)
+            for m in build()]
     if not mats:
-        raise _fail("no symmetric design available at order %d" % v)
+        raise CliError("no %s construction at order %d"
+                       % (" or ".join(routes), n))
     return max(mats, key=lambda m: m.omega.to_float())
-
-
-def _design_for_border(v: int):
-    rows = registered_designs(v)
-    if rows:
-        _, _, _, fam, kw = rows[0]
-        return build_family(fam, **kw).develop()
-    if v % 4 == 3 and _is_prime_power(v):
-        return qr_difference_set(v).develop()
-    raise _fail("no symmetric design available at order %d" % v)
 
 
 def _construct_auto(n: int):
@@ -102,25 +70,12 @@ def _construct_auto(n: int):
         return construct_best(n).best.matrix
     if n >= 4:
         return basic_family(n)
-    raise _fail("no construction for order %d" % n)
-
-
-def _construct_kronecker(n: int):
-    if n % 2 == 0:
-        raise _fail("kronecker dispatch covers odd orders only")
-    pairs = [(a, n // a) for a in range(3, math.isqrt(n) + 1, 2)
-             if n % a == 0]
-    if not pairs:
-        raise _fail("%d has no nontrivial odd factorization" % n)
-    mats = [kronecker_cretan(construct_best(a).best.matrix,
-                             construct_best(b).best.matrix)
-            for a, b in pairs]
-    return max(mats, key=lambda m: m.omega.to_float())
+    raise CliError("no construction for order %d" % n)
 
 
 def _construct_direct_sum(n: int):
     if n < 6:
-        raise _fail("direct sum needs order at least 6")
+        raise CliError("direct sum needs order at least 6")
     a = n // 2
     if a % 2 == 0:
         a -= 1
@@ -134,52 +89,42 @@ def _construct_direct_sum(n: int):
     return direct_sum(part(a), part(b))
 
 
-def _construct_regular_hadamard(n: int):
-    m = math.isqrt((n - 1) // 4) if n > 1 else 0
-    if n < 5 or 4 * m * m + 1 != n:
-        raise _fail("order must be 4m^2+1, got %d" % n)
-    return regular_hadamard_border(regular_hadamard(m))
-
-
 def _construct_bordered(n: int):
-    mats = bordered_solver(_design_for_border(n - 1))
+    sources = design_sources(n - 1)
+    if not sources:
+        raise CliError("no symmetric design available at order %d"
+                       % (n - 1))
+    _, _, develop = sources[0]
+    mats = bordered_solver(develop())
     if not mats:
-        raise _fail("no bordered solution at order %d" % n)
+        raise CliError("no bordered solution at order %d" % n)
     return max(mats, key=lambda m: m.omega.to_float())
 
 
 def _construct_conference(n: int):
     q = n - 1
-    if q < 5 or q % 4 != 1 or not _is_prime_power(q):
-        raise _fail("conference route needs order q+1, q a prime power"
-                    " 1 mod 4; got %d" % n)
+    if q < 5 or q % 4 != 1 or not is_prime_power(q):
+        raise CliError("conference route needs order q+1, q a prime power"
+                       " 1 mod 4; got %d" % n)
     return conference_complex(paley_conference(q))
 
 
 def _construct_gh(n: int):
     if n == 6:
         return gh_z3_order6()
-    pk = _is_prime_power(n)
-    if pk is None or n > 256:
-        raise _fail("group route needs a prime power order up to 256"
-                    " (or 6); got %d" % n)
-    return gh_from_field(*pk)
-
-
-def _construct_basic(n: int):
-    try:
-        return basic_family(n)
-    except (ModulusViolation, ValueError) as exc:
-        raise _fail(str(exc))
+    if n > 256 or not is_prime_power(n):
+        raise CliError("group route needs a prime power order up to 256"
+                       " (or 6); got %d" % n)
+    return gh_from_field(*factor_prime_power(n))
 
 
 _CONSTRUCTORS = {
     "auto": _construct_auto,
-    "basic": _construct_basic,
-    "sbibd": _best_design_two_level,
-    "regular-hadamard": _construct_regular_hadamard,
+    "basic": basic_family,
+    "sbibd": partial(_best_of, ("sbibd-ds", "paley-sbibd")),
+    "regular-hadamard": partial(_best_of, ("regular-hadamard",)),
     "bordered": _construct_bordered,
-    "kronecker": _construct_kronecker,
+    "kronecker": partial(_best_of, ("kronecker",)),
     "direct-sum": _construct_direct_sum,
     "conference": _construct_conference,
     "gh": _construct_gh,
@@ -202,7 +147,7 @@ def _verify_any(m, strict: bool, tolerance: float):
         return rep.passed, ["%s census over %d rows: %s"
                             % (m.kind, m.order,
                                "pass" if rep.passed else rep.message)]
-    raise _fail("cannot verify %r" % type(m).__name__)
+    raise CliError("cannot verify %r" % type(m).__name__)
 
 
 def _cmd_construct(args) -> int:
@@ -222,7 +167,7 @@ def _cmd_construct(args) -> int:
         elif args.render.endswith(".pgm"):
             style = "pgm"
         else:
-            raise _fail("render target must end in .svg or .pgm")
+            raise CliError("render target must end in .svg or .pgm")
         with open(args.render, "w", encoding="utf-8") as fh:
             fh.write(render(m, style))
         print("rendered %s" % args.render)
@@ -236,9 +181,9 @@ def _cmd_verify(args) -> int:
     try:
         m = load_matrix(args.file)
     except FileNotFoundError:
-        raise _fail("no such file: %s" % args.file)
+        raise CliError("no such file: %s" % args.file)
     except ParseError as exc:
-        raise _fail("cannot parse %s: %s" % (args.file, exc))
+        raise CliError("cannot parse %s: %s" % (args.file, exc))
     ok, lines = _verify_any(m, args.strict, args.tolerance)
     for ln in lines:
         print(ln)
@@ -256,10 +201,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        b = det_bounds(args.order)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    b = det_bounds(args.order)
 
     def fmt(exact, value, log):
         if exact is not None:
@@ -292,29 +234,27 @@ def _cmd_designs(args) -> int:
         return 0
     # make
     if not args.family:
-        raise _fail("designs make needs --family")
+        raise CliError("designs make needs --family")
     p = args.params or []
     try:
         if args.family == "qr":
             if len(p) != 1:
-                raise _fail("qr takes one parameter: q")
+                raise CliError("qr takes one parameter: q")
             ds = qr_difference_set(p[0])
         elif args.family == "biquadratic":
             if len(p) not in (1, 2):
-                raise _fail("biquadratic takes p [with_zero]")
+                raise CliError("biquadratic takes p [with_zero]")
             ds = biquadratic_difference_set(p[0], bool(p[1])
                                             if len(p) == 2 else False)
         elif args.family == "singer":
             if len(p) != 2:
-                raise _fail("singer takes n q")
+                raise CliError("singer takes n q")
             ds = singer_difference_set(p[0], p[1])
         else:
-            raise _fail("unknown family %s" % args.family)
+            raise CliError("unknown family %s" % args.family)
     except NotADifferenceSet as exc:
         print("census failed: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
-        raise _fail(str(exc))
     print("group %s" % ds.group)
     print("params (%d, %d, %d)" % ds.params)
     print("elements %s" % " ".join(str(e) for e in ds.elements))
@@ -371,13 +311,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (MissingFixture, NoConstructionAvailable) as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

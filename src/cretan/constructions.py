@@ -25,7 +25,6 @@ from cretan.scalar import (
     IncompatibleRadicands,
     REFINE_TOL,
     Scalar,
-    ScalarPoly,
     format_scalar,
     solve_quadratic,
 )
@@ -198,15 +197,6 @@ def regular_hadamard_border(M: SignMatrix) -> LevelMatrix:
                        notes=("relaxed",))
 
 
-def _radius_match_poly(v: int, k: int, lam: int) -> ScalarPoly:
-    # corner row norm x^2 + v s^2 minus core row norm s^2 + k + (v-k) b^2,
-    # after substituting x = -(k + (v-k) b) and s^2 = -(characteristic)
-    c0 = k * k - (v - 1) * lam - k
-    c1 = 2 * k * (v - k) - 2 * (v - 1) * (k - lam)
-    c2 = (v - k) ** 2 - (v - 1) * (v - 2 * k + lam) - (v - k)
-    return ScalarPoly([c0, c1, c2])
-
-
 def bordered_feasibility(v: int, k: int, lam: int, b: float):
     """(x, s2) for a candidate core level b, or None when infeasible."""
     s2 = -(lam + 2 * (k - lam) * b + (v - 2 * k + lam) * b * b)
@@ -225,44 +215,21 @@ def bordered_solver(sb: Sbibd) -> list:
 
     The layout is corner x, borders s, core levels 1 (incidence ones) and
     b (zeros), subject to x + k + (v-k) b = 0 and
-    s^2 = -(lam + 2(k-lam) b + (v-2k+lam) b^2).  The radius-match
-    polynomial in b turns out to vanish identically for every valid
-    parameter triple, leaving a one-parameter family; we return the
-    canonical members (corner saturated at x = +-1, corner zero, border
-    maximized, interval endpoints) that satisfy every modulus constraint.
-    A sign-change bisection handles any input where the polynomial does
-    not collapse.  Output is float mode, sorted by b.
+    s^2 = -(lam + 2(k-lam) b + (v-2k+lam) b^2).  Matching the corner row
+    norm x^2 + v s^2 to a core row norm s^2 + k + (v-k) b^2 leaves
+    (k(k-1) - lam(v-1)) (1-b)^2 = 0, which holds for every b because
+    validate() enforces lam(v-1) = k(k-1).  So the solutions form a
+    one-parameter family; we return the canonical members (corner
+    saturated at x = +-1, corner zero, border maximized, interval
+    endpoints) that satisfy every modulus constraint.  Output is float
+    mode, sorted by b.
     """
     sb.validate()
     v, k, lam = sb.params
-    g = _radius_match_poly(v, k, lam)
-    cands: list = []
-    if g.is_zero():
-        cands += [(1 - k) / (v - k), -(1 + k) / (v - k), -k / (v - k)]
-        if v - 2 * k + lam != 0:
-            cands.append(-(k - lam) / (v - 2 * k + lam))
-        cands += [-1.0, 1.0]
-    else:
-        # fall back to root isolation on [-1, 1]
-        xs = [i / 1000 for i in range(-1000, 1001)]
-        vals = [g.evaluate(Scalar.from_float(t)).to_float() for t in xs]
-        for t0, t1, f0, f1 in zip(xs, xs[1:], vals, vals[1:]):
-            if f0 == 0:
-                cands.append(t0)
-            elif f0 * f1 < 0:
-                lo, hi = t0, t1
-                while hi - lo > REFINE_TOL:
-                    mid = (lo + hi) / 2
-                    fm = g.evaluate(Scalar.from_float(mid)).to_float()
-                    if fm == 0:
-                        lo = hi = mid
-                    elif fm * f0 < 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                cands.append((lo + hi) / 2)
-        if vals and vals[-1] == 0:
-            cands.append(1.0)
+    cands = [(1 - k) / (v - k), -(1 + k) / (v - k), -k / (v - k)]
+    if v - 2 * k + lam != 0:
+        cands.append(-(k - lam) / (v - 2 * k + lam))
+    cands += [-1.0, 1.0]
 
     picked: list = []
     for b in sorted(cands):

@@ -488,7 +488,3 @@ def registered_designs(v: int | None = None):
         rows = tuple(r for r in rows if r[0] == v)
     return rows
 
-
-def build_registered(v: int) -> list[DifferenceSet]:
-    return [build_family(fam, **kw) for (_, _, _, fam, kw)
-            in registered_designs(v)]

@@ -47,6 +47,10 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime_power(q: int) -> bool:
+    return len(prime_factors(q)) == 1
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """q = p^j with p prime, or ValueError."""
     ps = prime_factors(q)

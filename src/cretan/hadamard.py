@@ -9,7 +9,7 @@ n = 4 m^2; these are the seeds for bordered constructions of odd order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

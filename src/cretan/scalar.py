@@ -101,6 +101,24 @@ def _brent_factor(m: int, budget: int) -> tuple[int, int]:
             return g, budget
 
 
+def _odd_power_root(x: int, f: int) -> tuple[int, int] | None:
+    """(y, r) with x = y^r for an odd r >= 3, or None.  Every prime factor
+    of x is at least f, so only r up to log(x)/log(f) can occur."""
+    r = 3
+    while f ** r <= x:
+        # integer Newton for the floor r-th root, from above
+        y = 1 << -(-x.bit_length() // r)
+        while True:
+            z = ((r - 1) * y + x // y ** (r - 1)) // r
+            if z >= y:
+                break
+            y = z
+        if y ** r == x:
+            return y, r
+        r += 2
+    return None
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 0 as s*s*d with d squarefree; return (s, d).
 
@@ -143,6 +161,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             stack += [r, r]
         elif x < f * f or is_probable_prime(x):
             exponents[x] = exponents.get(x, 0) + 1
+        elif (power := _odd_power_root(x, f)) is not None:
+            stack += [power[0]] * power[1]
         else:
             g, budget = _brent_factor(x, budget)
             stack += [g, x // g]
@@ -483,40 +503,7 @@ def parse_scalar(text: str) -> Scalar:
     raise ValueError("malformed scalar token: %r" % text)
 
 
-# -- polynomials and quadratics ----------------------------------------------
-
-
-class ScalarPoly:
-    """Polynomial with Scalar coefficients, lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Scalar._coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def evaluate(self, x) -> Scalar:
-        x = Scalar._coerce(x)
-        acc = Scalar(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return "ScalarPoly(%s)" % (list(map(str, self.coeffs)),)
-
+# -- quadratics -------------------------------------------------------------
 
 def solve_quadratic(c0, c1, c2) -> list[Scalar]:
     """Real roots of c0 + c1*x + c2*x^2 = 0, exact, ascending.

@@ -11,7 +11,6 @@ from cretan.catalog import (
     catalog_table,
     construct_best,
     format_catalog_text,
-    methods_for,
 )
 from cretan.scalar import Scalar
 
@@ -22,20 +21,63 @@ def full_report():
 
 
 def test_methods_for_examples():
-    assert methods_for(13) == ["sbibd-ds", "basic"]
-    assert methods_for(21) == ["sbibd-ds", "kronecker", "basic"]
-    assert methods_for(15) == ["kronecker", "basic"]
-    assert methods_for(5) == ["regular-hadamard", "basic"]
-    assert methods_for(19) == ["paley-sbibd", "basic"]
+    def methods(v):
+        return construct_best(v).methods
+
+    assert methods(13) == ["sbibd-ds", "basic"]
+    assert methods(21) == ["sbibd-ds", "kronecker", "basic"]
+    assert methods(15) == ["kronecker", "basic"]
+    assert methods(5) == ["regular-hadamard", "basic"]
+    assert methods(19) == ["paley-sbibd", "basic"]
     # fixture gap stays visible
-    assert methods_for(101) == ["fixture-missing", "sbibd-ds", "basic"]
-    assert methods_for(3) == ["paley-sbibd", "basic"]
+    assert methods(101) == ["fixture-missing", "sbibd-ds", "basic"]
+    assert methods(3) == ["paley-sbibd", "basic"]
 
 
 def test_methods_for_range():
     for bad in (1, 2, 14, 1001, -3):
         with pytest.raises(ValueError):
-            methods_for(bad)
+            construct_best(bad)
+
+
+def test_one_core_build_per_applicable_order(monkeypatch):
+    import cretan.catalog as catalog
+
+    built = []
+    real = catalog.regular_hadamard
+
+    def counting(m):
+        built.append(m)
+        return real(m)
+
+    monkeypatch.setattr(catalog, "regular_hadamard", counting)
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    for v in range(3, 120, 2):
+        construct_best(v)
+    # v = 4 m^2 + 1 for m = 1..5; m = 5 has no fixture and fails once
+    assert built == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("method, routes", [
+    ("sbibd", ("sbibd-ds", "paley-sbibd")),
+    ("regular-hadamard", ("regular-hadamard",)),
+    ("kronecker", ("kronecker",)),
+])
+def test_cli_and_catalog_agree(method, routes, capsys):
+    from cretan.cli import main
+    from cretan.files import serialize_matrix
+
+    checked = 0
+    for v in range(3, 100, 2):
+        cands = [c for c in construct_best(v).candidates
+                 if c.ok and c.method in routes]
+        if not cands:
+            continue
+        best = sorted(cands, key=lambda c: (-c.omega_float, c.matrix.tau))[0]
+        assert main(["construct", "--order", str(v), "--method", method]) == 0
+        assert capsys.readouterr().out == serialize_matrix(best.matrix), v
+        checked += 1
+    assert checked >= 3
 
 
 def test_best_small_orders():
@@ -194,11 +236,11 @@ def test_malformed_regular_hadamard_fixture_is_missing(tmp_path,
     (tmp_path / "36-15-6.txt").write_text("cretan-fixture 1\nkind nonsense\n")
     with pytest.raises(BadFixture):
         regular_hadamard(3)
-    assert methods_for(37)[0] == "fixture-missing"
+    assert construct_best(37).methods[0] == "fixture-missing"
     # m = 5: a sign-matrix fixture with a stray character
     (tmp_path / "regular-hadamard-100.txt").write_text(
         "cretan-fixture 1\nkind sign-matrix\norder 2\nrows\n+x\n-+\n")
     with pytest.raises(BadFixture, match="regular-hadamard-100"):
         regular_hadamard(5)
-    assert methods_for(101)[0] == "fixture-missing"
+    assert construct_best(101).methods[0] == "fixture-missing"
     assert construct_best(37).best is not None

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from cretan.constructions import (
     STAR,
@@ -171,6 +172,25 @@ def test_bordered_solver_respects_modulus():
         for m in bordered_solver(sb):
             assert all(l.abs_le_one() for l in m.levels)
             assert verify_cretan(m, mode="relaxed").passed
+
+
+def test_bordered_radius_match_vanishes_on_valid_parameters():
+    # corner row norm x^2 + v s^2 minus core row norm s^2 + k + (v-k) b^2,
+    # with x = -(k + (v-k) b) and s^2 = -(lam + 2(k-lam) b + (v-2k+lam) b^2)
+    v, k, lam, b = sympy.symbols("v k lam b")
+    x = -(k + (v - k) * b)
+    s2 = -(lam + 2 * (k - lam) * b + (v - 2 * k + lam) * b ** 2)
+    g = sympy.expand(x ** 2 + v * s2 - (s2 + k + (v - k) * b ** 2))
+    c0 = k * k - (v - 1) * lam - k
+    c1 = 2 * k * (v - k) - 2 * (v - 1) * (k - lam)
+    c2 = (v - k) ** 2 - (v - 1) * (v - 2 * k + lam) - (v - k)
+    assert sympy.expand(g - (c0 + c1 * b + c2 * b ** 2)) == 0
+    # every coefficient is a multiple of the parameter identity, which
+    # Sbibd.validate() enforces, so no radius-match root search is needed
+    identity = k * (k - 1) - lam * (v - 1)
+    for c, m in zip((c0, c1, c2), (1, -2, 1)):
+        assert sympy.expand(c - m * identity) == 0
+    assert sympy.expand(g - identity * (1 - b) ** 2) == 0
 
 
 def unit_matrix():

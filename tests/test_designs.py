@@ -13,7 +13,6 @@ from cretan.designs import (
     NotADifferenceSet,
     biquadratic_difference_set,
     build_family,
-    build_registered,
     cyclic,
     difference_census,
     fixture_difference_set,
@@ -165,8 +164,8 @@ def test_registry_is_fully_buildable():
 def test_registered_designs_filter():
     rows = registered_designs(45)
     assert len(rows) == 1 and rows[0][:3] == (45, 12, 3)
-    assert build_registered(45)[0].params == (45, 12, 3)
-    assert build_registered(15) == []
+    assert build_family(rows[0][3], **rows[0][4]).params == (45, 12, 3)
+    assert registered_designs(15) == ()
 
 
 def test_build_family_unknown():

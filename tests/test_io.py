@@ -251,6 +251,9 @@ def test_parse_large_radicand_tokens():
     m = parse_matrix(text.replace("0 1\n", "0 (0+1*sqrt(%d))/1\n"
                                   % (3 * p * p)))
     assert Scalar(0, p, 3) in m.levels
+    m = parse_matrix(text.replace("0 1\n", "0 (0+1*sqrt(%d))/1\n"
+                                  % (2 * p ** 3)))
+    assert Scalar(0, p, 2 * p) in m.levels
     # p^2 q with two 14-digit primes cannot be split within the budget
     q, r = 70000000000009, 30000000000011       # primes
     with pytest.raises(ParseError) as err:

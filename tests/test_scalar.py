@@ -7,12 +7,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cretan.scalar import (
     IncompatibleRadicands,
     Scalar,
-    ScalarPoly,
     format_scalar,
     parse_scalar,
     solve_quadratic,
@@ -276,16 +275,6 @@ def test_grammar_takes_ascii_digits_only():
             parse_scalar(bad)
 
 
-def test_poly_evaluate_and_zero():
-    p = ScalarPoly([1, 6, 6])
-    b = solve_quadratic(1, 6, 6)[0]
-    assert p.evaluate(b).is_zero()
-    assert ScalarPoly([0, Scalar(0)]).is_zero()
-    assert ScalarPoly([]).degree == -1
-    q = ScalarPoly([Scalar(0), Scalar(1), Scalar(0)])
-    assert q.degree == 1
-
-
 def test_mixed_number_coercion():
     assert Scalar(1, 0, 0, 2) + Fraction(1, 2) == Scalar(1)
     assert 2 * Scalar(1, 0, 0, 2) == Scalar(1)
@@ -303,6 +292,15 @@ def test_square_leftover_resolves_fast():
     start = time.perf_counter()
     assert squarefree_decompose(3 * P14 * P14) == (P14, 3)
     assert squarefree_decompose(12 * P14 ** 2 * 5 ** 3) == (10 * P14, 15)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_odd_power_leftover_resolves_fast():
+    # a leftover P14^3 or P14^5 is not a square, and rho cannot split it
+    # within the budget
+    start = time.perf_counter()
+    assert squarefree_decompose(2 * P14 ** 3) == (P14, 2 * P14)
+    assert squarefree_decompose(5 * P14 ** 5) == (P14 ** 2, 5 * P14)
     assert time.perf_counter() - start < 0.5
 
 
@@ -324,7 +322,7 @@ _below_1e9 = st.one_of(st.integers(50, 10 ** 5),
 def radicands_split_by_rho(draw):
     """Products whose prime factors, but the largest, are below 10^9:
     small primes, primes up to 10^9 to the power 1-3, and one prime up
-    to 10^30 to the power 0, 1 or 2."""
+    to 10^30 to a power from 0 to 5."""
     n = 1
     for p, e in draw(st.lists(st.tuples(st.sampled_from(_primes_below_50),
                                         st.integers(1, 3)), max_size=3)):
@@ -333,11 +331,14 @@ def radicands_split_by_rho(draw):
                               max_size=3)):
         n *= p ** e
     top = sympy.nextprime(draw(st.integers(10 ** 9, 10 ** 30)))
-    return n * top ** draw(st.integers(0, 2))
+    return n * top ** draw(st.integers(0, 5))
 
 
 @settings(max_examples=50, deadline=None)
 @given(radicands_split_by_rho())
+@example(2 * P14 ** 3)
+@example(5 * P14 ** 5)
+@example(3 * 1009 ** 3 * P14 ** 7)
 def test_squarefree_decompose_matches_factorint_past_trial_division(n):
     s, d = 1, 1
     for p, e in sympy.factorint(n).items():
