@@ -48,6 +48,7 @@ class Candidate:
     matrix: LevelMatrix | None
     certificate: Certificate | None
     note: str = ""
+    error: str = ""              # a failed build's exception text
 
     @property
     def ok(self) -> bool:
@@ -190,11 +191,10 @@ def _candidates_for(v: int) -> tuple:
             try:
                 mats = build()
             except ROUTE_FAILURES as exc:
+                error = note = str(exc)
                 if route.missing is not None:
                     label, note = "fixture-missing", route.missing(v)
-                else:
-                    note = str(exc)
-                cands.append(Candidate(name, None, None, note))
+                cands.append(Candidate(name, None, None, note, error))
                 continue
             cands += [Candidate(name, m, verify_cretan(m, mode="relaxed"),
                                 note) for m in mats]
@@ -292,116 +292,99 @@ class CatalogReport:
     diff: DiffReport
 
 
-def _label_outcome(v: int, label: str, entry: CatalogEntry):
-    """Map a published method label onto our routes.
-
-    Returns (kind, note) with kind one of agreement / paper-extra /
-    conflict.  A label whose precondition cannot hold at v at all is a
-    publication error and lands in paper-extra with the reason.
-    """
-    def route_ok(name):
-        return any(c.method == name and c.ok for c in entry.candidates)
-
-    if label == "BM":
-        if v == 3:
-            # degenerate order: the two-level family appears as the
-            # complement-design route instead
-            ok = route_ok("paley-sbibd")
-            return ("agreement", "degenerate two-level form") if ok \
-                else ("conflict", "no construction at order 3")
-        return ("agreement", "") if route_ok("basic") \
-            else ("conflict", "basic family failed")
-    if label == "P2":
-        if not _is_prime_power_3mod4(v):
-            if v % 4 == 3:
-                return ("paper-extra",
-                        "%d is not a prime power" % v)
-            return ("paper-extra",
-                    "%d is 1 mod 4, outside the route's range" % v)
-        return ("agreement", "") if route_ok("paley-sbibd") \
-            else ("conflict", "quadratic-residue route failed")
-    if label == "DS":
-        if not registered_designs(v):
-            return ("paper-extra", "no design registered at %d" % v)
-        if route_ok("sbibd-ds"):
-            return ("agreement", "")
-        missing = [c.note for c in entry.candidates
-                   if c.method == "sbibd-ds" and c.certificate is None]
-        if missing:
-            return ("paper-extra", missing[0])
-        return ("conflict", "design route failed verification")
-    if label == "K":
-        if not _odd_factor_pairs(v):
-            return ("paper-extra", "%d has no odd factor pair" % v)
-        return ("agreement", "") if route_ok("kronecker") \
-            else ("conflict", "kronecker route failed")
-    return ("conflict", "unknown label %r" % label)
+@dataclass(frozen=True)
+class Claim:
+    """One published claim at an order, judged by reading the catalog
+    entry (see _judge).  accept(c) is asked only of verified candidates."""
+    route: str
+    agree: str = ""              # note on agreement
+    absent: str = ""             # why the route does not apply
+    conflict: str = ""           # note when nothing of the route passes
+    accept: Callable[[Candidate], bool] = lambda c: True
 
 
-def _diff_table1(diff: DiffReport) -> None:
+def _judge(entry: CatalogEntry, claim: Claim) -> tuple:
+    """(kind, note), kind naming a DiffReport list.  A claim agrees when a
+    candidate of its route passes; a failed build of the route, or a route
+    that does not apply at the order, makes it a published claim we cannot
+    realize; anything else is a conflict."""
+    cands = [c for c in entry.candidates if c.method == claim.route]
+    if any(c.ok and claim.accept(c) for c in cands):
+        return "agreements", claim.agree
+    errors = [c.error for c in cands if c.certificate is None]
+    if errors:
+        return "paper_extra", errors[0]
+    if claim.route not in entry.methods:
+        return "paper_extra", claim.absent
+    return "conflicts", claim.conflict
+
+
+# Table 2 label -> (route, why the route does not apply at v, conflict note)
+TABLE2_ROUTES = {
+    "BM": ("basic", lambda v: "", "basic family failed"),
+    "P2": ("paley-sbibd",
+           lambda v: ("%d is not a prime power" if v % 4 == 3 else
+                      "%d is 1 mod 4, outside the route's range") % v,
+           "quadratic-residue route failed"),
+    "DS": ("sbibd-ds", lambda v: "no design registered at %d" % v,
+           "design route failed verification"),
+    "K": ("kronecker", lambda v: "%d has no odd factor pair" % v,
+          "kronecker route failed"),
+}
+
+
+def _table2_claim(label: str, v: int) -> Claim:
+    if label == "BM" and v == 3:
+        # degenerate order: the two-level family appears as the
+        # complement-design route instead
+        return Claim("paley-sbibd", conflict="no construction at order 3")
+    route, absent, conflict = TABLE2_ROUTES[label]
+    return Claim(route, absent=absent(v), conflict=conflict)
+
+
+def _table1_claims():
+    """(tag, order, Claim) for every Table 1 row, designs first."""
     for v, k, lam in TABLE1_DESIGNS:
-        rows = [r for r in registered_designs(v) if r[:3] == (v, k, lam)]
-        if not rows:
-            diff.paper_extra.append(
-                ("table1-ds", v, "(%d,%d,%d) not registered" % (v, k, lam)))
-            continue
-        try:
-            design = build_family(rows[0][3], **rows[0][4]).develop()
-        except (MissingFixture, BadFixture) as exc:
-            diff.paper_extra.append(("table1-ds", v, str(exc)))
-            continue
-        mats = sbibd_two_level(design) + sbibd_two_level(design.complement())
-        good = [m for m in mats if verify_cretan(m).strict]
-        if good:
-            diff.agreements.append(("table1-ds", v,
-                                    "(%d,%d,%d)" % (v, k, lam)))
-        else:
-            diff.conflicts.append(("table1-ds", v,
-                                   "two-level route failed"))
+        row = "(%d,%d,%d)" % (v, k, lam)
+        yield "table1-ds", v, Claim(
+            "sbibd-ds", row, row + " not registered", "two-level route failed",
+            lambda c, row=row: c.note == row and c.certificate.strict)
     for v in TABLE1_REGULAR_HADAMARD:
-        m = _square_core_side(v)
-        if m is None:
-            diff.paper_extra.append(
-                ("table1-rh", v,
-                 "%d - 1 = %d is not 4 m^2" % (v, v - 1)))
-            continue
-        try:
-            mat = regular_hadamard_border(regular_hadamard(m))
-        except (NoConstructionAvailable, MissingFixture, BadFixture) as exc:
-            diff.paper_extra.append(("table1-rh", v, str(exc)))
-            continue
-        cert = verify_cretan(mat, mode="relaxed")
-        if cert.relaxed and cert.omega.to_float() == 1.0:
-            diff.agreements.append(("table1-rh", v, "m=%d" % m))
-        else:
-            diff.conflicts.append(("table1-rh", v, "border failed"))
+        yield "table1-rh", v, Claim(
+            "regular-hadamard", "m=%d" % math.isqrt(v // 4),
+            "%d - 1 = %d is not 4 m^2" % (v, v - 1), "border failed",
+            lambda c: c.certificate.omega.to_float() == 1.0)
+
+
+def _diff_rows(entries: list, with_table1: bool):
+    """(kind, row) for every blank cell and published claim, in report
+    order; kind names the DiffReport list the row belongs to."""
+    for e in entries:
+        v = e.order
+        if not e.expected and e.best is not None:
+            yield "our_extra", (v, e.best.method)
+        for label in e.expected:
+            kind, note = _judge(e, _table2_claim(label, v))
+            yield kind, (("table2", v, label) if kind == "agreements"
+                         else ("table2:%s" % label, v, note))
+    if with_table1:
+        by_order = {e.order: e for e in entries}
+        for tag, v, claim in _table1_claims():
+            kind, note = _judge(by_order[v], claim)
+            yield kind, (tag, v, note)
 
 
 def catalog_table(v_max: int = 199) -> CatalogReport:
     """Catalog entries for every odd order up to v_max plus the diff
     against the published tables (orders above 199 have no expectation
-    and can only add our-extra rows)."""
+    and can only add our-extra rows).  The diff only reads the entries."""
     if v_max > MAX_ORDER:
         raise ValueError("v_max above %d" % MAX_ORDER)
     entries = [construct_best(v) for v in range(MIN_ORDER, v_max + 1, 2)]
     diff = DiffReport()
-    for entry in entries:
-        v = entry.order
-        labels = entry.expected
-        if not labels:
-            if entry.best is not None:
-                diff.our_extra.append((v, entry.best.method))
-            continue
-        for label in labels:
-            kind, note = _label_outcome(v, label, entry)
-            if kind == "agreement":
-                diff.agreements.append(("table2", v, label))
-            elif kind == "paper-extra":
-                diff.paper_extra.append(("table2:%s" % label, v, note))
-            else:
-                diff.conflicts.append(("table2:%s" % label, v, note))
-    if v_max >= max(TABLE1_REGULAR_HADAMARD):
-        _diff_table1(diff)
+    for kind, row in _diff_rows(
+            entries, v_max >= max(TABLE1_REGULAR_HADAMARD)):
+        getattr(diff, kind).append(row)
     return CatalogReport(v_max, entries, diff)
 
 

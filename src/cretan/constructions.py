@@ -67,11 +67,6 @@ class LevelMatrix:
         vals = np.array([l.to_float() for l in self.levels])
         return vals[self.grid]
 
-    def transpose(self) -> "LevelMatrix":
-        return LevelMatrix(self.order, self.levels,
-                           self.grid.T.copy(), self.omega,
-                           self.method, dict(self.params), self.notes)
-
     def __eq__(self, other):
         return (isinstance(other, LevelMatrix)
                 and self.order == other.order
@@ -106,22 +101,6 @@ def from_codes(values, codes: np.ndarray, omega: Scalar, method: str,
     lut = np.array([index[x] for x in values], dtype=np.int16)
     return LevelMatrix(codes.shape[0], levels, lut[codes], omega, method,
                        params or {}, tuple(notes))
-
-
-def _two_level_from_incidence(incidence: np.ndarray, one: Scalar,
-                              b: Scalar, omega: Scalar, method: str,
-                              params) -> LevelMatrix:
-    # incidence 1 -> level a=1, incidence 0 -> level b
-    if b == one:
-        raise ValueError("levels coincide")
-    if b < one:
-        levels = (b, one)
-        grid = incidence.astype(np.int16)
-    else:
-        levels = (one, b)
-        grid = (1 - incidence).astype(np.int16)
-    return LevelMatrix(incidence.shape[0], levels, grid, omega,
-                       method, params)
 
 
 def basic_family(n: int) -> LevelMatrix:
@@ -162,9 +141,11 @@ def sbibd_two_level(sb: Sbibd) -> list:
         omega = Scalar(k) + Scalar(v - k) * b * b
         params = {"v": v, "k": k, "lam": lam, "b": format_scalar(b),
                   "design": sb.source}
-        out.append(_two_level_from_incidence(sb.incidence, Scalar(1), b,
-                                             omega, "sbibd-two-level",
-                                             params))
+        # grid = incidence: 0 -> b, 1 -> 1; b < 1, as the quadratic is v at
+        # b = 1 and the kept roots lie in [-1, 1]
+        out.append(LevelMatrix(v, (b, Scalar(1)),
+                               sb.incidence.astype(np.int16), omega,
+                               "sbibd-two-level", params))
     return out
 
 
@@ -274,21 +255,14 @@ def kronecker_cretan(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
                                    * B.levels[w].to_float())
                  for u in range(ta) for w in range(tb)]
         omega = Scalar.from_float(A.omega.to_float() * B.omega.to_float())
-    seen: dict = {}
-    for x in prods:
-        seen.setdefault(x, None)
-    levels = tuple(sorted(seen, key=_level_key))
-    index = {l: i for i, l in enumerate(levels)}
-    lut = np.array([index[x] for x in prods], dtype=np.int16)
     ga = A.grid.astype(np.int32)
     gb = B.grid.astype(np.int32)
     pair = (ga[:, None, :, None] * tb + gb[None, :, None, :])
     n = A.order * B.order
-    grid = lut[pair.reshape(n, n)]
-    notes = tuple(sorted(set(A.notes) | set(B.notes)))
-    return LevelMatrix(n, levels, grid, omega, "kronecker",
-                       {"left": (A.method, A.order),
-                        "right": (B.method, B.order)}, notes)
+    return from_codes(prods, pair.reshape(n, n), omega, "kronecker",
+                      {"left": (A.method, A.order),
+                       "right": (B.method, B.order)},
+                      sorted(set(A.notes) | set(B.notes)))
 
 
 def _sqrt_scalar(x: Scalar) -> Scalar:
@@ -324,25 +298,15 @@ def direct_sum(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
                 Scalar.from_float(l.to_float() * fscale) for l in hi.levels)
         notes.add("not one 1 per row and column")
         notes.add("rescaled-block")
-    zero = Scalar(0)
-    seen: dict = {zero: None}
-    for l in lo.levels:
-        seen.setdefault(l, None)
-    for l in scaled_hi_levels:
-        seen.setdefault(l, None)
-    levels = tuple(sorted(seen, key=_level_key))
-    index = {l: i for i, l in enumerate(levels)}
+    # code 0 is the zero off the blocks, then lo's levels, then hi's
     n = lo.order + hi.order
-    grid = np.full((n, n), index[zero], dtype=np.int16)
-    lo_map = np.array([index[l] for l in lo.levels], dtype=np.int16)
-    hi_map = np.array([index[l] for l in scaled_hi_levels], dtype=np.int16)
-    grid[: lo.order, : lo.order] = lo_map[lo.grid]
-    grid[lo.order:, lo.order:] = hi_map[hi.grid]
-    omega = lo.omega
-    return LevelMatrix(n, levels, grid, omega, "direct-sum",
-                       {"left": (lo.method, lo.order),
-                        "right": (hi.method, hi.order)},
-                       tuple(sorted(notes)))
+    codes = np.zeros((n, n), dtype=np.intp)
+    codes[: lo.order, : lo.order] = lo.grid + 1
+    codes[lo.order:, lo.order:] = hi.grid + 1 + lo.tau
+    return from_codes((Scalar(0),) + lo.levels + tuple(scaled_hi_levels),
+                      codes, lo.omega, "direct-sum",
+                      {"left": (lo.method, lo.order),
+                       "right": (hi.method, hi.order)}, sorted(notes))
 
 
 def sign_to_level(M: SignMatrix) -> LevelMatrix:

@@ -222,11 +222,6 @@ class Sbibd:
     def params(self) -> tuple:
         return (self.v, self.k, self.lam)
 
-    @property
-    def order_term(self) -> int:
-        """k - lam, the multiplier of I in the Gram identity."""
-        return self.k - self.lam
-
     def validate(self) -> None:
         v, k, lam = self.v, self.k, self.lam
         if lam * (v - 1) != k * (k - 1):

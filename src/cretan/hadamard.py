@@ -192,14 +192,9 @@ def regular_hadamard(m: int) -> SignMatrix:
     while rest % 2 == 0:
         rest //= 2
         a += 1
-    if rest == 1:
-        M = _regular_seed4()
-        for _ in range(a):
-            M = kronecker_sign(M, _regular_seed4())
-        M.validate()
-        return M
-    if rest == 3:
-        M = menon_hadamard_from_design(fixture_difference_set("36-15-6").develop())
+    if rest in (1, 3):
+        M = _regular_seed4() if rest == 1 else menon_hadamard_from_design(
+            fixture_difference_set("36-15-6").develop())
         for _ in range(a):
             M = kronecker_sign(M, _regular_seed4())
         M.validate()

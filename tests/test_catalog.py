@@ -44,18 +44,32 @@ def test_one_core_build_per_applicable_order(monkeypatch):
     import cretan.catalog as catalog
 
     built = []
-    real = catalog.regular_hadamard
+    families = []
+    real_core, real_family = catalog.regular_hadamard, catalog.build_family
 
-    def counting(m):
+    def counting_core(m):
         built.append(m)
-        return real(m)
+        return real_core(m)
 
-    monkeypatch.setattr(catalog, "regular_hadamard", counting)
+    def counting_family(*args, **kwargs):
+        families.append(args)
+        return real_family(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "regular_hadamard", counting_core)
+    monkeypatch.setattr(catalog, "build_family", counting_family)
     monkeypatch.setattr(catalog, "_MEMO", {})
     for v in range(3, 120, 2):
         construct_best(v)
     # v = 4 m^2 + 1 for m = 1..5; m = 5 has no fixture and fails once
     assert built == [1, 2, 3, 4, 5]
+    assert len(families) == 9
+    # the published-table diff reads the entries and builds nothing more
+    built.clear()
+    families.clear()
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    catalog_table(199)
+    assert built == [1, 2, 3, 4, 5, 6, 7]
+    assert len(families) == 12
 
 
 @pytest.mark.parametrize("method, routes", [
@@ -244,3 +258,37 @@ def test_malformed_regular_hadamard_fixture_is_missing(tmp_path,
         regular_hadamard(5)
     assert construct_best(101).methods[0] == "fixture-missing"
     assert construct_best(37).best is not None
+
+
+def test_diff_text_matches_golden(monkeypatch, capsys):
+    from pathlib import Path
+
+    from cretan.cli import main
+    from cretan.designs import FIXTURE_DIR_ENV
+
+    monkeypatch.delenv(FIXTURE_DIR_ENV, raising=False)
+    golden = Path(__file__).parent / "data" / "catalog-199-diff.txt"
+    assert main(["catalog", "--max", "199", "--diff"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_table1_quotes_malformed_fixture_errors(tmp_path, monkeypatch):
+    from cretan.designs import FIXTURE_DIR_ENV, fixture_path
+
+    src = fixture_path("45-12-3").read_text()
+    (tmp_path / "45-12-3.txt").write_text(
+        src.replace("params 45 12 3", "parameters 45 12 3"))
+    (tmp_path / "36-15-6.txt").write_text("cretan-fixture 1\nkind nonsense\n")
+    (tmp_path / "regular-hadamard-100.txt").write_text(
+        "cretan-fixture 1\nkind sign-matrix\norder 2\nrows\n+x\n-+\n")
+    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+    diff = catalog_table(199).diff
+    notes = {(tag, v): note for tag, v, note in diff.paper_extra}
+    assert "unknown fixture header line" in notes["table1-ds", 45]
+    assert notes["table2:DS", 45] == notes["table1-ds", 45]
+    assert "regular-hadamard-100" in notes["table1-rh", 101]
+    assert "sign rows may hold only" in notes["table1-rh", 101]
+    for v in (37, 145):                 # m = 3, 6: cores from (36,15,6)
+        assert "36-15-6" in notes["table1-rh", v]
+    assert ("table1-ds", 45) not in {r[:2] for r in diff.agreements}
+    assert diff.conflicts == []

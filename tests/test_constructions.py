@@ -32,10 +32,13 @@ from cretan.constructions import (
 from cretan.designs import (
     Sbibd,
     biquadratic_difference_set,
+    build_family,
     fixture_difference_set,
     qr_difference_set,
+    registered_designs,
     singer_difference_set,
 )
+from cretan.fields import is_prime_power
 from cretan.hadamard import paley_conference, regular_hadamard, sylvester
 from cretan.scalar import Scalar
 from cretan.verify import verify_cretan
@@ -105,6 +108,22 @@ def test_two_level_complements_are_empty():
     for ds in (biquadratic_difference_set(37),
                fixture_difference_set("45-12-3")):
         assert sbibd_two_level(ds.develop().complement()) == []
+
+
+def test_two_level_keeps_b_below_one_on_the_incidence_grid():
+    # the quadratic is v at b = 1, so no kept root reaches the level 1
+    designs = [build_family(fam, **kw).develop()
+               for _, _, _, fam, kw in registered_designs()]
+    designs += [qr_difference_set(q).develop() for q in range(3, 200, 4)
+                if is_prime_power(q)]
+    built = 0
+    for sb in designs + [d.complement() for d in designs]:
+        for m in sbibd_two_level(sb):
+            b, one = m.levels
+            assert one == Scalar(1) and b < one
+            assert np.array_equal(m.grid, sb.incidence)
+            built += 1
+    assert built >= len(designs)
 
 
 def test_characteristic_root_substitution_is_exact_zero():
