@@ -186,25 +186,39 @@ class Scalar:
             raise ZeroDivisionError("zero denominator")
         if d < 0:
             raise ValueError("negative radicand")
-        if d == 0 or q == 0:
-            q, d = 0, 0
-        else:
+        if d == 0:
+            q = 0
+        elif q:
             s, d = squarefree_decompose(d)
             q *= s
             if d == 1:
-                p, q, d = p + q, 0, 0
+                p, q = p + q, 0
+        self._normalize(p, q, d, r)
+
+    def _normalize(self, p: int, q: int, d: int, r: int) -> None:
+        """Store (p + q sqrt d)/r in canonical form, for r != 0 and a d
+        that is 0 or squarefree and not 1."""
+        if q == 0:
+            d = 0
         if r < 0:
             p, q, r = -p, -q, -r
+        # zero comes out as 0/1: then g = r
         g = math.gcd(math.gcd(abs(p), abs(q)), r)
         if g > 1:
             p, q, r = p // g, q // g, r // g
-        if p == 0 and q == 0:
-            r, d = 1, 0
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "f", None)
+
+    @classmethod
+    def _exact(cls, p: int, q: int, d: int, r: int) -> "Scalar":
+        """An arithmetic result over an operand's radicand d, which is
+        already squarefree: no radicand factoring, unlike __init__."""
+        obj = cls.__new__(cls)
+        obj._normalize(p, q, d, r)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -288,7 +302,7 @@ class Scalar:
         """Galois conjugate: sqrt(d) -> -sqrt(d).  Floats are unchanged."""
         if self.is_float:
             return self
-        return Scalar(self.p, -self.q, self.d, self.r)
+        return Scalar._exact(self.p, -self.q, self.d, self.r)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -322,7 +336,7 @@ class Scalar:
         if self.is_float or other.is_float:
             return Scalar.from_float(self.to_float() + other.to_float())
         d = self._common_radicand(other)
-        return Scalar(
+        return Scalar._exact(
             self.p * other.r + other.p * self.r,
             self.q * other.r + other.q * self.r,
             d,
@@ -334,7 +348,7 @@ class Scalar:
     def __neg__(self):
         if self.is_float:
             return Scalar.from_float(-self.f)
-        return Scalar(-self.p, -self.q, self.d, self.r)
+        return Scalar._exact(-self.p, -self.q, self.d, self.r)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -357,7 +371,7 @@ class Scalar:
         d = self._common_radicand(other)
         p = self.p * other.p + self.q * other.q * d
         q = self.p * other.q + self.q * other.p
-        return Scalar(p, q, d, self.r * other.r)
+        return Scalar._exact(p, q, d, self.r * other.r)
 
     __rmul__ = __mul__
 
@@ -368,7 +382,8 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         # 1/((p+q sqrt d)/r) = r (p - q sqrt d) / (p^2 - q^2 d)
         norm = self.p * self.p - self.q * self.q * self.d
-        return Scalar(self.p * self.r, -self.q * self.r, self.d, norm)
+        return Scalar._exact(self.p * self.r, -self.q * self.r, self.d,
+                             norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)

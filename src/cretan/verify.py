@@ -5,7 +5,13 @@ verify_cretan recomputes everything from the entries: the Gram matrix
 quadratic field), the level census, modulus bounds, the strict unit-entry
 condition, and the determinant identity |det| = omega^(n/2).  It trusts
 none of the metadata on its input and never raises on a failing matrix;
-the certificate carries the verdicts.
+the certificate carries the verdicts.  The verdicts rest on the Gram
+check alone, so the determinant identity and the bound suite are computed
+on the first read of `Certificate.det` and `Certificate.bounds`: the
+catalog, which ranks by the verdicts, never pays for them.  An exact
+matrix that fails the exact Gram check fails both verdicts; the float
+tolerance stands in only where no exact check can run (float levels, or
+levels from two quadratic fields).
 
 The exact Gram check writes every level of Q(sqrt d) over one common
 denominator R as (P[u] + Q[u] sqrt d) / R with integers P[u] and Q[u].
@@ -13,9 +19,12 @@ With Pg = P[grid] and Qg = Q[grid],
 
     R^2 S S^T = (Pg Pg^T + d Qg Qg^T) + sqrt(d) (Pg Qg^T + Qg Pg^T),
 
-so both Gram products are a few integer matrix products.  They run as
+so the Gram matrix is a few integer matrix products.  They run as
 float64 BLAS when every partial sum stays below 2^53, and is therefore
-exact, and on Python integers otherwise; nothing is ever rounded.
+exact, and on Python integers otherwise; nothing is ever rounded.  Only
+S S^T is checked: for a real square S, S S^T = omega I with omega != 0
+makes S invertible with S^-1 = S^T / omega, so S^T S = omega S^-1 S =
+omega I; and omega = 0 gives every row norm zero, so S = 0 = S^T S.
 
 The exact determinant of a rational matrix (order <= 45) is det(P[grid])
 / R^n, with the integer determinant computed modulo k primes just below
@@ -30,8 +39,9 @@ recovers det exactly.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -306,11 +316,20 @@ class Certificate:
     omega_claim_ok: bool          # input metadata agreed with recomputation
     strict: bool
     relaxed: bool
-    det: DetIdentity
-    bounds: BoundReport
     method: str
     params: dict
     requested_mode: str
+    matrix: object = field(repr=False, compare=False)   # the checked S
+
+    # computed on first read; no verdict depends on them.  The calls go
+    # through the module globals, so a patched function is the one used.
+    @functools.cached_property
+    def det(self) -> DetIdentity:
+        return check_det_identity(self.matrix, self.omega)
+
+    @functools.cached_property
+    def bounds(self) -> BoundReport:
+        return det_bounds(self.order)
 
     @property
     def passed(self) -> bool:
@@ -337,9 +356,11 @@ class Certificate:
 
 
 def _exact_gram_check(S) -> Scalar | None:
-    """omega when S S^T = S^T S = omega I holds exactly, else None.
+    """omega when S S^T = omega I holds exactly, else None.
 
-    Raises IncompatibleRadicands when the levels span different fields.
+    S^T S = omega I follows (see the module docstring), so it is not
+    computed.  Raises IncompatibleRadicands when the levels span
+    different fields.
     """
     P, Q, d, R = _lift(S.levels)
     n = S.order
@@ -350,21 +371,19 @@ def _exact_gram_check(S) -> Scalar | None:
     dtype = np.float64 if bound < 2 ** 53 else object
     Pg = np.array(P, dtype=dtype)[S.grid]
     Qg = np.array(Q, dtype=dtype)[S.grid]
-    for A, B in ((Pg, Qg), (Pg.T, Qg.T)):
-        rat = A @ A.T
-        irr = np.zeros_like(rat)
-        if d:
-            rat = rat + d * (B @ B.T)
-            X = A @ B.T
-            irr = X + X.T
-        diag = (rat[0, 0], irr[0, 0])
-        for part, first in zip((rat, irr), diag):
-            # all zero iff the diagonal is constant and the rest is zero
-            # (a float64 difference is 0 only when its operands agree)
-            part.flat[::n + 1] -= first
-            if part.any():
-                return None
-    # tr(S S^T) = tr(S^T S), so the two constant diagonals agree
+    rat = Pg @ Pg.T
+    irr = np.zeros_like(rat)
+    if d:
+        rat = rat + d * (Qg @ Qg.T)
+        X = Pg @ Qg.T
+        irr = X + X.T
+    diag = (rat[0, 0], irr[0, 0])
+    for part, first in zip((rat, irr), diag):
+        # all zero iff the diagonal is constant and the rest is zero
+        # (a float64 difference is 0 only when its operands agree)
+        part.flat[::n + 1] -= first
+        if part.any():
+            return None
     return Scalar(int(diag[0]), int(diag[1]), d, R * R)
 
 
@@ -385,13 +404,16 @@ def verify_cretan(S, mode: str = "strict",
 
     max_offdiag = 0.0
     omega = None
+    checked_exactly = False
     if S.mode == "exact":
         try:
             omega = _exact_gram_check(S)
+            checked_exactly = True
         except IncompatibleRadicands:
             pass
     gram_exact = gram_ok = omega is not None
     if omega is None:
+        # both sides, for the reported max_offdiag
         A = S.to_float_array()
         resid = 0.0
         for G in (A @ A.T, A.T @ A):
@@ -401,7 +423,8 @@ def verify_cretan(S, mode: str = "strict",
                         float(np.abs(G - w * np.eye(n)).max()))
         omega = Scalar.from_float(float((A * A).sum() / n))
         max_offdiag = resid
-        gram_ok = resid <= tolerance
+        # a failed exact check is final: the tolerance cannot overrule it
+        gram_ok = not checked_exactly and resid <= tolerance
 
     try:
         omega_claim_ok = (S.omega - omega).is_zero() if gram_exact else \
@@ -422,13 +445,10 @@ def verify_cretan(S, mode: str = "strict",
     relaxed = bool(moduli_ok and gram_ok and omega_claim_ok)
     strict = bool(relaxed and strict_units)
 
-    det = check_det_identity(S, omega)
-    bounds = det_bounds(n)
     return Certificate(n, omega, tau, "exact" if gram_exact else "float",
                        gram_exact, max_offdiag, moduli_ok, omega_claim_ok,
-                       strict, relaxed, det, bounds,
-                       getattr(S, "method", ""),
-                       dict(getattr(S, "params", {})), mode)
+                       strict, relaxed, getattr(S, "method", ""),
+                       dict(getattr(S, "params", {})), mode, S)
 
 
 def _is_unit(l: Scalar) -> bool:

@@ -72,6 +72,23 @@ def test_one_core_build_per_applicable_order(monkeypatch):
     assert len(families) == 12
 
 
+def test_catalog_computes_no_determinant(monkeypatch):
+    import cretan.catalog as catalog
+    import cretan.verify as verify
+
+    calls = []
+
+    def refuse(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for name in ("check_det_identity", "exact_abs_det"):
+        monkeypatch.setattr(verify, name, refuse(name))
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    report = catalog_table(119)
+    assert calls == []
+    assert len(report.entries) == 59
+
+
 @pytest.mark.parametrize("method, routes", [
     ("sbibd", ("sbibd-ds", "paley-sbibd")),
     ("regular-hadamard", ("regular-hadamard",)),

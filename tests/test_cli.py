@@ -166,6 +166,22 @@ def test_verify_non_finite_float(tmp_path, capsys):
     assert "line 8" in err and "non-finite" in err
 
 
+def test_verify_failed_exact_gram_is_not_rescued_by_tolerance(tmp_path,
+                                                            capsys):
+    # off-diagonal 10^-12, inside the float tolerance, but not zero
+    f = tmp_path / "near.cm"
+    f.write_text(_exact_file(2, ["1 1", "1 -999999999999/1000000000000"]))
+    for argv in (["verify", str(f)], ["verify", "--strict", str(f)]):
+        assert main(argv) == 1
+        rows = dict(ln.split(None, 1) for ln in
+                    capsys.readouterr().out.splitlines()
+                    if ln.split()[0] in ("radius", "gram", "strict",
+                                         "relaxed"))
+        assert rows["radius"].startswith("f1.999999999999 ")
+        assert rows["gram"].startswith("max off-diagonal")
+        assert rows["strict"] == "fail" and rows["relaxed"] == "fail"
+
+
 def test_verify_order_zero(tmp_path, capsys):
     f = tmp_path / "empty.cm"
     f.write_text(_exact_file(0, []))

@@ -219,6 +219,44 @@ def test_field_ops_match_floats(a, b):
                         rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_arithmetic_does_not_factor_radicands(monkeypatch):
+    import cretan.scalar as scalar
+
+    d = 100000000000031          # a prime above the trial-division bound
+    xs = [Scalar(p, q, dd, r) for dd in (3, 10, d)
+          for p, q, r in ((1, 1, 2), (-3, 2, 5), (7, -4, 3), (0, 1, 1))]
+    xs += [Scalar(2), Scalar(-5, 0, 0, 3), Scalar(0)]
+    calls = []
+    real = scalar.squarefree_decompose
+    monkeypatch.setattr(scalar, "squarefree_decompose",
+                        lambda n: calls.append(n) or real(n))
+    results = []
+    for a in xs:
+        results += [(-a, -_sym(a)), (a.conjugate(), _conj(a))]
+        if not a.is_zero():
+            results.append((1 / a, 1 / _sym(a)))
+        for b in xs:
+            if a.q and b.q and a.d != b.d:
+                continue
+            results += [(a + b, _sym(a) + _sym(b)),
+                        (a * b, _sym(a) * _sym(b))]
+    assert calls == []
+    monkeypatch.undo()
+    for x, want in results:
+        # canonical, as the public constructor would have built it
+        y = Scalar(x.p, x.q, x.d, x.r)
+        assert (y.p, y.q, y.d, y.r) == (x.p, x.q, x.d, x.r)
+        assert sympy.simplify(_sym(x) - want) == 0
+
+
+def _sym(x):
+    return (sympy.Integer(x.p) + x.q * sympy.sqrt(x.d)) / x.r
+
+
+def _conj(x):
+    return (sympy.Integer(x.p) - x.q * sympy.sqrt(x.d)) / x.r
+
+
 @given(scalars(d=5), scalars(d=5))
 def test_conjugation_distributes(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()

@@ -195,6 +195,27 @@ def test_exact_abs_det_matches_bareiss_on_catalog_45(candidates_45):
     assert checked >= 10
 
 
+def test_lazy_det_and_bounds_match_eager(candidates_45, monkeypatch):
+    import cretan.verify as verify
+
+    calls = []
+    real = verify.check_det_identity
+
+    def counting(S, omega=None):
+        calls.append(S.order)
+        return real(S, omega)
+
+    monkeypatch.setattr(verify, "check_det_identity", counting)
+    for M in candidates_45:
+        cert = verify_cretan(M, mode="relaxed")
+        assert calls == []
+        assert cert.det == real(M, cert.omega)
+        assert cert.det is cert.det          # computed once, then kept
+        assert cert.bounds == det_bounds(M.order)
+        assert calls == [M.order]
+        calls.clear()
+
+
 def test_tau_counts_the_used_levels(candidates_45):
     for M in candidates_45:
         assert verify_cretan(M).tau == np.unique(M.grid).size
@@ -447,6 +468,8 @@ def test_exact_gram_agrees_with_sympy(values):
     cert = verify_cretan(from_values(values, Scalar(1), "random"))
     want = _oracle_omega(values)
     assert cert.gram_exact == (want is not None)
+    # one field, so no float fallback can pass what the oracle rejects
+    assert cert.relaxed <= cert.gram_exact
     if want is not None:
         assert cert.mode == "exact"
         assert sympy.expand(_sym(cert.omega) - want) == 0
@@ -488,6 +511,8 @@ def test_exact_gram_large_coordinates(m):
     values[0][0] = Scalar(x.p + 1, 0, 0, x.r)
     nudged = verify_cretan(from_values(values, Scalar(1), "nudged"))
     assert not nudged.gram_exact and nudged.mode == "float"
+    # a failed exact check is final, whatever the float residual
+    assert not nudged.relaxed and not nudged.strict
 
 
 def test_exact_gram_sees_what_float64_cannot():
@@ -501,6 +526,19 @@ def test_exact_gram_sees_what_float64_cannot():
     assert verify_cretan(exact).gram_exact
     cert = verify_cretan(nudged)
     assert not cert.gram_exact and cert.max_offdiag <= VERIFY_TOL
+    assert not cert.relaxed and not cert.strict
+
+
+def test_failed_exact_gram_fails_both_verdicts():
+    near = Scalar(-999999999999, 0, 0, 10 ** 12)
+    M = from_values([[Scalar(1), Scalar(1)], [Scalar(1), near]],
+                    Scalar(2), "near")
+    cert = verify_cretan(M)
+    assert cert.mode == "float" and not cert.gram_exact
+    assert 0 < cert.max_offdiag <= VERIFY_TOL
+    assert cert.omega == Scalar.from_float(1.999999999999)
+    assert cert.moduli_ok and cert.omega_claim_ok
+    assert not cert.relaxed and not cert.strict and not cert.passed
 
 
 def test_mixed_radicands_fall_back_to_float():
