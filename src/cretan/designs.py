@@ -187,7 +187,13 @@ class DifferenceSet:
 
 def make_difference_set(group: GroupDesc, elements, lam: int,
                         source: str = "") -> DifferenceSet:
-    """Validate by census and freeze.  Raises NotADifferenceSet."""
+    """Validate by census and freeze.  Raises NotADifferenceSet.
+
+    The census also proves lambda (v-1) = k (k-1): the k (k-1) ordered
+    pairs of distinct elements give k (k-1) differences, all off the
+    identity, and a passed census puts exactly lambda of them on each of
+    the v - 1 other elements.
+    """
     els = tuple(sorted(set(elements)))
     if len(els) != len(tuple(elements)):
         raise NotADifferenceSet("repeated elements in candidate set")
@@ -200,11 +206,6 @@ def make_difference_set(group: GroupDesc, elements, lam: int,
         raise NotADifferenceSet(
             "census mismatch for %s in %s: %d elements deviate from "
             "lambda=%d" % (sorted(els)[:4], group, bad, lam))
-    k = len(els)
-    v = group.order
-    if lam * (v - 1) != k * (k - 1):
-        raise NotADifferenceSet(
-            "parameter identity fails: lambda (v-1) != k (k-1)")
     return DifferenceSet(group, els, lam, source=source)
 
 

@@ -171,6 +171,9 @@ def _parse_level(header, params, notes, rows, body_at, order):
     if m.mode != header["mode"]:
         raise ParseError("header says mode %s, but the entries and omega "
                          "are %s" % (header["mode"], m.mode), 2)
+    if header.get("tau", str(m.tau)) != str(m.tau):
+        raise ParseError("header says tau %s, but the entries take %d "
+                         "values" % (header["tau"], m.tau), 2)
     return m
 
 

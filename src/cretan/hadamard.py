@@ -15,17 +15,12 @@ import numpy as np
 
 from cretan.designs import (
     BadFixture,
+    GroupDesc,
     Sbibd,
     fixture_difference_set,
     load_fixture,
 )
-from cretan.fields import (
-    factor_prime_power,
-    is_prime,
-    make_field,
-    quadratic_character,
-    quadratic_character_elem,
-)
+from cretan.fields import factor_prime_power, make_field
 
 
 class NoConstructionAvailable(ValueError):
@@ -95,30 +90,28 @@ def sylvester(e: int) -> SignMatrix:
 def paley_conference(q: int) -> SignMatrix:
     """Symmetric conference matrix of order q + 1, q a prime power 1 mod 4.
 
-    Core is the quadratic character table of GF(q); the border is all
-    ones and the diagonal zero.
+    The core is the quadratic character chi of GF(q), tabulated once by
+    base-p integer (+1 on the even powers of the generator) and read at
+    the difference positions of the additive group Z_p^k, as in
+    `DifferenceSet.develop`: position j of Z_p^k has the base-p digits of
+    j, highest degree first, so it is the element `from_int(j)`.  Entry
+    (i, j) is chi(x_j - x_i) = chi(x_i - x_j), since -1 is a square.  The
+    border is all ones and the diagonal zero.
     """
     if q % 4 != 1:
         raise ValueError("q must be 1 mod 4, got %d" % q)
-    if is_prime(q):
-        chi = lambda a: quadratic_character(a, q)
-        elems = list(range(q))
-        sub = lambda a, b: (a - b) % q
-    else:
-        p, k = factor_prime_power(q)
-        f = make_field(p, k)
-        chi = quadratic_character_elem
-        elems = f.elements()
-        sub = lambda a, b: a - b
+    p, k = factor_prime_power(q)
+    f = make_field(p, k)
+    group = GroupDesc((p,) * k)
+    chi = np.full(q, -1, dtype=np.int8)
+    chi[0] = 0
+    chi[[f.exp(2 * i).to_int() for i in range((q - 1) // 2)]] = 1
+    C = group.all_coords()
     n = q + 1
-    C = np.zeros((n, n), dtype=np.int8)
-    C[0, 1:] = 1
-    C[1:, 0] = 1
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if i != j:
-                C[i + 1, j + 1] = chi(sub(a, b))
-    M = SignMatrix(n, C, "conference", q, source="paley-conference(%d)" % q)
+    E = np.zeros((n, n), dtype=np.int8)
+    E[0, 1:] = E[1:, 0] = 1
+    E[1:, 1:] = chi[group.diff_positions(C, C)]
+    M = SignMatrix(n, E, "conference", q, source="paley-conference(%d)" % q)
     M.validate()
     return M
 

@@ -27,14 +27,11 @@ makes S invertible with S^-1 = S^T / omega, so S^T S = omega S^-1 S =
 omega I; and omega = 0 gives every row norm zero, so S = 0 = S^T S.
 
 The exact determinant of a rational matrix (order <= 45) is det(P[grid])
-/ R^n, with the integer determinant computed modulo k primes just below
-2^31 at once: the level numerators are reduced mod each prime as Python
-ints, the grid indexes them into a (k, n, n) int64 stack, and a
-division-free elimination runs on all k slices together, since below
-2^31 every x * piv - b * c is exact in int64.  k is the least count
-whose product M satisfies M^2 > 4 H^2, with H^2 = prod_i |row i|^2 the
-exact Hadamard bound, so the Chinese remainder lift into (-M/2, M/2)
-recovers det exactly.
+/ R^n, with the integer determinant found by fraction-free (Bareiss)
+elimination on Python ints, O(n^3) integer operations.  No faster kernel
+is kept: no verdict rests on the determinant, the catalog never reads
+it, and it is computed only when a reader asks for `Certificate.det`, as
+`cretan verify` does once per file.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from cretan.scalar import (
     Scalar,
     VERIFY_TOL,
     format_scalar,
-    is_probable_prime,
 )
 
 
@@ -87,106 +83,32 @@ def _lift(levels) -> tuple:
 
 _EXACT_DET_MAX_ORDER = 45
 
-# moduli for the determinant: the primes just below 2^31, descending,
-# found on first use; below 2^31 every x * piv - b * c stays in int64
-_DET_PRIMES: list = []
 
+def bareiss_det(rows) -> int:
+    """Exact determinant of an integer matrix given as rows of Python ints.
 
-def _det_primes(k: int) -> list:
-    """The k largest primes below 2^31."""
-    m = _DET_PRIMES[-1] - 2 if _DET_PRIMES else 2 ** 31 - 1
-    while len(_DET_PRIMES) < k:
-        if is_probable_prime(m):
-            _DET_PRIMES.append(m)
-        m -= 2
-    return _DET_PRIMES[:k]
-
-
-def _det_mod_primes(B: np.ndarray, primes: list) -> list:
-    """det of each slice B[j] mod primes[j]; B is (k, n, n) int64 with
-    B[j] reduced mod primes[j].
-
-    Division-free elimination: step c replaces every row below the pivot
-    by row * piv - b * (pivot row), which multiplies det by
-    piv^(n-1-c), and drops the pivot row and column.  So
-    det * prod_c piv_c^(n-1-c) = prod_c piv_c, and one modular inverse
-    per prime recovers det.  A pivot that vanishes mod one prime swaps
-    rows for that prime only; a column that vanishes from the pivot down
-    makes det = 0 mod that prime.
+    Fraction-free (Bareiss) elimination: after step k every entry of the
+    trailing block is a (k+1) x (k+1) minor of the input, so each division
+    by the previous pivot is exact.  A zero pivot swaps in a lower row
+    with a nonzero entry in its column; when there is none, det = 0.
     """
-    k, n, _ = B.shape
-    pc = np.array(primes, dtype=np.int64)[:, None, None]
-    sign = [1] * k
-    dead = np.zeros(k, dtype=bool)
-    pivots = np.empty((n, k), dtype=np.int64)
-    # the trailing block of step c is built in one of two flat buffers
-    # (the other holds its source) and the rank-1 term in a third
-    size = k * (n - 1) * (n - 1)
-    bufs = [np.empty(size, dtype=np.int64) for _ in range(3)]
-    for c in range(n):
-        piv = B[:, 0, 0]
-        if np.count_nonzero(piv) != k:
-            for j in np.flatnonzero((piv == 0) & ~dead):
-                below = np.flatnonzero(B[j, 1:, 0])
-                if below.size == 0:
-                    dead[j] = True
-                    continue
-                r = 1 + int(below[0])
-                B[j, [0, r]] = B[j, [r, 0]]
-                sign[j] = -sign[j]
-            # a dead prime gets pivot 1 so that the rest stays defined
-            piv = np.where(dead, 1, B[:, 0, 0])
-        pivots[c] = piv
-        if c < n - 1:
-            m = n - 1 - c
-            T = bufs[c % 2][:k * m * m].reshape(k, m, m)
-            rank1 = bufs[2][:k * m * m].reshape(k, m, m)
-            np.multiply(B[:, 1:, 1:], piv[:, None, None], out=T)
-            np.multiply(B[:, 1:, :1], B[:, :1, 1:], out=rank1)
-            T -= rank1
-            T %= pc
-            B = T
-    out = []
-    for j, q in enumerate(primes):
-        run = den = 1
-        for piv in pivots[:, j].tolist():
-            den = den * run % q          # run: the pivots before c
-            run = run * piv % q
-        out.append(0 if dead[j] else sign[j] * run * pow(den, -1, q) % q)
-    return out
-
-
-def multimodular_det(values, grid: np.ndarray) -> int:
-    """Exact signed determinant of the integer matrix values[grid].
-
-    values is a sequence of Python ints (any size) and grid an (n, n)
-    array of indices into it.  The determinant is computed mod k primes
-    just below 2^31, all at once, and rebuilt by the Chinese remainder
-    theorem; k is the least count whose product M satisfies
-    M^2 > 4 H^2, where H^2 = prod_i |row i|^2 is the Hadamard bound, so
-    |det| < M / 2 and the symmetric lift is exact.
-    """
-    n = grid.shape[0]
-    tau = len(values)
-    counts = np.bincount((np.arange(n)[:, None] * tau + grid).ravel(),
-                         minlength=n * tau).reshape(n, tau).tolist()
-    squares = [v * v for v in values]
-    h2 = math.prod(sum(c * s for c, s in zip(row, squares) if c)
-                   for row in counts)
-    k = 1
-    while math.prod(_det_primes(k)) ** 2 <= 4 * h2:
-        k += 1
-    primes = _det_primes(k)
-    M = math.prod(primes)
-    reduced = np.array([[v % q for v in values] for q in primes],
-                       dtype=np.int64)
-    residues = _det_mod_primes(reduced[:, grid], primes)
-    det = 0
-    for q, r in zip(primes, residues):
-        m = M // q
-        det += r * m * pow(m, -1, q)
-    det %= M
-    return det - M if 2 * det > M else det
+    M = [list(map(int, r)) for r in rows]
+    n = len(M)
+    sign = prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        piv, top = M[k][k], M[k][k + 1:]
+        for row in M[k + 1:]:
+            c = row[k]
+            row[k + 1:] = [(x * piv - c * t) // prev
+                           for x, t in zip(row[k + 1:], top)]
+        prev = piv
+    return sign * M[-1][-1]
 
 
 def exact_abs_det(S) -> Fraction | None:
@@ -196,7 +118,8 @@ def exact_abs_det(S) -> Fraction | None:
     if not all(l.is_rational for l in S.levels):
         return None
     P, _, _, R = _lift(S.levels)
-    return abs(Fraction(multimodular_det(P, S.grid), R ** S.order))
+    rows = np.array(P, dtype=object)[S.grid].tolist()
+    return abs(Fraction(bareiss_det(rows), R ** S.order))
 
 
 def _log_abs_det(S, exact: Fraction | None) -> float:

@@ -120,7 +120,8 @@ def test_verify_tampered_file(tmp_path, capsys):
           "--out", str(f)])
     capsys.readouterr()
     text = f.read_text()
-    f.write_text(text.replace("-2/7", "0", 1))
+    # a consistent edit: the entry and the level count in the header
+    f.write_text(text.replace("-2/7", "0", 1).replace("tau 2", "tau 3"))
     assert main(["verify", str(f)]) == 1
     out = capsys.readouterr().out
     assert "fail" in out
@@ -180,6 +181,14 @@ def test_verify_failed_exact_gram_is_not_rescued_by_tolerance(tmp_path,
         assert rows["radius"].startswith("f1.999999999999 ")
         assert rows["gram"].startswith("max off-diagonal")
         assert rows["strict"] == "fail" and rows["relaxed"] == "fail"
+
+
+def test_verify_wrong_tau_header(tmp_path, capsys):
+    f = tmp_path / "tau.cm"
+    f.write_text(_exact_file(2, ["1 1", "1 -1"]).replace("tau 2", "tau 3"))
+    assert main(["verify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and "tau 3" in err
 
 
 def test_verify_order_zero(tmp_path, capsys):

@@ -104,6 +104,27 @@ def test_census_rejects_non_difference_set():
         make_difference_set(cyclic(7), [(0,), (1,), (2,)], 1)
 
 
+def test_census_forces_the_parameter_identity():
+    # every subset of every group of order <= 9, with each lambda the
+    # census could give: whatever passes satisfies lambda (v-1) = k (k-1)
+    passed = 0
+    for orders in ((1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,),
+                   (2, 4), (2, 2, 2), (9,), (3, 3)):
+        group = GroupDesc(orders)
+        els = group.elements()
+        for mask in range(2 ** len(els)):
+            subset = [e for b, e in enumerate(els) if mask >> b & 1]
+            k, v = len(subset), group.order
+            for lam in range(k + 1):
+                try:
+                    make_difference_set(group, subset, lam)
+                except NotADifferenceSet:
+                    continue
+                assert lam * (v - 1) == k * (k - 1)
+                passed += 1
+    assert passed > 100
+
+
 def test_develop_and_validate_small():
     sb = qr_difference_set(11).develop()
     assert sb.params == (11, 5, 2)

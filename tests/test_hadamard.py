@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from cretan.designs import fixture_difference_set
+from cretan.fields import (
+    factor_prime_power,
+    is_prime,
+    make_field,
+    quadratic_character,
+    quadratic_character_elem,
+)
 from cretan.hadamard import (
     NoConstructionAvailable,
     SignMatrix,
@@ -38,6 +45,34 @@ def test_paley_conference_prime_power():
     assert W.order == 10
     assert W.is_symmetric
     W.validate()
+
+
+def paley_oracle(q: int) -> np.ndarray:
+    """The Paley conference matrix by a double loop over GF(q), with
+    chi(x_i - x_j) from pow at primes and from the generator log at
+    prime powers."""
+    if is_prime(q):
+        chi = lambda a: quadratic_character(a, q)
+        elems = list(range(q))
+        sub = lambda a, b: (a - b) % q
+    else:
+        chi = quadratic_character_elem
+        elems = make_field(*factor_prime_power(q)).elements()
+        sub = lambda a, b: a - b
+    C = np.zeros((q + 1, q + 1), dtype=np.int8)
+    C[0, 1:] = C[1:, 0] = 1
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            if i != j:
+                C[i + 1, j + 1] = chi(sub(a, b))
+    return C
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 25, 49, 81, 121, 125])
+def test_paley_conference_matches_double_loop(q):
+    W = paley_conference(q)
+    assert W.entries.dtype == np.int8
+    assert np.array_equal(W.entries, paley_oracle(q))
 
 
 def test_paley_conference_rejects_3_mod_4():

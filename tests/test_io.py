@@ -247,7 +247,8 @@ def test_parse_rejects_zero_denominator_and_order():
 
 def test_parse_large_radicand_tokens():
     p = 100000000000031
-    text = serialize_matrix(identity2())
+    # the replaced token adds a third value
+    text = serialize_matrix(identity2()).replace("tau 2", "tau 3")
     m = parse_matrix(text.replace("0 1\n", "0 (0+1*sqrt(%d))/1\n"
                                   % (3 * p * p)))
     assert Scalar(0, p, 3) in m.levels
@@ -303,6 +304,23 @@ def test_parse_takes_ascii_digits_only():
             parse_matrix(text.replace(old, new, 1))
         if line is not None:
             assert err.value.line == line
+
+
+def test_tau_header_is_checked():
+    hadamard = ("cretan-matrix 1\nmode exact\norder 2\ntau 2\nomega 2\n"
+                "method hand\nentries\n1 1\n1 -1\n")
+    assert parse_matrix(hadamard).tau == 2
+    # the header is optional
+    assert parse_matrix(hadamard.replace("tau 2\n", "")).tau == 2
+    for tau in ("3", "1", "x"):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(hadamard.replace("tau 2", "tau " + tau))
+        assert "tau" in str(err.value)
+    # tau counts the values after equal tokens merge: 1 and 2/2 are one
+    merged = hadamard.replace("1 1\n1 -1", "1 2/2\n-1 1")
+    assert parse_matrix(merged).tau == 2
+    with pytest.raises(ParseError):
+        parse_matrix(merged.replace("tau 2", "tau 3"))
 
 
 def test_every_mode_swap_raises_parse_error():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from cretan.constructions import (
     basic_family,
@@ -22,49 +23,22 @@ from cretan.hadamard import paley_conference, sylvester
 from cretan.scalar import VERIFY_TOL, Scalar
 from cretan.catalog import catalog_table
 from cretan.verify import (
-    _det_primes,
     _lift,
+    bareiss_det,
     check_det_identity,
     det_bounds,
     exact_abs_det,
     log_abs_det,
-    multimodular_det,
     verify_complex,
     verify_cretan,
 )
 
 
-def bareiss_det(rows) -> int:
-    """Oracle: exact determinant of an integer matrix by fraction-free
-    (Bareiss) elimination on Python ints."""
-    M = [list(map(int, r)) for r in rows]
-    n = len(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
-def mdet(rows) -> int:
-    """multimodular_det of an integer matrix given as rows."""
-    values = sorted({int(x) for r in rows for x in r})
-    index = {v: i for i, v in enumerate(values)}
-    grid = np.array([[index[int(x)] for x in r] for r in rows],
-                    dtype=np.int16)
-    return multimodular_det(values, grid)
+def sympy_det(rows) -> int:
+    """Oracle: the determinant of an integer matrix, by sympy's matrices
+    over ZZ (exact like sympy.Matrix.det, and much faster on the order-45
+    catalog matrices)."""
+    return int(DomainMatrix.from_list(rows, sympy.ZZ).det())
 
 
 def test_bareiss_small():
@@ -72,25 +46,23 @@ def test_bareiss_small():
                        ([[0, 1], [1, 0]], -1),      # pivot swap
                        ([[1, 1], [1, 1]], 0),
                        ([[5]], 5)):
-        assert mdet(rows) == bareiss_det(rows) == want
+        assert bareiss_det(rows) == sympy_det(rows) == want
 
 
 #SBIBD determinant k (k-lam)^((v-1)/2) = 4 * 3^6
 def test_bareiss_design_determinant():
-    sb = singer_difference_set(2, 3).develop()
-    assert abs(mdet(sb.incidence.tolist())) == 2916
-    assert abs(bareiss_det(sb.incidence.tolist())) == 2916
+    rows = singer_difference_set(2, 3).develop().incidence.tolist()
+    assert abs(bareiss_det(rows)) == abs(sympy_det(rows)) == 2916
 
 
-# -- the multi-modular determinant against Bareiss and sympy ------------------
+# -- the Bareiss determinant against sympy ------------------------------------
 
-P0 = 2 ** 31 - 1      # the first modulus
+P0 = 2 ** 31 - 1      # a prime
 
 
 def _agree(rows) -> int:
-    want = bareiss_det(rows)
-    assert int(sympy.Matrix(rows).det()) == want
-    assert mdet(rows) == want
+    want = sympy_det(rows)
+    assert bareiss_det(rows) == want
     return want
 
 
@@ -118,14 +90,8 @@ def test_multimodular_det_zero_leading_pivot():
     assert _agree([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
     assert _agree([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     assert _agree([[0, 2], [0, 3]]) == 0
-
-
-def test_multimodular_det_divisible_by_first_prime():
-    assert _det_primes(1) == [P0]
-    # the pivot at column 1 is P0, zero mod P0 only: that prime swaps
-    # rows 1 and 2 while the others do not
+    # pivots and determinants that are multiples of the prime P0
     assert _agree([[1, 2, 0], [3, 6 + P0, 1], [0, 1, 1]]) == P0 - 1
-    # det = P0: the last pivot vanishes mod P0 with no row to swap in
     assert _agree([[1, 2], [3, 6 + P0]]) == P0
     assert _agree([[P0, 0], [0, P0]]) == P0 * P0
     assert _agree([[P0, 1], [P0, 1 + P0 * P0]]) == P0 ** 3
@@ -139,16 +105,7 @@ def test_multimodular_det_divisible_by_first_prime():
              min_size=n, max_size=n),
     min_size=n, max_size=n)))
 def test_multimodular_det_matches_bareiss(rows):
-    assert mdet(rows) == bareiss_det(rows)
-
-
-def test_det_primes_are_the_largest_primes_below_2_31():
-    primes = _det_primes(40)
-    assert all(sympy.isprime(q) for q in primes)
-    want = [sympy.prevprime(2 ** 31)]
-    while len(want) < 40:
-        want.append(sympy.prevprime(want[-1]))
-    assert primes == want
+    assert bareiss_det(rows) == sympy_det(rows)
 
 
 def _sympy_abs_det(values):
@@ -167,12 +124,8 @@ def test_exact_abs_det_large_numerators():
         codes[0, :5] = range(5)          # every level appears
         values = [[big[i] for i in row] for row in codes]
         M = from_values(values, Scalar(1), "random")
-        P, _, _, R = _lift(M.levels)
-        assert max(map(abs, P)) > 2 ** 63
-        got = exact_abs_det(M)
-        assert got == _sympy_abs_det(values)
-        assert got == Fraction(abs(bareiss_det(
-            np.array(P, dtype=object)[M.grid].tolist())), R ** n)
+        assert max(map(abs, _lift(M.levels)[0])) > 2 ** 63
+        assert exact_abs_det(M) == _sympy_abs_det(values)
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +143,7 @@ def test_exact_abs_det_matches_bareiss_on_catalog_45(candidates_45):
             continue
         P, _, _, R = _lift(M.levels)
         rows = np.array(P, dtype=object)[M.grid].tolist()
-        assert got == Fraction(abs(bareiss_det(rows)), R ** M.order)
+        assert got == Fraction(abs(sympy_det(rows)), R ** M.order)
         checked += 1
     assert checked >= 10
 
@@ -419,22 +372,25 @@ def _level_matrices(draw):
     """Small square matrices over one Q(sqrt d): Cretan ones (a scaled
     Hadamard or basic-family matrix, possibly Kronecker-multiplied, under
     a random signed permutation), such matrices with one entry changed,
-    and matrices with random entries."""
+    matrices with random entries, and P + sqrt(d) c Q with P a rational
+    Cretan base, Q a signed permutation and c rational: its rational Gram
+    part P P^T + d c^2 I passes, and only the sqrt part
+    c (P Q^T + Q P^T) can fail."""
     d = draw(st.sampled_from((2, 3, 5, 37)))
     # denominators near 2^31 push the kernel past float64
     denoms = st.one_of(st.integers(1, 12),
                        st.integers(2 ** 31, 2 ** 31 + 64))
     scalars = st.builds(lambda p, q, r: Scalar(p, q, d, r),
                         st.integers(-9, 9), st.integers(-3, 3), denoms)
-    kind = draw(st.sampled_from(("cretan", "changed", "random")))
+    kind = draw(st.sampled_from(("cretan", "changed", "random", "sqrt")))
     if kind == "random":
         n = draw(st.integers(1, 8))
         pool = draw(st.lists(scalars, min_size=1, max_size=4))
         return [[draw(st.sampled_from(pool)) for _ in range(n)]
                 for _ in range(n)]
 
-    def base():
-        u = draw(scalars.filter(lambda x: not x.is_zero()))
+    def base(units):
+        u = draw(units.filter(lambda x: not x.is_zero()))
         shape = draw(st.sampled_from(("identity", "hadamard", "basic")))
         if shape == "identity":
             return [[u]]
@@ -444,9 +400,22 @@ def _level_matrices(draw):
         return [[u * m.entry(i, j) for j in range(m.order)]
                 for i in range(m.order)]
 
-    A = base()
+    if kind == "sqrt":
+        P = base(st.builds(lambda p, r: Scalar(p, 0, 0, r),
+                           st.integers(-9, 9), denoms))
+        n = len(P)
+        perm = draw(st.permutations(range(n)))
+        c = draw(st.builds(lambda p, r: Scalar(p, 0, 0, r),
+                           st.integers(-3, 3).filter(bool),
+                           st.integers(1, 4)))
+        c = Scalar(0, 1, d) * c
+        for i in range(n):
+            P[i][perm[i]] += c * draw(st.sampled_from((1, -1)))
+        return P
+
+    A = base(scalars)
     if len(A) <= 4 and draw(st.booleans()):
-        B = base()
+        B = base(scalars)
         if len(A) * len(B) <= 8:
             A = [[a * b for a in ra for b in rb] for ra in A for rb in B]
     n = len(A)
@@ -462,8 +431,17 @@ def _level_matrices(draw):
     return out
 
 
+_ONE, _R2 = Scalar(1), Scalar(0, 1, 2)
+# off-diagonal 2 sqrt(2): rational part zero, sqrt(2) part not
+_CROSS = [[_ONE, _R2], [_R2, _ONE]]
+# diagonal 3 + 2 sqrt(2) and 3 - 2 sqrt(2): equal rational parts
+_DIAG = [[_ONE + _R2, Scalar(0)], [Scalar(0), _ONE - _R2]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_level_matrices())
+@example(_CROSS)
+@example(_DIAG)
 def test_exact_gram_agrees_with_sympy(values):
     cert = verify_cretan(from_values(values, Scalar(1), "random"))
     want = _oracle_omega(values)
@@ -476,16 +454,10 @@ def test_exact_gram_agrees_with_sympy(values):
 
 
 def test_exact_gram_checks_the_sqrt_part():
-    one, r2 = Scalar(1), Scalar(0, 1, 2)
-    # off-diagonal 2 sqrt(2): rational part zero, sqrt(2) part not
-    cross = from_values([[one, r2], [r2, one]], Scalar(3), "cross")
-    # diagonal 3 + 2 sqrt(2) and 3 - 2 sqrt(2): equal rational parts
-    diag = from_values([[one + r2, Scalar(0)], [Scalar(0), one - r2]],
-                       Scalar(3), "diag")
-    for M in (cross, diag):
-        assert _oracle_omega([[M.entry(i, j) for j in range(2)]
-                              for i in range(2)]) is None
-        assert not verify_cretan(M).gram_exact
+    for values in (_CROSS, _DIAG):
+        assert _oracle_omega(values) is None
+        assert not verify_cretan(from_values(values, Scalar(3),
+                                             "sqrt")).gram_exact
 
 
 def _rotation_square(m: int):
