@@ -18,6 +18,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from cretan.constructions import (
     LevelMatrix,
     ModulusViolation,
@@ -36,7 +38,7 @@ from cretan.designs import (
 )
 from cretan.fields import is_prime_power
 from cretan.hadamard import NoConstructionAvailable, regular_hadamard
-from cretan.verify import Certificate, verify_cretan
+from cretan.verify import ByDesign, ByFactors, Certificate, verify_cretan
 
 MIN_ORDER = 3
 MAX_ORDER = 999
@@ -123,7 +125,10 @@ def design_sources(v: int) -> list:
 
 def _two_level(develop) -> list:
     design = develop()
-    return sbibd_two_level(design) + sbibd_two_level(design.complement())
+    # sbibd_two_level validates each design before the proof cites it
+    return [(m, ByDesign(sb.incidence, sb.k, sb.lam))
+            for sb in (design, design.complement())
+            for m in sbibd_two_level(sb)]
 
 
 def _design_parts(route: str):
@@ -136,7 +141,8 @@ def _regular_hadamard_parts(v: int) -> list:
     m = _square_core_side(v)
     if m is None:
         return []
-    return [("", lambda: [regular_hadamard_border(regular_hadamard(m))])]
+    return [("", lambda: [(regular_hadamard_border(regular_hadamard(m)),
+                           None)])]
 
 
 def _missing_core(v: int) -> str:
@@ -149,14 +155,21 @@ def _kronecker(a: int, b: int) -> list:
     left, right = construct_best(a).best, construct_best(b).best
     if left is None or right is None:
         return []
-    return [kronecker_cretan(left.matrix, right.matrix)]
+    return [(kronecker_cretan(left.matrix, right.matrix),
+             ByFactors(left.certificate, right.certificate))]
+
+
+def _basic(v: int) -> list:
+    # the identity is a (v, 1, 0) design: I I^T = I
+    return [(basic_family(v), ByDesign(np.eye(v, dtype=np.int8), 1, 0))]
 
 
 @dataclass(frozen=True)
 class Route:
     """One construction route.  parts(v) lists (note, build) pairs and
     builds nothing: the route applies at v when the list is non-empty.
-    build() returns the part's LevelMatrix values and may raise one of
+    build() returns the part's (LevelMatrix, proof) pairs, the proof
+    being verify_cretan's gram argument or None, and may raise one of
     ROUTE_FAILURES.  When missing is set, a failed build is reported as a
     missing fixture, with the note missing(v)."""
     parts: Callable[[int], list]
@@ -171,7 +184,7 @@ ROUTES = {
     "paley-sbibd": Route(_design_parts("paley-sbibd")),
     "kronecker": Route(lambda v: [("%d x %d" % ab, partial(_kronecker, *ab))
                                   for ab in _odd_factor_pairs(v)]),
-    "basic": Route(lambda v: [("", lambda: [basic_family(v)])]),
+    "basic": Route(lambda v: [("", partial(_basic, v))]),
 }
 METHOD_ORDER = tuple(ROUTES)
 
@@ -196,8 +209,9 @@ def _candidates_for(v: int) -> tuple:
                     label, note = "fixture-missing", route.missing(v)
                 cands.append(Candidate(name, None, None, note, error))
                 continue
-            cands += [Candidate(name, m, verify_cretan(m, mode="relaxed"),
-                                note) for m in mats]
+            cands += [Candidate(name, m, verify_cretan(m, mode="relaxed",
+                                                       gram=proof), note)
+                      for m, proof in mats]
         methods.append(label)
     return methods, cands
 
@@ -435,6 +449,8 @@ def catalog_structured(report: CatalogReport) -> dict:
                         "omega": c.omega_float,
                         "tau": c.matrix.tau if c.matrix else None,
                         "verdict": c.verdict,
+                        "gram": (c.certificate.gram_path
+                                 if c.certificate else None),
                         "note": c.note,
                     }
                     for c in e.candidates

@@ -56,7 +56,7 @@ class CliError(Exception):
 def _best_of(routes: tuple, n: int):
     """The largest-radius matrix the catalog routes build at order n."""
     mats = [m for name in routes for _, build in ROUTES[name].parts(n)
-            for m in build()]
+            for m, _ in build()]
     if not mats:
         raise CliError("no %s construction at order %d"
                        % (" or ".join(routes), n))

@@ -407,10 +407,3 @@ def quadratic_character(a: int, p: int) -> int:
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def quadratic_character_elem(x: FieldElem) -> int:
-    """Square / nonsquare indicator in GF(q), q odd, via generator parity."""
-    if x.is_zero():
-        return 0
-    return 1 if x.spec.log(x) % 2 == 0 else -1

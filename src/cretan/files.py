@@ -91,7 +91,7 @@ def parse_matrix(text: str):
         raise ParseError("empty input", 1)
     if lines[0] != MATRIX_MAGIC:
         raise ParseError("unsupported format marker %r" % lines[0][:40], 1)
-    header: dict = {}
+    header = _Header()
     params: dict = {}
     notes: list = []
     body_at = None
@@ -107,19 +107,19 @@ def parse_matrix(text: str):
             notes.append(rest)
         elif key:
             header[key] = rest
+            header.lines[key] = idx
         else:
             raise ParseError("blank header line", idx)
     if body_at is None:
         raise ParseError("missing entries marker", len(lines))
+    header.end = body_at
     mode = header.get("mode")
     if mode not in ("exact", "float", "complex", "group"):
-        raise ParseError("unknown mode %r" % mode, 2)
-    try:
-        order = parse_int(header["order"])
-    except (KeyError, ValueError):
-        raise ParseError("missing or bad order header", 2)
+        raise ParseError("unknown mode %r" % mode, header.line("mode"))
+    order = header.integer("order")
     if order < 1:
-        raise ParseError("order must be positive, got %d" % order, 2)
+        raise ParseError("order must be positive, got %d" % order,
+                         header.line("order"))
     rows = lines[body_at:]
     if len(rows) != order:
         raise ParseError("expected %d entry rows, found %d"
@@ -129,6 +129,27 @@ def parse_matrix(text: str):
     if mode == "complex":
         return _parse_complex(header, params, rows, body_at, order)
     return _parse_group(header, rows, body_at, order)
+
+
+class _Header(dict):
+    """Header values by key, with the line each came from."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines: dict = {}
+        self.end = 0             # the entries marker's line
+
+    def line(self, key: str) -> int:
+        """The key's own line; a missing key is reported at the entries
+        marker, where the header ended without it."""
+        return self.lines.get(key, self.end)
+
+    def integer(self, key: str, default: str | None = None) -> int:
+        try:
+            return parse_int(self.get(key, default) or "")
+        except ValueError:
+            raise ParseError("missing or bad %s header" % key,
+                             self.line(key))
 
 
 def _tokens(row: str, order: int, line: int) -> list:
@@ -143,7 +164,7 @@ def _parse_level(header, params, notes, rows, body_at, order):
     try:
         omega = parse_scalar(header["omega"])
     except (KeyError, ValueError):
-        raise ParseError("missing or bad omega header", 2)
+        raise ParseError("missing or bad omega header", header.line("omega"))
     # f1.0 compares and hashes equal to 1, so from_codes would merge a
     # float token into an exact level: exact rows must hold no float token
     # ('f' occurs in no exact token), and a float file must stay float
@@ -170,10 +191,12 @@ def _parse_level(header, params, notes, rows, body_at, order):
                    params, tuple(notes))
     if m.mode != header["mode"]:
         raise ParseError("header says mode %s, but the entries and omega "
-                         "are %s" % (header["mode"], m.mode), 2)
+                         "are %s" % (header["mode"], m.mode),
+                         header.line("mode"))
     if header.get("tau", str(m.tau)) != str(m.tau):
         raise ParseError("header says tau %s, but the entries take %d "
-                         "values" % (header["tau"], m.tau), 2)
+                         "values" % (header["tau"], m.tau),
+                         header.line("tau"))
     return m
 
 
@@ -194,23 +217,21 @@ def _parse_complex(header, params, rows, body_at, order):
     try:
         omega = parse_float(header["omega"])
     except (KeyError, ValueError):
-        raise ParseError("missing or bad omega header", 2)
+        raise ParseError("missing or bad omega header", header.line("omega"))
     return ComplexLevelMatrix(order, entries, omega,
                               header.get("method", ""), params)
 
 
 def _parse_group(header, rows, body_at, order):
-    try:
-        g = parse_int(header["group-order"])
-        weight = parse_int(header.get("weight", "0"))
-    except (KeyError, ValueError):
-        raise ParseError("missing or bad group header", 2)
+    g = header.integer("group-order")
+    weight = header.integer("weight", "0")
     # entries are int16 with STAR = -1
     if not 1 <= g <= np.iinfo(np.int16).max:
-        raise ParseError("group order %d out of range" % g, 2)
+        raise ParseError("group order %d out of range" % g,
+                         header.line("group-order"))
     kind = header.get("kind", "GH")
     if kind not in ("GH", "GW"):
-        raise ParseError("kind must be GH or GW", 2)
+        raise ParseError("kind must be GH or GW", header.line("kind"))
     # each distinct token is checked once, on the line where it first
     # appears
     values = {STAR_TOKEN: STAR, "*": STAR}
@@ -252,6 +273,7 @@ def serialize_certificate(cert) -> str:
         "tau": cert.tau,
         "mode": cert.mode,
         "gram_exact": cert.gram_exact,
+        "gram_path": cert.gram_path,
         "max_offdiag": cert.max_offdiag,
         "moduli_ok": cert.moduli_ok,
         "omega_claim_ok": cert.omega_claim_ok,

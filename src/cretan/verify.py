@@ -26,6 +26,28 @@ S S^T is checked: for a real square S, S S^T = omega I with omega != 0
 makes S invertible with S^-1 = S^T / omega, so S^T S = omega S^-1 S =
 omega I; and omega = 0 gives every row norm zero, so S = 0 = S^T S.
 
+A caller that built S from checked parts may pass a proof (`gram=`) that
+stands in for the O(n^3) lift with O(n^2) checks of the structure.  The
+identity then follows from a smaller one that was checked before:
+
+- ByFactors, for S = A (x) B.  (A (x) B)(C (x) D) = AC (x) BD gives
+  S S^T = A A^T (x) B B^T = omega_A I (x) omega_B I = omega_A omega_B I.
+  The proof rebuilds the grid of S from the factor grids and the table
+  taking a level pair (u, w) to the index of A.levels[u] B.levels[w] in
+  S.levels, and requires both factor certificates to have gram_exact.
+- ByDesign, for S = bJ + (1-b)X with X a 0/1 matrix and X X^T =
+  (k-lam) I + lam J (checked by `Sbibd.validate`, or X = I with k = 1,
+  lam = 0).  The row sums of X are the diagonal of X X^T, so XJ = JX^T =
+  kJ, and with J J^T = vJ
+      S S^T = (b^2 v + 2kb(1-b) + lam(1-b)^2) J + (k-lam)(1-b)^2 I.
+  The proof checks that the grid is X over the levels (b, 1) and that the
+  coefficient of J, which is (v-2k+lam) b^2 + 2(k-lam) b + lam (the
+  polynomial `characteristic_roots` solves), is exactly zero; then omega
+  = (k-lam)(1-b)^2, which is also the row norm k + (v-k) b^2.
+
+A proof returns omega only when every check holds; otherwise the lift
+runs, so a verdict is always the one the lift would give.
+
 The exact determinant of a rational matrix (order <= 45) is det(P[grid])
 / R^n, with the integer determinant found by fraction-free (Bareiss)
 elimination on Python ints, O(n^3) integer operations.  No faster kernel
@@ -234,6 +256,9 @@ class Certificate:
     tau: int
     mode: str                     # exact | float (how Gram was checked)
     gram_exact: bool              # off-diagonals exactly zero
+    # the check that gave the Gram verdict: lift-float64, lift-object,
+    # by-factors, by-design, or "float: <why no exact check ran>"
+    gram_path: str
     max_offdiag: float
     moduli_ok: bool
     omega_claim_ok: bool          # input metadata agreed with recomputation
@@ -278,8 +303,10 @@ class Certificate:
         return rows
 
 
-def _exact_gram_check(S) -> Scalar | None:
-    """omega when S S^T = omega I holds exactly, else None.
+def _exact_gram_check(S) -> tuple:
+    """(omega, path): omega when S S^T = omega I holds exactly, else None,
+    and path names the integer kernel that ran (lift-float64 or
+    lift-object).
 
     S^T S = omega I follows (see the module docstring), so it is not
     computed.  Raises IncompatibleRadicands when the levels span
@@ -292,6 +319,7 @@ def _exact_gram_check(S) -> Scalar | None:
     # every partial sum on the way there
     bound = (d + 1) * n * big * big
     dtype = np.float64 if bound < 2 ** 53 else object
+    path = "lift-float64" if dtype is np.float64 else "lift-object"
     Pg = np.array(P, dtype=dtype)[S.grid]
     Qg = np.array(Q, dtype=dtype)[S.grid]
     rat = Pg @ Pg.T
@@ -306,16 +334,75 @@ def _exact_gram_check(S) -> Scalar | None:
         # (a float64 difference is 0 only when its operands agree)
         part.flat[::n + 1] -= first
         if part.any():
+            return None, path
+    return Scalar(int(diag[0]), int(diag[1]), d, R * R), path
+
+
+@dataclass
+class ByFactors:
+    """Proof that S = A (x) B, from the certificates that verify_cretan
+    gave the factors A = left.matrix and B = right.matrix."""
+    left: Certificate
+    right: Certificate
+    path = "by-factors"
+
+    def omega(self, S) -> Scalar | None:
+        """omega_A omega_B when the grid of S is the Kronecker product of
+        the factor grids and both factors are exactly certified."""
+        if not (self.left.gram_exact and self.right.gram_exact):
             return None
-    return Scalar(int(diag[0]), int(diag[1]), d, R * R)
+        A, B = self.left.matrix, self.right.matrix
+        if A.order * B.order != S.order:
+            return None
+        try:
+            prods = [a * b for a in A.levels for b in B.levels]
+            omega = self.left.omega * self.right.omega
+        except IncompatibleRadicands:
+            return None
+        index = {l: i for i, l in enumerate(S.levels)}
+        if any(p not in index for p in prods):
+            return None
+        table = np.array([index[p] for p in prods], dtype=np.int32)
+        pair = (A.grid.astype(np.int32)[:, None, :, None] * len(B.levels)
+                + B.grid.astype(np.int32)[None, :, None, :])
+        if not np.array_equal(table[pair].reshape(S.order, S.order),
+                              S.grid):
+            return None
+        return omega
 
 
-def verify_cretan(S, mode: str = "strict",
-                  tolerance: float = VERIFY_TOL) -> Certificate:
+@dataclass
+class ByDesign:
+    """Proof that S = bJ + (1-b)X for a 0/1 matrix X with X X^T =
+    (k-lam) I + lam J.  Whoever makes the proof has checked X: by
+    `Sbibd.validate`, or X = I with k = 1 and lam = 0."""
+    incidence: np.ndarray
+    k: int
+    lam: int
+    path = "by-design"
+
+    def omega(self, S) -> Scalar | None:
+        """The row norm k + (v-k) b^2 when the grid of S is X over the
+        levels (b, 1) and the coefficient of J in S S^T is exactly zero."""
+        if len(S.levels) != 2 or S.levels[1] != Scalar(1) \
+                or not np.array_equal(S.grid, self.incidence):
+            return None
+        b = S.levels[0]
+        b2 = b * b
+        v, k, lam = S.order, self.k, self.lam
+        if not ((v - 2 * k + lam) * b2 + 2 * (k - lam) * b + lam).is_zero():
+            return None
+        return (v - k) * b2 + k
+
+
+def verify_cretan(S, mode: str = "strict", tolerance: float = VERIFY_TOL,
+                  gram=None) -> Certificate:
     """Certify a level matrix against the Cretan definition.
 
     mode picks which verdict `passed` reports; the certificate always
-    carries both.  Only a non-square input raises.
+    carries both.  gram is an optional proof (ByFactors or ByDesign) of
+    the Gram identity, tried before the lift on an exact matrix; when any
+    of its checks fails the lift runs.  Only a non-square input raises.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError("mode must be strict or relaxed")
@@ -328,12 +415,18 @@ def verify_cretan(S, mode: str = "strict",
     max_offdiag = 0.0
     omega = None
     checked_exactly = False
-    if S.mode == "exact":
-        try:
-            omega = _exact_gram_check(S)
-            checked_exactly = True
-        except IncompatibleRadicands:
-            pass
+    if S.mode != "exact":
+        path = "float: float %s" % (
+            "levels" if any(l.is_float for l in S.levels) else "omega")
+    else:
+        if gram is not None:
+            omega, path = gram.omega(S), gram.path
+        if omega is None:
+            try:
+                omega, path = _exact_gram_check(S)
+                checked_exactly = True
+            except IncompatibleRadicands as exc:
+                path = "float: %s" % exc
     gram_exact = gram_ok = omega is not None
     if omega is None:
         # both sides, for the reported max_offdiag
@@ -369,15 +462,16 @@ def verify_cretan(S, mode: str = "strict",
     strict = bool(relaxed and strict_units)
 
     return Certificate(n, omega, tau, "exact" if gram_exact else "float",
-                       gram_exact, max_offdiag, moduli_ok, omega_claim_ok,
-                       strict, relaxed, getattr(S, "method", ""),
+                       gram_exact, path, max_offdiag, moduli_ok,
+                       omega_claim_ok, strict, relaxed,
+                       getattr(S, "method", ""),
                        dict(getattr(S, "params", {})), mode, S)
 
 
 def _is_unit(l: Scalar) -> bool:
     if l.is_float:
         return abs(abs(l.f) - 1.0) <= REFINE_TOL
-    return (Scalar(1) - abs(l)).is_zero()
+    return not l.q and abs(l.p) == l.r
 
 
 def verify_complex(M, tolerance: float = VERIFY_TOL) -> bool:

@@ -1,6 +1,7 @@
 """Catalog dispatch, best-radius selection, and the published-table diff."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cretan.catalog import (
     format_catalog_text,
 )
 from cretan.scalar import Scalar
+from cretan.verify import verify_cretan
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +211,40 @@ def test_structured_output_is_json_ready(full_report):
     assert again["v_max"] == 199
     assert len(again["entries"]) == 99
     assert again["diff"]["conflicts"] == []
+    # each built candidate names the check behind its Gram verdict
+    cands = [c for e in again["entries"] for c in e["candidates"]]
+    assert all((c["gram"] is None) == (c["tau"] is None) for c in cands)
+    assert {c["gram"] for c in cands if c["method"] == "kronecker"} == \
+        {"by-factors", "float: float levels"}
+
+
+def test_proofs_agree_with_the_lift(full_report):
+    # the full lift is the oracle for every candidate a proof certified
+    paths = Counter()
+    for e in full_report.entries:
+        for c in e.candidates:
+            if c.method == "regular-hadamard" or not c.matrix:
+                continue
+            got, lift = c.certificate, verify_cretan(c.matrix, mode="relaxed")
+            paths[c.method == "kronecker", got.gram_path] += 1
+            assert (got.omega, got.gram_exact, got.strict, got.relaxed) == \
+                (lift.omega, lift.gram_exact, lift.strict, lift.relaxed)
+            if got.gram_exact:
+                assert lift.gram_path == "lift-float64"
+            else:
+                assert got.gram_path == lift.gram_path
+    assert paths == {(True, "by-factors"): 69, (False, "by-design"): 172,
+                     (True, "float: float levels"): 5}
+
+
+def test_gram_path_counts_119():
+    report = catalog_table(119)
+    paths = Counter(c.certificate.gram_path for e in report.entries
+                    for c in e.candidates if c.certificate)
+    # the regular-hadamard borders have no proof and take the lift; the
+    # float pair are Kronecker products of factors from two fields
+    assert paths == {"by-design": 108, "by-factors": 36, "lift-float64": 4,
+                     "float: float levels": 2}
 
 
 def test_catalog_rejects_out_of_range():

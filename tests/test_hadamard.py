@@ -9,7 +9,6 @@ from cretan.fields import (
     is_prime,
     make_field,
     quadratic_character,
-    quadratic_character_elem,
 )
 from cretan.hadamard import (
     NoConstructionAvailable,
@@ -20,6 +19,7 @@ from cretan.hadamard import (
     regular_hadamard,
     sylvester,
 )
+from test_fields import quadratic_character_elem
 
 
 def test_sylvester_orders():

@@ -212,7 +212,7 @@ def test_certificate_report():
     doc = json.loads(serialize_certificate(cert))
     assert doc["strict"] is True
     assert doc["radius"] == "81/49"
-    assert doc["tau"] == 2
+    assert doc["tau"] == 2 and doc["gram_path"] == "lift-float64"
     assert doc["bounds"]["hadamard_log"] > doc["det"]["log_abs_det"] / 1e9
 
 
@@ -242,7 +242,7 @@ def test_parse_rejects_zero_denominator_and_order():
         bad = text.replace("order 2", "order " + order)
         with pytest.raises(ParseError) as err:
             parse_matrix(bad)
-        assert err.value.line == 2
+        assert err.value.line == 3      # the order header's own line
 
 
 def test_parse_large_radicand_tokens():
@@ -276,12 +276,15 @@ def test_parse_rejects_non_finite_floats():
 
 def test_parse_group_header_errors():
     text = serialize_matrix(gw_z3_order5())
-    for old, new in (("group-order 3\n", ""),
-                     ("group-order 3", "group-order 0"),
-                     ("group-order 3", "group-order 40000")):
+    # a bad header is reported at its own line (5), a missing one at the
+    # entries marker (line 6 once the header is gone)
+    for old, new, line in (("group-order 3\n", "", 6),
+                           ("group-order 3", "group-order 0", 5),
+                           ("group-order 3", "group-order 40000", 5),
+                           ("kind GW", "kind GX", 4)):
         with pytest.raises(ParseError) as err:
             parse_matrix(text.replace(old, new))
-        assert err.value.line == 2
+        assert err.value.line == line
 
 
 def test_parse_takes_ascii_digits_only():
@@ -289,13 +292,13 @@ def test_parse_takes_ascii_digits_only():
     group = serialize_matrix(gw_z3_order5())
     cmplx = serialize_matrix(conference_complex(paley_conference(5)))
     cases = [(exact, "0 1\n", "0 \u0661\n", 9),
-             (exact, "order 2", "order \u0662", 2),
-             (exact, "order 2", "order 0_2", 2),
+             (exact, "order 2", "order \u0662", 3),
+             (exact, "order 2", "order 0_2", 3),
              (group, " 2", " 0_2", None),
              (group, " 2", " \u0662", None),
-             (group, "group-order 3", "group-order 0_3", 2),
-             (group, "group-order 3", "group-order \u0663", 2),
-             (group, "weight 4", "weight 0_4", 2),
+             (group, "group-order 3", "group-order 0_3", 5),
+             (group, "group-order 3", "group-order \u0663", 5),
+             (group, "weight 4", "weight 0_4", 6),
              (cmplx, "1.0,0.0", "1_0.0,0.0", None),
              (cmplx, "1.0,0.0", "\u0661.0,0.0", None)]
     for text, old, new, line in cases:
@@ -315,12 +318,29 @@ def test_tau_header_is_checked():
     for tau in ("3", "1", "x"):
         with pytest.raises(ParseError) as err:
             parse_matrix(hadamard.replace("tau 2", "tau " + tau))
-        assert "tau" in str(err.value)
+        # the error names the tau header's own line
+        assert err.value.line == 4 and "tau" in str(err.value)
     # tau counts the values after equal tokens merge: 1 and 2/2 are one
     merged = hadamard.replace("1 1\n1 -1", "1 2/2\n-1 1")
     assert parse_matrix(merged).tau == 2
     with pytest.raises(ParseError):
         parse_matrix(merged.replace("tau 2", "tau 3"))
+
+
+def test_header_errors_name_their_own_line():
+    text = ("cretan-matrix 1\nmethod hand\ntau 2\nomega 2\norder 2\n"
+            "mode exact\nentries\n1 1\n1 -1\n")
+    assert parse_matrix(text).omega == Scalar(2)
+    cases = [("mode exact", "mode bogus", 6),
+             ("mode exact", "mode float", 6),   # disagrees with the entries
+             ("order 2", "order x", 5),
+             ("omega 2", "omega 2/0", 4),
+             ("omega 2\n", "", 6),             # missing: the entries marker
+             ("tau 2", "tau 1", 3)]
+    for old, new, line in cases:
+        with pytest.raises(ParseError) as err:
+            parse_matrix(text.replace(old, new))
+        assert err.value.line == line, (old, new, str(err.value))
 
 
 def test_every_mode_swap_raises_parse_error():

@@ -1,5 +1,6 @@
 """Verifier, exact determinants, and the bound suite."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from cretan.constructions import (
+    LevelMatrix,
     basic_family,
     conference_complex,
     from_values,
@@ -18,11 +20,17 @@ from cretan.constructions import (
     sbibd_two_level,
     sign_to_level,
 )
-from cretan.designs import fixture_difference_set, singer_difference_set
+from cretan.designs import (
+    fixture_difference_set,
+    qr_difference_set,
+    singer_difference_set,
+)
 from cretan.hadamard import paley_conference, sylvester
 from cretan.scalar import VERIFY_TOL, Scalar
-from cretan.catalog import catalog_table
+from cretan.catalog import catalog_table, construct_best
 from cretan.verify import (
+    ByDesign,
+    ByFactors,
     _lift,
     bareiss_det,
     check_det_identity,
@@ -520,3 +528,112 @@ def test_mixed_radicands_fall_back_to_float():
     cert = verify_cretan(M, mode="relaxed")
     assert cert.mode == "float" and not cert.gram_exact
     assert cert.relaxed and abs(cert.omega.to_float() - 1) < 1e-12
+
+
+# -- structural Gram proofs against the lift ----------------------------------
+
+def _verdict(cert):
+    return (cert.omega, cert.mode, cert.gram_exact, cert.max_offdiag,
+            cert.omega_claim_ok, cert.tau, cert.strict, cert.relaxed)
+
+
+def _with_grid(S, grid):
+    return LevelMatrix(S.order, S.levels, grid, S.omega, S.method)
+
+
+def _flipped(S, i=0, j=1):
+    grid = S.grid.copy()
+    grid[i, j] = (grid[i, j] + 1) % S.tau
+    return _with_grid(S, grid)
+
+
+def _product(a: int, b: int):
+    left, right = construct_best(a).best, construct_best(b).best
+    return (kronecker_cretan(left.matrix, right.matrix),
+            ByFactors(left.certificate, right.certificate))
+
+
+def _paley_7():
+    sb = qr_difference_set(7).develop()
+    return sbibd_two_level(sb)[0], ByDesign(sb.incidence, sb.k, sb.lam)
+
+
+def _basic_9():
+    return basic_family(9), ByDesign(np.eye(9, dtype=np.int8), 1, 0)
+
+
+@pytest.mark.parametrize("build, path", [
+    (lambda: _product(3, 5), "by-factors"),
+    (lambda: _product(3, 7), "by-factors"),
+    (_paley_7, "by-design"),
+    (_basic_9, "by-design"),
+])
+def test_proof_agrees_with_lift(build, path):
+    S, proof = build()
+    cert = verify_cretan(S, gram=proof)
+    assert cert.gram_path == path and cert.strict
+    lift = verify_cretan(S)
+    assert lift.gram_path == "lift-float64"
+    assert _verdict(cert) == _verdict(lift)
+
+
+def _mutants():
+    """(name, S, proof, whether S is Cretan) with a proof that fails a
+    check; a proof that misses a Cretan matrix leaves it to the lift."""
+    S, proof = _product(3, 7)
+    yield "flipped product entry", _flipped(S), proof, False
+    yield "factor not exact", S, ByFactors(
+        dataclasses.replace(proof.left, gram_exact=False), proof.right), True
+    yield "factors swapped", S, ByFactors(proof.right, proof.left), True
+    S, proof = _paley_7()
+    b = S.levels[0]
+    yield "perturbed b", LevelMatrix(
+        S.order, (b + Scalar(1, 0, 0, 1000), Scalar(1)), S.grid, S.omega,
+        S.method), proof, False
+    yield "top level not 1", LevelMatrix(
+        S.order, (b, Scalar(99, 0, 0, 100)), S.grid, S.omega, S.method), \
+        proof, False
+    yield "flipped design entry", _flipped(S, 2, 3), proof, False
+    yield "other incidence", S, ByDesign(np.roll(S.grid, 1, axis=0),
+                                         proof.k, proof.lam), True
+    S, proof = _basic_9()
+    yield "flipped identity", _flipped(S, 0, 0), proof, False
+
+
+@pytest.mark.parametrize("name, S, proof, cretan", list(_mutants()),
+                         ids=[m[0] for m in _mutants()])
+def test_failed_proof_gives_the_lift_verdict(name, S, proof, cretan):
+    cert = verify_cretan(S, mode="relaxed", gram=proof)
+    assert cert.gram_path == "lift-float64"
+    assert _verdict(cert) == _verdict(verify_cretan(S, mode="relaxed"))
+    assert cert.relaxed == cretan
+
+
+@pytest.mark.parametrize("a, b", [(3, 5), (3, 7)])
+def test_by_factors_omega_matches_sympy(a, b):
+    S, proof = _product(a, b)
+    cert = verify_cretan(S, gram=proof)
+    assert cert.gram_path == "by-factors"
+    values = [[S.entry(i, j) for j in range(S.order)]
+              for i in range(S.order)]
+    assert sympy.expand(_sym(cert.omega) - _oracle_omega(values)) == 0
+
+
+def test_gram_path_names_the_float_reason():
+    a, b = Scalar(0, 1, 10, 5), Scalar(0, 1, 15, 5)    # sqrt(10)/5, sqrt(15)/5
+    M = from_values([[a, b], [b, -a]], Scalar(1), "mixed")
+    assert verify_cretan(M).gram_path == \
+        "float: levels span sqrt(10) and sqrt(15)"
+    F = from_values([[Scalar.from_float(0.6), Scalar(1)],
+                     [Scalar(1), Scalar.from_float(-0.6)]],
+                    Scalar.from_float(1.36), "float")
+    assert verify_cretan(F).gram_path == "float: float levels"
+    # a proof is not tried on a float matrix
+    assert verify_cretan(F, gram=ByDesign(np.eye(2), 1, 0)).gram_path == \
+        "float: float levels"
+    I = from_values([[Scalar(1), Scalar(0)], [Scalar(0), Scalar(1)]],
+                    Scalar.from_float(1.0), "float omega")
+    assert verify_cretan(I).gram_path == "float: float omega"
+    big = verify_cretan(from_values(_rotation_square(2 ** 14), Scalar(1),
+                                    "rotation"))
+    assert big.gram_path == "lift-object" and big.gram_exact
