@@ -28,6 +28,7 @@ from cretan.scalar import (
     format_scalar,
     solve_quadratic,
 )
+from cretan.verify import verify_complex
 
 
 class ModulusViolation(ValueError):
@@ -130,9 +131,10 @@ def sbibd_two_level(sb: Sbibd) -> list:
     incidence ones, b on the zeros, one output per admissible root.
 
     Roots with |b| > 1 are dropped; the empty list means the design
-    yields nothing (typical for complement designs).
+    yields nothing (typical for complement designs).  The design is not
+    checked here: the caller passes one that `Sbibd.validate` accepts, or
+    the complement of one (see `verify.ByDesign`).
     """
-    sb.validate()
     v, k, lam = sb.params
     out = []
     for b in characteristic_roots(v, k, lam):
@@ -222,21 +224,17 @@ def bordered_solver(sb: Sbibd) -> list:
         picked.append((b, feas))
 
     out = []
-    n = v + 1
+    # codes: 0 corner, 1 border, 2 incidence ones, 3 zeros
+    codes = np.ones((v + 1, v + 1), dtype=np.intp)
+    codes[0, 0] = 0
+    codes[1:, 1:] = np.where(sb.incidence, 2, 3)
     for b, (x, s2) in picked:
         s = math.sqrt(s2)
         values_scale = max(abs(x), abs(s), 1.0, abs(b))
-        fx = Scalar.from_float(x / values_scale)
-        fs = Scalar.from_float(s / values_scale)
-        fa = Scalar.from_float(1.0 / values_scale)
-        fb = Scalar.from_float(b / values_scale)
+        values = [Scalar.from_float(t / values_scale)
+                  for t in (x, s, 1.0, b)]
         omega = Scalar.from_float((x * x + v * s2) / values_scale ** 2)
-        values = [[fx] + [fs] * v]
-        for i in range(v):
-            row = [fs] + [fa if sb.incidence[i, j] else fb
-                          for j in range(v)]
-            values.append(row)
-        out.append(from_values(values, omega, "bordered",
+        out.append(from_codes(values, codes, omega, "bordered",
                                {"v": v, "k": k, "lam": lam, "b": b,
                                 "x": x, "s": s, "design": sb.source}))
     return out
@@ -335,14 +333,11 @@ class ComplexLevelMatrix:
     params: dict = field(default_factory=dict)
 
     def validate(self, tol: float = 1e-9) -> None:
-        n = self.order
-        if self.entries.shape != (n, n):
+        if self.entries.shape != (self.order, self.order):
             raise ValueError("entries are not square")
-        if (np.abs(self.entries) > 1 + 1e-12).any():
-            raise ValueError("entry modulus above 1")
-        gram = self.entries @ self.entries.conj().T
-        if np.abs(gram - self.omega * np.eye(n)).max() > tol:
-            raise ValueError("Gram residual above tolerance")
+        if not verify_complex(self, tol):
+            raise ValueError("Gram residual above tolerance or entry "
+                             "modulus above 1")
 
     def __repr__(self):
         return "ComplexLevelMatrix(CM(%d;..;%s), method=%s)" % (

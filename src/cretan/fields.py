@@ -16,20 +16,8 @@ p^k <= 10^6.
 
 from __future__ import annotations
 
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# exact below 3.3e24, far above the 10^6 cap on field sizes
+from cretan.scalar import is_probable_prime as is_prime
 
 
 def prime_factors(n: int) -> list[int]:

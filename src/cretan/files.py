@@ -102,9 +102,13 @@ def parse_matrix(text: str):
         key, _, rest = ln.partition(" ")
         if key == "param":
             pk, _, pv = rest.partition(" ")
+            if pk in params:
+                raise ParseError("repeated param %s" % pk, idx)
             params[pk] = pv
         elif key == "note":
             notes.append(rest)
+        elif key in header:
+            raise ParseError("repeated %s header" % key, idx)
         elif key:
             header[key] = rest
             header.lines[key] = idx

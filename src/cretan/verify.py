@@ -26,6 +26,12 @@ S S^T is checked: for a real square S, S S^T = omega I with omega != 0
 makes S invertible with S^-1 = S^T / omega, so S^T S = omega S^-1 S =
 omega I; and omega = 0 gives every row norm zero, so S = 0 = S^T S.
 
+Where no exact check can run, the float check forms S S^T only, too, and
+reports the largest entry of E = S S^T - w I, w the mean of its
+diagonal.  For invertible S, S^T S - w I = S^-1 E S; to first order this
+is Q^T E Q for the orthogonal Q = S / sqrt(w), whose largest entry is at
+most n times the largest entry of E.
+
 A caller that built S from checked parts may pass a proof (`gram=`) that
 stands in for the O(n^3) lift with O(n^2) checks of the structure.  The
 identity then follows from a smaller one that was checked before:
@@ -37,13 +43,18 @@ identity then follows from a smaller one that was checked before:
   S.levels, and requires both factor certificates to have gram_exact.
 - ByDesign, for S = bJ + (1-b)X with X a 0/1 matrix and X X^T =
   (k-lam) I + lam J (checked by `Sbibd.validate`, or X = I with k = 1,
-  lam = 0).  The row sums of X are the diagonal of X X^T, so XJ = JX^T =
-  kJ, and with J J^T = vJ
+  lam = 0, or X = J - Y for a design Y that `Sbibd.validate` passed).
+  The row sums of X are the diagonal of X X^T, so XJ = JX^T = kJ, and
+  with J J^T = vJ
       S S^T = (b^2 v + 2kb(1-b) + lam(1-b)^2) J + (k-lam)(1-b)^2 I.
   The proof checks that the grid is X over the levels (b, 1) and that the
   coefficient of J, which is (v-2k+lam) b^2 + 2(k-lam) b + lam (the
   polynomial `characteristic_roots` solves), is exactly zero; then omega
   = (k-lam)(1-b)^2, which is also the row norm k + (v-k) b^2.
+  The complement needs no check of its own: for a design Y (v, k, lam),
+  YJ = JY^T = kJ as above, so (J-Y)(J-Y)^T = vJ - 2kJ + Y Y^T =
+  (k-lam) I + (v-2k+lam) J, the identity of the parameters
+  (v, v-k, v-2k+lam) of J - Y.
 
 A proof returns omega only when every check holds; otherwise the lift
 runs, so a verdict is always the one the lift would give.
@@ -375,7 +386,9 @@ class ByFactors:
 class ByDesign:
     """Proof that S = bJ + (1-b)X for a 0/1 matrix X with X X^T =
     (k-lam) I + lam J.  Whoever makes the proof has checked X: by
-    `Sbibd.validate`, or X = I with k = 1 and lam = 0."""
+    `Sbibd.validate`, as X = I with k = 1 and lam = 0, or as J - Y for a
+    design Y that `Sbibd.validate` passed, whose identity gives that of
+    J - Y (see the module docstring)."""
     incidence: np.ndarray
     k: int
     lam: int
@@ -429,25 +442,17 @@ def verify_cretan(S, mode: str = "strict", tolerance: float = VERIFY_TOL,
                 path = "float: %s" % exc
     gram_exact = gram_ok = omega is not None
     if omega is None:
-        # both sides, for the reported max_offdiag
         A = S.to_float_array()
-        resid = 0.0
-        for G in (A @ A.T, A.T @ A):
-            d = G.diagonal()
-            w = float(d.mean())
-            resid = max(resid,
-                        float(np.abs(G - w * np.eye(n)).max()))
+        G = A @ A.T
+        G.flat[::n + 1] -= G.diagonal().mean()
+        max_offdiag = float(np.abs(G).max())
         omega = Scalar.from_float(float((A * A).sum() / n))
-        max_offdiag = resid
         # a failed exact check is final: the tolerance cannot overrule it
-        gram_ok = not checked_exactly and resid <= tolerance
+        gram_ok = not checked_exactly and max_offdiag <= tolerance
 
-    try:
-        omega_claim_ok = (S.omega - omega).is_zero() if gram_exact else \
-            abs(S.omega.to_float() - omega.to_float()) <= tolerance
-    except IncompatibleRadicands:
-        omega_claim_ok = abs(S.omega.to_float() - omega.to_float()) \
-            <= tolerance
+    # canonical forms are unique, so == is exact equality in any field
+    omega_claim_ok = S.omega == omega if gram_exact else \
+        abs(S.omega.to_float() - omega.to_float()) <= tolerance
 
     # census straight from the grid; unused level slots would be a bug
     tau = int(np.count_nonzero(
@@ -476,8 +481,7 @@ def _is_unit(l: Scalar) -> bool:
 
 def verify_complex(M, tolerance: float = VERIFY_TOL) -> bool:
     """Float-only complex certification: M M* = omega I and moduli <= 1."""
-    n = M.order
-    gram = M.entries @ M.entries.conj().T
-    resid = float(np.abs(gram - M.omega * np.eye(n)).max())
-    moduli = float(np.abs(M.entries).max())
-    return resid <= tolerance and moduli <= 1 + REFINE_TOL
+    G = M.entries @ M.entries.conj().T
+    G.flat[::M.order + 1] -= M.omega
+    return bool(np.abs(G).max() <= tolerance
+                and np.abs(M.entries).max() <= 1 + REFINE_TOL)

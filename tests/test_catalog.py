@@ -247,6 +247,32 @@ def test_gram_path_counts_119():
                      "float: float levels": 2}
 
 
+def test_complements_of_source_designs_validate():
+    # the two-level route validates each design once and cites its
+    # identity for the complement too: (J-X)(J-X)^T follows from X X^T
+    from cretan.catalog import design_sources
+
+    count = 0
+    for v in range(1, 1000):
+        for _, _, develop in design_sources(v):
+            develop().complement().validate()
+            count += 1
+    assert count == 102
+
+
+def test_flipped_design_is_rejected_by_its_route(monkeypatch):
+    import cretan.catalog as catalog
+    from cretan.designs import qr_difference_set
+
+    sb = qr_difference_set(7).develop()
+    sb.incidence[0, 0] ^= 1
+    monkeypatch.setattr(catalog, "design_sources",
+                        lambda v: [("paley-sbibd", "", lambda: sb)])
+    [(_, build)] = catalog.ROUTES["paley-sbibd"].parts(7)
+    with pytest.raises(ValueError, match="row or column sums"):
+        build()
+
+
 def test_catalog_rejects_out_of_range():
     with pytest.raises(ValueError):
         catalog_table(1001)

@@ -183,6 +183,29 @@ def test_verify_failed_exact_gram_is_not_rescued_by_tolerance(tmp_path,
         assert rows["strict"] == "fail" and rows["relaxed"] == "fail"
 
 
+def test_verify_omega_claim_from_another_field(tmp_path, capsys):
+    from cretan.constructions import sbibd_two_level
+    from cretan.designs import singer_difference_set
+    from cretan.files import serialize_matrix
+    from cretan.scalar import parse_scalar
+    from cretan.verify import verify_cretan
+
+    # the (13,4,1) radius (14+3 sqrt 3)/2 = 9.598..., claimed in Q(sqrt 2)
+    # to within 1e-9 but as a different number
+    m = max(sbibd_two_level(singer_difference_set(2, 3).develop()),
+            key=lambda m: m.omega.to_float())
+    claim = "(0+59183239*sqrt(2))/8720262"
+    assert abs(parse_scalar(claim).to_float() - m.omega.to_float()) < 1e-9
+    f = tmp_path / "claim.cm"
+    f.write_text(serialize_matrix(m).replace(
+        "omega (14+3*sqrt(3))/2", "omega " + claim))
+    cert = verify_cretan(load_matrix(f))
+    assert cert.gram_exact and cert.moduli_ok
+    assert not cert.omega_claim_ok and not cert.relaxed
+    assert main(["verify", str(f)]) == 1
+    assert "relaxed              fail" in capsys.readouterr().out
+
+
 def test_verify_wrong_tau_header(tmp_path, capsys):
     f = tmp_path / "tau.cm"
     f.write_text(_exact_file(2, ["1 1", "1 -1"]).replace("tau 2", "tau 3"))

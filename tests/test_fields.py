@@ -1,6 +1,7 @@
 """Finite field construction: moduli, generators, traces, characters."""
 
 import pytest
+import sympy
 
 from cretan.fields import (
     FieldElem,
@@ -13,6 +14,7 @@ from cretan.fields import (
     relative_trace,
     trace_to_prime,
 )
+from cretan.scalar import is_probable_prime
 
 
 def quadratic_character_elem(x: FieldElem) -> int:
@@ -29,6 +31,12 @@ def test_prime_helpers():
     assert factor_prime_power(243) == (3, 5)
     with pytest.raises(ValueError):
         factor_prime_power(12)
+
+
+def test_is_prime_matches_sympy():
+    want = [n for n in range(10 ** 5) if sympy.isprime(n)]
+    assert [n for n in range(10 ** 5) if is_prime(n)] == want
+    assert [n for n in range(10 ** 5) if is_probable_prime(n)] == want
 
 
 #the least-index monic irreducible of degree 3 over GF(2) is

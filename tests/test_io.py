@@ -138,6 +138,24 @@ def test_parse_unknown_mode():
     assert "mode" in str(err.value)
 
 
+@pytest.mark.parametrize("after, repeat, line, what", [
+    ("omega 1", "omega 5", 6, "repeated omega header"),
+    ("order 2", "order 3", 4, "repeated order header"),
+    ("method identity", "param a 1\nparam a 2", 8, "repeated param a"),
+])
+def test_parse_repeated_key(after, repeat, line, what):
+    text = serialize_matrix(identity2())
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text.replace(after, after + "\n" + repeat, 1))
+    assert err.value.line == line and what in str(err.value)
+
+
+def test_parse_repeated_note():
+    text = serialize_matrix(identity2()).replace(
+        "method identity", "method identity\nnote a\nnote a")
+    assert parse_matrix(text).notes == ("a", "a")
+
+
 def test_parse_empty():
     with pytest.raises(ParseError):
         parse_matrix("")

@@ -14,6 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 from cretan.constructions import (
     LevelMatrix,
     basic_family,
+    bordered_solver,
     conference_complex,
     from_values,
     kronecker_cretan,
@@ -21,12 +22,14 @@ from cretan.constructions import (
     sign_to_level,
 )
 from cretan.designs import (
+    build_family,
     fixture_difference_set,
     qr_difference_set,
+    registered_designs,
     singer_difference_set,
 )
 from cretan.hadamard import paley_conference, sylvester
-from cretan.scalar import VERIFY_TOL, Scalar
+from cretan.scalar import REFINE_TOL, VERIFY_TOL, Scalar
 from cretan.catalog import catalog_table, construct_best
 from cretan.verify import (
     ByDesign,
@@ -351,6 +354,33 @@ def test_verify_complex_conference():
     assert verify_complex(B)
     B.entries[0, 1] += 1e-6
     assert not verify_complex(B)
+
+
+def _bordered_197():
+    row = [r for r in registered_designs(197) if r[:3] == (197, 49, 12)][0]
+    return bordered_solver(build_family(row[3], **row[4]).develop())
+
+
+def test_float_gram_is_one_sided():
+    mats = [c.matrix for e in catalog_table(199).entries
+            for c in e.candidates
+            if c.certificate and c.certificate.gram_path.startswith("float")]
+    assert mats
+    mats += bordered_solver(qr_difference_set(7).develop()) + _bordered_197()
+    for S in mats:
+        cert = verify_cretan(S, mode="relaxed")
+        A = S.to_float_array()
+        n = S.order
+        resid = [float(np.abs(G - G.diagonal().mean() * np.eye(n)).max())
+                 for G in (A @ A.T, A.T @ A)]
+        assert cert.max_offdiag == resid[0]
+        # verdicts as if both sides were checked
+        relaxed = (cert.moduli_ok and cert.omega_claim_ok
+                   and max(resid) <= VERIFY_TOL)
+        units = np.abs(np.abs(A) - 1) <= REFINE_TOL
+        strict = relaxed and units.any(axis=0).all() \
+            and units.any(axis=1).all()
+        assert (cert.relaxed, cert.strict) == (relaxed, strict)
 
 
 # -- the exact Gram kernel against an independent oracle ----------------------
