@@ -396,6 +396,8 @@ def catalog_table(v_max: int = 199) -> CatalogReport:
     and can only add our-extra rows).  The diff only reads the entries."""
     if v_max > MAX_ORDER:
         raise ValueError("v_max above %d" % MAX_ORDER)
+    if v_max < MIN_ORDER:
+        raise ValueError("v_max below %d" % MIN_ORDER)
     entries = [construct_best(v) for v in range(MIN_ORDER, v_max + 1, 2)]
     diff = DiffReport()
     for kind, row in _diff_rows(

@@ -35,7 +35,7 @@ from cretan.fields import (
     is_prime,
     make_field,
     quadratic_character,
-    relative_trace,
+    trace_of_powers,
 )
 
 
@@ -264,7 +264,7 @@ def qr_difference_set(q: int) -> DifferenceSet:
     p, k = factor_prime_power(q)
     f = make_field(p, k)
     group = GroupDesc((p,) * k)
-    els = [f.exp(2 * i).coeffs for i in range((q - 1) // 2)]
+    els = list(map(tuple, f.digits[f.codes[::2]].tolist()))
     return make_difference_set(group, els, lam, source="qr(%d)" % q)
 
 
@@ -295,8 +295,10 @@ def singer_difference_set(n: int, q: int) -> DifferenceSet:
     """Points of a hyperplane in projective n-space over GF(q).
 
     Cyclic group Z_v with v = (q^(n+1)-1)/(q-1); the set collects the
-    generator exponents whose relative trace down to GF(q) vanishes.
-    Parameters (v, (q^n-1)/(q-1), (q^(n-1)-1)/(q-1)).
+    exponents i < v whose power g^i of the generator of GF(q^(n+1)) has
+    relative trace zero down to GF(q), all v traces taken in one array
+    step by `trace_of_powers`.  Parameters (v, (q^n-1)/(q-1),
+    (q^(n-1)-1)/(q-1)).
     """
     if n < 2:
         raise ValueError("projective dimension must be >= 2")
@@ -305,8 +307,8 @@ def singer_difference_set(n: int, q: int) -> DifferenceSet:
     v = (q ** (n + 1) - 1) // (q - 1)
     k = (q ** n - 1) // (q - 1)
     lam = (q ** (n - 1) - 1) // (q - 1)
-    els = [(i,) for i in range(v)
-           if relative_trace(f.exp(i), j).is_zero()]
+    traces = trace_of_powers(f, np.arange(v), j)
+    els = [(i,) for i in np.flatnonzero(~traces.any(axis=1)).tolist()]
     if len(els) != k:
         raise NotADifferenceSet(
             "trace-zero index count %d differs from k=%d" % (len(els), k))

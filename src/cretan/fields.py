@@ -7,14 +7,22 @@ vector, read as the base-p integer c0 + c1*p + ..., is smallest.  The
 generator is the least primitive element under the same ordering, so two
 calls to make_field with the same (p, k) agree everywhere.
 
-make_field builds the exp/log tables eagerly with a polynomial product;
-after that, products, powers and Frobenius are table lookups.  The trace
-table is built on the first trace_to_prime call for a field, from the
-traces of the k basis elements x^i and linearity.  Sizes are capped at
+Inside make_field an element is its integer code, the same base-p integer
+(`FieldElem.to_int`), and every table is an array over all p^k codes.
+Multiplying by x shifts the digits up one place and folds the top digit
+back with the modulus; multiplying by c = sum c_i x^i sums the digit rows
+of x^i a.  The powers of c come from such a table by repeated doubling,
+and the generator is the first code whose powers have period p^k - 1.
+The exp table is kept as codes (`FieldSpec.codes`) with the digit array
+(`FieldSpec.digits`); the tuple exp and dict log tables are read off them,
+so products, powers and Frobenius are table lookups.  The trace table is
+built on the first trace_to_prime call for a field.  Sizes are capped at
 p^k <= 10^6.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 # exact below 3.3e24, far above the 10^6 cap on field sizes
 from cretan.scalar import is_probable_prime as is_prime
@@ -137,14 +145,16 @@ class FieldSpec:
     """GF(p^k) with a fixed modulus, generator, exp/log tables, and a
     trace table built on first use."""
 
-    __slots__ = ("p", "k", "modulus", "generator", "_exp", "_log",
-                 "_trace")
+    __slots__ = ("p", "k", "modulus", "generator", "codes", "digits",
+                 "_exp", "_log", "_trace")
 
     def __init__(self, p, k, modulus):
         self.p = p
         self.k = k
         self.modulus = modulus   # monic, length k+1, constant term first
         self.generator = None    # set by make_field
+        self.codes = None        # codes[i] = to_int(g^i), i < p^k - 1
+        self.digits = None       # digits[c] = coefficient vector of code c
         self._exp = None
         self._log = None
         self._trace = None        # built by trace_to_prime on first use
@@ -169,7 +179,8 @@ class FieldSpec:
 
     def elements(self) -> list["FieldElem"]:
         """All p^k elements in base-p integer order, zero first."""
-        return [self.from_int(j) for j in range(self.order)]
+        return [FieldElem(self, cs)
+                for cs in map(tuple, self.digits.tolist())]
 
     def gen(self) -> "FieldElem":
         return FieldElem(self, self.generator)
@@ -262,32 +273,26 @@ class FieldElem:
             self.spec.p, self.spec.k, list(self.coeffs))
 
 
-def _poly_mul(x: FieldElem, y: FieldElem) -> FieldElem:
-    # product by polynomial arithmetic (used while building the tables)
-    spec = x.spec
-    prod = _pmod(_pmul(list(x.coeffs), list(y.coeffs), spec.p),
-                 list(spec.modulus), spec.p)
-    prod = prod + [0] * (spec.k - len(prod))
-    return FieldElem(spec, tuple(prod))
+def _times_table(cs, times_x, digits, pw, p) -> np.ndarray:
+    """Code of c a for every code a, where c has coefficient vector cs:
+    the digit rows of x^i a summed with weights c_i, mod p."""
+    acc = np.zeros_like(digits)
+    xa = np.arange(len(digits))
+    for ci in cs.tolist():
+        if ci:
+            acc += ci * digits[xa]
+        xa = times_x[xa]
+    return (acc % p) @ pw
 
 
-def _pow_raw(g: FieldElem, e: int) -> FieldElem:
-    # power by squaring without log tables (used while building them)
-    result = g.spec.one()
-    base = g
-    while e:
-        if e & 1:
-            result = _poly_mul(result, base)
-        base = _poly_mul(base, base)
-        e >>= 1
-    return result
-
-
-def _is_primitive(g: FieldElem, group_order: int, factors) -> bool:
-    if g.is_zero():
-        return False
-    one = g.spec.one().coeffs
-    return all(_pow_raw(g, group_order // f).coeffs != one for f in factors)
+def _powers(times_c: np.ndarray, m: int) -> np.ndarray:
+    """Codes of c^0 .. c^(m-1), given the multiply-by-c table, by
+    doubling: the next block is the current one times c^len."""
+    out = np.ones(1, dtype=np.int64)
+    while len(out) < m:
+        out = np.concatenate((out, times_c[out]))
+        times_c = times_c[times_c]
+    return out[:m]
 
 
 _field_cache: dict = {}
@@ -305,66 +310,79 @@ def make_field(p: int, k: int) -> FieldSpec:
     if p ** k > 10 ** 6:
         raise ValueError("field too large: %d^%d" % (p, k))
 
+    n = p ** k
+    pw = p ** np.arange(k, dtype=np.int64)
+    digits = (np.arange(n, dtype=np.int64)[:, None] // pw) % p
     if k == 1:
         modulus = (0, 1)  # the polynomial x; elements are residues mod p
     else:
+        # at[a, i] = a^i mod p; a candidate with a root in GF(p) is
+        # reducible, so only the others go to the Rabin test
+        at = np.ones((p, k + 1), dtype=np.int64)
+        for i in range(1, k + 1):
+            at[:, i] = at[:, i - 1] * np.arange(p) % p
         modulus = None
-        for j in range(p ** k):
-            cs = []
-            t = j
-            for _ in range(k):
-                cs.append(t % p)
-                t //= p
-            if _is_irreducible(cs + [1], p):
+        for j in range(n):
+            cs = digits[j].tolist()
+            if (((at[:, :k] @ cs + at[:, k]) % p).all()
+                    and _is_irreducible(cs + [1], p)):
                 modulus = tuple(cs + [1])
                 break
         assert modulus is not None, "no irreducible polynomial found"
 
     spec = FieldSpec(p, k, modulus)
-    n = p ** k
-    factors = prime_factors(n - 1)
-    for j in range(1, n):
-        g = spec.from_int(j)
-        if _is_primitive(g, n - 1, factors):
-            spec.generator = g.coeffs
+    # x a: shift a's digits up one place and replace the overflow
+    # d x^k by -d (m_0 + ... + m_{k-1} x^{k-1}), digitwise mod p
+    shifted = np.zeros_like(digits)
+    shifted[:, 1:] = digits[:, :-1]
+    times_x = ((shifted - digits[:, -1:] * np.array(modulus[:k])) % p) @ pw
+    # a nonzero constant lies in GF(p)^*, of order at most p - 1, so for
+    # k >= 2 the least primitive element is x (code p) or a later code;
+    # every power of a rejected element is rejected with it
+    rejected = np.zeros(n, dtype=bool)
+    for c in range(p if k > 1 else 1, n):
+        if rejected[c]:
+            continue
+        powers = _powers(_times_table(digits[c], times_x, digits, pw, p),
+                         n - 1)
+        if not (powers[1:] == 1).any():
             break
-    assert spec.generator is not None, "no primitive element found"
-
-    exp_table = []
-    log_table = {}
-    acc = spec.one()
-    gel = spec.gen()
-    for i in range(n - 1):
-        exp_table.append(acc.coeffs)
-        log_table[acc.coeffs] = i
-        acc = _poly_mul(acc, gel)
-    assert acc.coeffs == spec.one().coeffs, "generator order is wrong"
-    spec._exp = exp_table
-    spec._log = log_table
+        rejected[powers] = True
+    else:
+        raise AssertionError("no primitive element found")
+    spec.generator = tuple(digits[c].tolist())
+    spec.codes = powers
+    spec.digits = digits
+    spec._exp = list(map(tuple, digits[powers].tolist()))
+    spec._log = dict(zip(spec._exp, range(n - 1)))
     _field_cache[key] = spec
     return spec
 
 
-def _frobenius_trace(x: FieldElem) -> int:
-    """Tr(x) = x + x^p + ... + x^(p^(k-1)), summed directly."""
-    total = x
-    acc = x
-    for _ in range(x.spec.k - 1):
-        acc = acc.frobenius()
-        total = total + acc
-    assert not any(total.coeffs[1:]), "trace landed outside the prime field"
-    return total.coeffs[0]
+def _check_subfield(k: int, j: int) -> None:
+    if j < 1 or k % j:
+        raise ValueError("GF(p^%d) is not a subfield of GF(p^%d)" % (j, k))
+
+
+def trace_of_powers(spec: FieldSpec, exponents, j: int = 1) -> np.ndarray:
+    """Trace from GF(p^k) down to GF(q), q = p^j, of g^i for each exponent
+    i, as rows of base-p digits: the sum of g^(i q^t) over t < k/j, read
+    from the exp codes and added digitwise mod p.  Requires j | k."""
+    _check_subfield(spec.k, j)
+    m = spec.order - 1
+    i = np.asarray(exponents, dtype=np.int64) % m
+    q = spec.p ** j
+    rows = sum(spec.digits[spec.codes[i * pow(q, t, m) % m]]
+               for t in range(spec.k // j))
+    return rows % spec.p
 
 
 def _trace_table(spec: FieldSpec) -> dict:
-    """Tr of every element, keyed by coefficient tuple.  The trace is
-    GF(p)-linear, so Tr(sum c_i x^i) = sum c_i Tr(x^i) mod p; only the k
-    basis traces are summed over Frobenius images."""
-    p = spec.p
-    # from_int(p^i) is x^i
-    basis = [_frobenius_trace(spec.from_int(p ** i)) for i in range(spec.k)]
-    elems = [spec.zero().coeffs] + spec._exp
-    return {cs: sum(c * t for c, t in zip(cs, basis)) % p for cs in elems}
+    """Tr of every element, keyed by coefficient tuple."""
+    rows = trace_of_powers(spec, np.arange(spec.order - 1))
+    assert not rows[:, 1:].any(), "trace landed outside the prime field"
+    return dict(zip([spec.zero().coeffs] + spec._exp,
+                    [0] + rows[:, 0].tolist()))
 
 
 def trace_to_prime(x: FieldElem) -> int:
@@ -376,10 +394,10 @@ def trace_to_prime(x: FieldElem) -> int:
 
 
 def relative_trace(x: FieldElem, j: int) -> FieldElem:
-    """Trace from GF(p^k) down to the subfield GF(p^j); requires j | k."""
+    """Trace from GF(p^k) down to the subfield GF(p^j); requires
+    1 <= j and j | k."""
     k = x.spec.k
-    if k % j != 0:
-        raise ValueError("GF(p^%d) is not a subfield of GF(p^%d)" % (j, k))
+    _check_subfield(k, j)
     total = x
     acc = x
     for _ in range(k // j - 1):

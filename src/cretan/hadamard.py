@@ -91,12 +91,12 @@ def paley_conference(q: int) -> SignMatrix:
     """Symmetric conference matrix of order q + 1, q a prime power 1 mod 4.
 
     The core is the quadratic character chi of GF(q), tabulated once by
-    base-p integer (+1 on the even powers of the generator) and read at
-    the difference positions of the additive group Z_p^k, as in
-    `DifferenceSet.develop`: position j of Z_p^k has the base-p digits of
-    j, highest degree first, so it is the element `from_int(j)`.  Entry
-    (i, j) is chi(x_j - x_i) = chi(x_i - x_j), since -1 is a square.  The
-    border is all ones and the diagonal zero.
+    base-p integer code (+1 at `codes[::2]`, the even powers of the
+    generator) and read at the difference positions of the additive group
+    Z_p^k, as in `DifferenceSet.develop`: position j of Z_p^k has the
+    base-p digits of j, highest degree first, so it is the element
+    `from_int(j)`.  Entry (i, j) is chi(x_j - x_i) = chi(x_i - x_j), since
+    -1 is a square.  The border is all ones and the diagonal zero.
     """
     if q % 4 != 1:
         raise ValueError("q must be 1 mod 4, got %d" % q)
@@ -105,7 +105,7 @@ def paley_conference(q: int) -> SignMatrix:
     group = GroupDesc((p,) * k)
     chi = np.full(q, -1, dtype=np.int8)
     chi[0] = 0
-    chi[[f.exp(2 * i).to_int() for i in range((q - 1) // 2)]] = 1
+    chi[f.codes[::2]] = 1
     C = group.all_coords()
     n = q + 1
     E = np.zeros((n, n), dtype=np.int8)

@@ -276,6 +276,9 @@ def test_flipped_design_is_rejected_by_its_route(monkeypatch):
 def test_catalog_rejects_out_of_range():
     with pytest.raises(ValueError):
         catalog_table(1001)
+    for v_max in (2, 1, -5):
+        with pytest.raises(ValueError, match="v_max below 3"):
+            catalog_table(v_max)
 
 
 def test_memo_follows_fixture_dir(tmp_path, monkeypatch):

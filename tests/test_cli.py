@@ -252,6 +252,15 @@ def test_catalog_structured(capsys):
     assert [e["order"] for e in doc["entries"]] == [3, 5, 7, 9, 11, 13, 15]
 
 
+def test_catalog_max_out_of_range_exits_2(capsys):
+    for v_max, why in (("1001", "v_max above 999"), ("2", "v_max below 3"),
+                       ("1", "v_max below 3"), ("-5", "v_max below 3")):
+        assert main(["catalog", "--max", v_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert why in captured.err
+
+
 def test_bounds_output(capsys):
     assert main(["bounds", "9"]) == 0
     out = capsys.readouterr().out

@@ -25,6 +25,13 @@ from cretan.designs import (
     registered_designs,
     singer_difference_set,
 )
+from cretan.fields import (
+    factor_prime_power,
+    is_prime_power,
+    make_field,
+    relative_trace,
+)
+from test_fields import poly_mul
 
 
 def test_group_desc_arithmetic():
@@ -97,6 +104,43 @@ def test_singer_higher_dimension():
     assert ds.params == (85, 21, 5)
     ds = singer_difference_set(4, 3)
     assert ds.params == (121, 40, 13)
+
+
+def singer_cases():
+    """(n, q) with v = (q^(n+1)-1)/(q-1) <= 1000 and GF(q^(n+1)) of
+    degree at most 10 over its prime field."""
+    for q in range(2, 32):
+        if not is_prime_power(q):
+            continue
+        p, j = factor_prime_power(q)
+        n = 2
+        while j * (n + 1) <= 10 and (q ** (n + 1) - 1) // (q - 1) <= 1000:
+            yield n, q
+            n += 1
+
+
+def test_singer_sets_match_relative_trace():
+    cases = list(singer_cases())
+    assert len(cases) == 31
+    for n, q in cases:
+        p, j = factor_prime_power(q)
+        f = make_field(p, j * (n + 1))
+        v = (q ** (n + 1) - 1) // (q - 1)
+        want = [i for i in range(v)
+                if relative_trace(f.exp(i), j).is_zero()]
+        got = singer_difference_set(n, q).elements
+        assert [i for (i,) in got] == want, (n, q)
+
+
+def test_qr_prime_powers_are_the_squares():
+    # the proper prime powers q = 3 (mod 4) below 1000
+    for q in (27, 243, 343):
+        f = make_field(*factor_prime_power(q))
+        squares = {poly_mul(x, x).coeffs for x in f.elements()
+                   if not x.is_zero()}
+        ds = qr_difference_set(q)
+        assert set(ds.elements) == squares
+        assert len(ds.elements) == (q - 1) // 2
 
 
 def test_census_rejects_non_difference_set():

@@ -8,10 +8,12 @@ from cretan.fields import (
     FieldSpec,
     factor_prime_power,
     is_prime,
+    is_prime_power,
     make_field,
     prime_factors,
     quadratic_character,
     relative_trace,
+    trace_of_powers,
     trace_to_prime,
 )
 from cretan.scalar import is_probable_prime
@@ -107,8 +109,12 @@ def test_relative_trace_lands_in_subfield():
         y = relative_trace(f.from_int(j), 2)
         # members of GF(4) inside GF(64) satisfy y^4 = y
         assert y ** 4 == y or y.is_zero()
-    with pytest.raises(ValueError):
-        relative_trace(f.from_int(1), 4)
+    # j must be a positive divisor of k = 6
+    for j in (4, 0, -1):
+        with pytest.raises(ValueError, match="not a subfield"):
+            relative_trace(f.from_int(1), j)
+        with pytest.raises(ValueError, match="not a subfield"):
+            trace_of_powers(f, [1], j)
 
 
 def test_quadratic_character_prime():
@@ -223,3 +229,71 @@ def test_trace_table_is_built_on_first_use():
     x = f.from_int(300)
     assert trace_to_prime(x) == poly_trace(x)
     assert len(f._trace) == f.order
+
+
+# -- the polynomial table builder, kept as the oracle for make_field ----------
+
+def oracle_modulus(p, k):
+    """Least monic irreducible of degree k by coefficient index, tested
+    by sympy; (0, 1) for a prime field, as make_field documents."""
+    if k == 1:
+        return (0, 1)
+    x = sympy.Symbol("x")
+    for j in range(p ** k):
+        cs = [j // p ** i % p for i in range(k)] + [1]
+        if sympy.Poly(cs[::-1], x, modulus=p).is_irreducible:
+            return tuple(cs)
+
+
+def poly_pow(g, e):
+    """g^e by squaring with polynomial products only."""
+    result, base = g.spec.one(), g
+    while e:
+        if e & 1:
+            result = poly_mul(result, base)
+        base = poly_mul(base, base)
+        e >>= 1
+    return result
+
+
+def poly_tables(p, k):
+    """(modulus, generator, exp) as the polynomial builder makes them: the
+    generator is the first code g with g^((n-1)/f) != 1 for every prime
+    f | n - 1, and the exp table is the walk 1, g, g g, ... of products."""
+    spec = FieldSpec(p, k, oracle_modulus(p, k))
+    n = p ** k
+    one = spec.one()
+    factors = sympy.primefactors(n - 1)
+    g = next(x for x in map(spec.from_int, range(1, n))
+             if all(poly_pow(x, (n - 1) // f) != one for f in factors))
+    exp, acc = [], one
+    for _ in range(n - 1):
+        exp.append(acc.coeffs)
+        acc = poly_mul(acc, g)
+    assert acc == one
+    return spec.modulus, g.coeffs, exp
+
+
+FIELDS_TO_1024 = [(p, k) for p in sympy.primerange(2, 1025)
+                  for k in range(1, 11) if p ** k <= 1024]
+
+
+def test_make_field_matches_polynomial_builder():
+    for p, k in FIELDS_TO_1024:
+        f = make_field(p, k)
+        modulus, generator, exp = poly_tables(p, k)
+        assert f.modulus == modulus, (p, k)
+        assert f.generator == generator, (p, k)
+        assert f._exp == exp, (p, k)
+        assert f._log == {cs: i for i, cs in enumerate(exp)}, (p, k)
+        assert f.codes.tolist() == [FieldElem(f, cs).to_int() for cs in exp]
+        assert all(type(c) is int for c in f.generator), (p, k)
+        assert all(type(c) is int for cs in f._exp for c in cs), (p, k)
+
+
+def test_trace_table_matches_direct_sums_up_to_1000():
+    for q in range(2, 1001):
+        if is_prime_power(q):
+            f = make_field(*factor_prime_power(q))
+            for x in f.elements():
+                assert trace_to_prime(x) == poly_trace(x), (q, x)

@@ -7,6 +7,7 @@ from cretan.designs import fixture_difference_set
 from cretan.fields import (
     factor_prime_power,
     is_prime,
+    is_prime_power,
     make_field,
     quadratic_character,
 )
@@ -19,7 +20,7 @@ from cretan.hadamard import (
     regular_hadamard,
     sylvester,
 )
-from test_fields import quadratic_character_elem
+from test_fields import poly_mul, quadratic_character_elem
 
 
 def test_sylvester_orders():
@@ -73,6 +74,24 @@ def test_paley_conference_matches_double_loop(q):
     W = paley_conference(q)
     assert W.entries.dtype == np.int8
     assert np.array_equal(W.entries, paley_oracle(q))
+
+
+def test_paley_conference_matches_squares_up_to_1000():
+    """Every q = 1 (mod 4) below 1000: core entry (i, j) is chi(x_j - x_i)
+    with x_j = from_int(j) and chi read off the squares, found by
+    polynomial products."""
+    qs = [q for q in range(5, 1000, 4) if is_prime_power(q)]
+    for q in qs:
+        p, k = factor_prime_power(q)
+        f = make_field(p, k)
+        xs = [f.from_int(j) for j in range(q)]
+        chi = np.full(q, -1, dtype=np.int8)
+        chi[0] = 0
+        chi[[poly_mul(x, x).to_int() for x in xs[1:]]] = 1
+        D = np.array([x.coeffs for x in xs])
+        diff = (D[None, :, :] - D[:, None, :]) % p @ p ** np.arange(k)
+        E = paley_conference(q).entries
+        assert np.array_equal(E[1:, 1:], chi[diff]), q
 
 
 def test_paley_conference_rejects_3_mod_4():
