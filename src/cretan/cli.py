@@ -13,6 +13,7 @@ import sys
 from functools import partial
 
 from cretan.catalog import (
+    MAX_ORDER,
     ROUTES,
     catalog_structured,
     catalog_table,
@@ -51,6 +52,11 @@ from cretan.verify import det_bounds, verify_complex, verify_cretan
 
 class CliError(Exception):
     """Request that cannot be satisfied: reported on stderr, exit 2."""
+
+
+# the largest order the catalog-backed methods reach: a direct sum of two
+# catalog orders; construct rejects larger orders before building anything
+MAX_CONSTRUCT_ORDER = 2 * MAX_ORDER
 
 
 def _best_of(routes: tuple, n: int):
@@ -151,6 +157,9 @@ def _verify_any(m, strict: bool, tolerance: float):
 
 
 def _cmd_construct(args) -> int:
+    if not 1 <= args.order <= MAX_CONSTRUCT_ORDER:
+        raise CliError("order must be in 1..%d, got %d"
+                       % (MAX_CONSTRUCT_ORDER, args.order))
     builder = _CONSTRUCTORS[args.method]
     m = builder(args.order)
     ok, _ = _verify_any(m, strict=False, tolerance=1e-9)

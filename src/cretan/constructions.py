@@ -96,8 +96,12 @@ def from_values(values, omega: Scalar, method: str, params=None,
 def from_codes(values, codes: np.ndarray, omega: Scalar, method: str,
                params=None, notes=()) -> LevelMatrix:
     """Build a LevelMatrix whose entry (i, j) is values[codes[i, j]].
-    Equal values merge into one level, and the first of them is kept."""
+    Equal values merge into one level, and the first of them is kept.
+    More levels than an int16 grid can index is a ValueError."""
     levels = tuple(sorted(dict.fromkeys(values), key=_level_key))
+    if len(levels) > np.iinfo(np.int16).max + 1:
+        raise ValueError("%d levels, more than an int16 grid can index"
+                         % len(levels))
     index = {l: i for i, l in enumerate(levels)}
     lut = np.array([index[x] for x in values], dtype=np.int16)
     return LevelMatrix(codes.shape[0], levels, lut[codes], omega, method,

@@ -11,8 +11,12 @@ Inside make_field an element is its integer code, the same base-p integer
 (`FieldElem.to_int`), and every table is an array over all p^k codes.
 Multiplying by x shifts the digits up one place and folds the top digit
 back with the modulus; multiplying by c = sum c_i x^i sums the digit rows
-of x^i a.  The powers of c come from such a table by repeated doubling,
-and the generator is the first code whose powers have period p^k - 1.
+of x^i a.  The powers of c come from such a table by repeated doubling.
+Irreducibility is tested on the same tables: each candidate modulus
+without a root in GF(p) gets its multiply-by-x table, and Rabin's test
+reads x^(p^k) off the powers of x and checks that each x^(p^(k/e)) - x
+multiplies the codes by a permutation.  The winner's table then gives the
+generator, the first code whose powers have period p^k - 1.
 The exp table is kept as codes (`FieldSpec.codes`) with the digit array
 (`FieldSpec.digits`); the tuple exp and dict log tables are read off them,
 so products, powers and Frobenius are table lookups.  The trace table is
@@ -58,87 +62,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
         q //= p
         j += 1
     return p, j
-
-
-# -- dense polynomials over GF(p), constant term first ------------------------
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _trim([(x + y) % p for x, y in zip(a, b)])
-
-
-def _psub(a, b, p):
-    return _padd(a, [(-x) % p for x in b], p)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _pmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while a and len(a) - 1 >= dm:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        _trim(a)
-    return a
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _xpow_mod(e: int, m, p):
-    """x^e mod m over GF(p)."""
-    result = [1]
-    base = _pmod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(m, p) -> bool:
-    """Rabin test for a monic polynomial of degree >= 1 over GF(p)."""
-    k = len(m) - 1
-    if k == 1:
-        return True
-    x = [0, 1]
-    if _xpow_mod(p ** k, m, p) != _pmod(x, m, p):
-        return False
-    for e in prime_factors(k):
-        t = _xpow_mod(p ** (k // e), m, p)
-        g = _pgcd(m, _psub(t, x, p), p)
-        if len(g) != 1:
-            return False
-    return True
 
 
 class FieldSpec:
@@ -255,22 +178,24 @@ class FieldElem:
         return spec.exp((i * e) % (spec.order - 1))
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero element")
-        return self.spec.exp(-self.spec.log(self))
+        return self ** -1
 
     def frobenius(self) -> "FieldElem":
-        """x -> x^p, as exp[p * log x] (zero maps to zero)."""
-        spec = self.spec
-        if self.is_zero():
-            return self
-        exp = spec._exp
-        return FieldElem(spec, exp[(spec.p * spec._log[self.coeffs])
-                                   % len(exp)])
+        """x -> x^p."""
+        return self ** self.spec.p
 
     def __repr__(self):
         return "FieldElem(GF(%d^%d), %s)" % (
             self.spec.p, self.spec.k, list(self.coeffs))
+
+
+def _times_x(cs, digits, pw, p) -> np.ndarray:
+    """Code of x a for every code a in GF(p)[x]/(x^k + cs): shift a's
+    digits up one place and replace the overflow d x^k by
+    -d (c_0 + ... + c_{k-1} x^{k-1}), digitwise mod p."""
+    shifted = np.zeros_like(digits)
+    shifted[:, 1:] = digits[:, :-1]
+    return ((shifted - digits[:, -1:] * cs) % p) @ pw
 
 
 def _times_table(cs, times_x, digits, pw, p) -> np.ndarray:
@@ -295,6 +220,24 @@ def _powers(times_c: np.ndarray, m: int) -> np.ndarray:
     return out[:m]
 
 
+def _is_irreducible(times_x, digits, pw, p) -> bool:
+    """Rabin's test on the multiply-by-x table of GF(p)[x]/(m), m monic
+    of degree k >= 1: m is irreducible iff x^(p^k) = x and, for every
+    prime e | k, x^(p^(k/e)) - x is a unit, that is, multiplying by it
+    permutes the codes."""
+    n = len(digits)
+    powers = _powers(times_x, n + 1)
+    x = times_x[1]
+    if powers[n] != x:
+        return False
+    k = len(pw)
+    for e in prime_factors(k):
+        t = (digits[powers[p ** (k // e)]] - digits[x]) % p
+        if np.bincount(_times_table(t, times_x, digits, pw, p)).max() > 1:
+            return False
+    return True
+
+
 _field_cache: dict = {}
 
 
@@ -313,29 +256,20 @@ def make_field(p: int, k: int) -> FieldSpec:
     n = p ** k
     pw = p ** np.arange(k, dtype=np.int64)
     digits = (np.arange(n, dtype=np.int64)[:, None] // pw) % p
-    if k == 1:
-        modulus = (0, 1)  # the polynomial x; elements are residues mod p
-    else:
-        # at[a, i] = a^i mod p; a candidate with a root in GF(p) is
-        # reducible, so only the others go to the Rabin test
-        at = np.ones((p, k + 1), dtype=np.int64)
-        for i in range(1, k + 1):
-            at[:, i] = at[:, i - 1] * np.arange(p) % p
-        modulus = None
-        for j in range(n):
-            cs = digits[j].tolist()
-            if (((at[:, :k] @ cs + at[:, k]) % p).all()
-                    and _is_irreducible(cs + [1], p)):
-                modulus = tuple(cs + [1])
-                break
-        assert modulus is not None, "no irreducible polynomial found"
+    # candidates x^k + cs in code order; degree 1 takes x, so elements
+    # are residues mod p.  at[a, i] = a^i mod p: for k >= 2 a candidate
+    # with a root in GF(p) is reducible, so only the others get the test
+    at = np.ones((p, k + 1), dtype=np.int64)
+    for i in range(1, k + 1):
+        at[:, i] = at[:, i - 1] * np.arange(p) % p
+    for cs in digits:
+        if k > 1 and not ((at[:, :k] @ cs + at[:, k]) % p).all():
+            continue
+        times_x = _times_x(cs, digits, pw, p)
+        if k == 1 or _is_irreducible(times_x, digits, pw, p):
+            break
 
-    spec = FieldSpec(p, k, modulus)
-    # x a: shift a's digits up one place and replace the overflow
-    # d x^k by -d (m_0 + ... + m_{k-1} x^{k-1}), digitwise mod p
-    shifted = np.zeros_like(digits)
-    shifted[:, 1:] = digits[:, :-1]
-    times_x = ((shifted - digits[:, -1:] * np.array(modulus[:k])) % p) @ pw
+    spec = FieldSpec(p, k, tuple(cs.tolist()) + (1,))
     # a nonzero constant lies in GF(p)^*, of order at most p - 1, so for
     # k >= 2 the least primitive element is x (code p) or a later code;
     # every power of a rejected element is rejected with it

@@ -191,13 +191,16 @@ def _parse_level(header, params, notes, rows, body_at, order):
                     raise ParseError(str(exc), line)
                 ids[t] = len(ids)
         codes[i] = [ids[t] for t in toks]
-    m = from_codes(values, codes, omega, header.get("method", ""),
-                   params, tuple(notes))
+    try:
+        m = from_codes(values, codes, omega, header.get("method", ""),
+                       params, tuple(notes))
+    except ValueError as exc:
+        raise ParseError(str(exc), body_at)
     if m.mode != header["mode"]:
         raise ParseError("header says mode %s, but the entries and omega "
                          "are %s" % (header["mode"], m.mode),
                          header.line("mode"))
-    if header.get("tau", str(m.tau)) != str(m.tau):
+    if "tau" in header and header.integer("tau") != m.tau:
         raise ParseError("header says tau %s, but the entries take %d "
                          "values" % (header["tau"], m.tau),
                          header.line("tau"))

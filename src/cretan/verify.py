@@ -219,19 +219,25 @@ def _linear(log: float | None) -> float | None:
     return math.exp(log)
 
 
+# the natural log of 10^4300: str() of an int with more digits raises
+# (Python's default int_max_str_digits), and building it costs time for
+# nothing, so a bound that large is reported by its log alone
+_MAX_EXACT_LOG = 4300 * math.log(10)
+
+
 def det_bounds(n: int) -> BoundReport:
     """Classical upper bounds on |det| of order-n matrices with entries
     of modulus <= 1, reported in log scale plus exact integers where the
-    bound happens to be an integer."""
+    bound happens to be an integer of at most 4300 digits."""
     if n < 1:
         raise ValueError("order must be positive")
     hadamard_log = 0.5 * n * math.log(n) if n > 1 else 0.0
     hadamard_exact = None
-    if n % 2 == 0:
-        hadamard_exact = n ** (n // 2)
-    else:
+    if hadamard_log < _MAX_EXACT_LOG:
         root = math.isqrt(n)
-        if root * root == n:
+        if n % 2 == 0:
+            hadamard_exact = n ** (n // 2)
+        elif root * root == n:
             hadamard_exact = root ** n
     barba_log = barba_exact = None
     brent_log = brent_exact = None
@@ -243,14 +249,18 @@ def det_bounds(n: int) -> BoundReport:
             barba_log = 0.5 * math.log(2 * n - 1) \
                 + 0.5 * (n - 1) * math.log(n - 1)
             root = math.isqrt(2 * n - 1)
-            if root * root == 2 * n - 1:
+            if root * root == 2 * n - 1 and barba_log < _MAX_EXACT_LOG:
                 barba_exact = root * (n - 1) ** ((n - 1) // 2)
-        brent_exact = (n + 1) ** ((n - 1) // 2)
         brent_log = 0.5 * (n - 1) * math.log(n + 1)
+        if brent_log < _MAX_EXACT_LOG:
+            brent_exact = (n + 1) ** ((n - 1) // 2)
     wojtas_log = wojtas_exact = None
     if n % 4 == 2:
-        wojtas_exact = 2 * (n - 1) * (n - 2) ** ((n - 2) // 2)
-        wojtas_log = _log_big(wojtas_exact)
+        wojtas_log = math.log(2 * (n - 1))
+        if n > 2:
+            wojtas_log += 0.5 * (n - 2) * math.log(n - 2)
+        if wojtas_log < _MAX_EXACT_LOG:
+            wojtas_exact = 2 * (n - 1) * (n - 2) ** ((n - 2) // 2)
     return BoundReport(
         n, hadamard_log, barba_log, wojtas_log, brent_log,
         hadamard_exact, barba_exact, wojtas_exact, brent_exact,

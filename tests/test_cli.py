@@ -1,13 +1,16 @@
 """End-to-end runs of the command-line driver."""
 
+import math
 import subprocess
 import sys
 
 import pytest
 
+from cretan import cli
 from cretan.cli import main
 from cretan.files import load_matrix
 from cretan.scalar import Scalar
+from cretan.verify import det_bounds
 
 
 def test_construct_basic_stdout(capsys):
@@ -267,6 +270,49 @@ def test_bounds_output(capsys):
     assert "19683" in out
     assert "16888.2" in out
     assert main(["bounds", "0"]) == 2
+
+
+def test_bounds_of_large_orders(capsys):
+    # a bound above 4300 digits is printed by its log alone
+    assert main(["bounds", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert "hadamard      exp(46051.701860)" in out
+    # around the 4300-digit edge every exact bound still prints
+    for n in range(2500, 2560):
+        assert main(["bounds", str(n)]) == 0
+    capsys.readouterr()
+    # no n^(n/2)-size integer is built, so these return at once
+    n = 10 ** 9
+    b = det_bounds(n)
+    assert b.hadamard_exact is None
+    assert math.isclose(b.hadamard_log, 0.5 * n * math.log(n))
+    b = det_bounds(n + 1)
+    assert b.barba_exact is None and b.brent_osborn_exact is None
+    b = det_bounds(n + 2)
+    assert b.wojtas_exact is None
+    assert math.isclose(b.wojtas_log, math.log(2 * (n + 1))
+                        + 0.5 * n * math.log(n))
+
+
+def test_construct_order_out_of_range_exits_2(monkeypatch, capsys):
+    # rejected before any builder runs, so 10^6 allocates nothing
+    calls = []
+
+    def builder(n):
+        calls.append(n)
+        raise cli.CliError("stub builder")
+
+    for method in list(cli._CONSTRUCTORS):
+        monkeypatch.setitem(cli._CONSTRUCTORS, method, builder)
+        for n in (10 ** 6, 1999, 0, -3):
+            assert main(["construct", "--order", str(n),
+                         "--method", method]) == 2
+            assert "order must be in 1..1998" in capsys.readouterr().err
+    assert calls == []
+    # 1998, a direct sum of two catalog orders, still reaches its builder
+    assert main(["construct", "--order", "1998",
+                 "--method", "direct-sum"]) == 2
+    assert calls == [1998]
 
 
 def test_designs_list_and_make(capsys):

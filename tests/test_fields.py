@@ -1,5 +1,6 @@
 """Finite field construction: moduli, generators, traces, characters."""
 
+import numpy as np
 import pytest
 import sympy
 
@@ -15,6 +16,8 @@ from cretan.fields import (
     relative_trace,
     trace_of_powers,
     trace_to_prime,
+    _is_irreducible,
+    _times_x,
 )
 from cretan.scalar import is_probable_prime
 
@@ -289,6 +292,23 @@ def test_make_field_matches_polynomial_builder():
         assert f.codes.tolist() == [FieldElem(f, cs).to_int() for cs in exp]
         assert all(type(c) is int for c in f.generator), (p, k)
         assert all(type(c) is int for cs in f._exp for c in cs), (p, k)
+
+
+def test_table_irreducibility_matches_sympy():
+    # every monic candidate of every degree, roots or not, so squareful
+    # ones such as (x^2 + x + 1)^2 over GF(2) and rootless products of two
+    # irreducibles such as (x^3 + x + 1)(x^5 + x^2 + 1) over GF(2) are
+    # among them
+    x = sympy.Symbol("x")
+    for p, k in FIELDS_TO_1024:
+        if p ** k > 256:
+            continue
+        pw = p ** np.arange(k, dtype=np.int64)
+        digits = (np.arange(p ** k, dtype=np.int64)[:, None] // pw) % p
+        for cs in digits:
+            m = sympy.Poly([1] + cs.tolist()[::-1], x, modulus=p)
+            got = _is_irreducible(_times_x(cs, digits, pw, p), digits, pw, p)
+            assert got == m.is_irreducible, (p, k, cs.tolist())
 
 
 def test_trace_table_matches_direct_sums_up_to_1000():

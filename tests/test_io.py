@@ -16,6 +16,7 @@ from cretan.constructions import (
     gw_z3_order5,
     sbibd_two_level,
 )
+from cretan.cli import main
 from cretan.designs import qr_difference_set, singer_difference_set
 from cretan.files import (
     MATRIX_MAGIC,
@@ -327,12 +328,31 @@ def test_parse_takes_ascii_digits_only():
             assert err.value.line == line
 
 
+def test_parse_more_levels_than_int16_indexes(tmp_path, capsys):
+    # 190^2 = 36100 distinct entries, above the 32768 levels an int16
+    # grid can index: a ParseError, and exit 2 without a traceback
+    n = 190
+    rows = [" ".join("%d/%d" % (i * n + j + 1, n * n) for j in range(n))
+            for i in range(n)]
+    text = ("cretan-matrix 1\nmode exact\norder %d\nomega 1\nentries\n"
+            % n) + "\n".join(rows) + "\n"
+    with pytest.raises(ParseError, match="int16") as err:
+        parse_matrix(text)
+    assert err.value.line == 5
+    path = tmp_path / "levels.txt"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert "int16" in capsys.readouterr().err
+
+
 def test_tau_header_is_checked():
     hadamard = ("cretan-matrix 1\nmode exact\norder 2\ntau 2\nomega 2\n"
                 "method hand\nentries\n1 1\n1 -1\n")
     assert parse_matrix(hadamard).tau == 2
     # the header is optional
     assert parse_matrix(hadamard.replace("tau 2\n", "")).tau == 2
+    # tau is an integer header, read like order: 02 is 2
+    assert parse_matrix(hadamard.replace("tau 2", "tau 02")).tau == 2
     for tau in ("3", "1", "x"):
         with pytest.raises(ParseError) as err:
             parse_matrix(hadamard.replace("tau 2", "tau " + tau))
