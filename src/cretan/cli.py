@@ -323,8 +323,8 @@ def main(argv=None) -> int:
     except (MissingFixture, NoConstructionAvailable) as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except (CliError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
+    except (CliError, ValueError, MemoryError) as exc:
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from cretan.fields import make_field, trace_to_prime
 from cretan.hadamard import SignMatrix
 from cretan.scalar import (
     IncompatibleRadicands,
-    REFINE_TOL,
     Scalar,
     format_scalar,
     solve_quadratic,
@@ -184,19 +184,6 @@ def regular_hadamard_border(M: SignMatrix) -> LevelMatrix:
                        notes=("relaxed",))
 
 
-def bordered_feasibility(v: int, k: int, lam: int, b: float):
-    """(x, s2) for a candidate core level b, or None when infeasible."""
-    s2 = -(lam + 2 * (k - lam) * b + (v - 2 * k + lam) * b * b)
-    if s2 < -REFINE_TOL:
-        return None
-    s2 = max(s2, 0.0)
-    x = -(k + (v - k) * b)
-    if abs(b) > 1 + REFINE_TOL or abs(x) > 1 + REFINE_TOL \
-            or s2 > 1 + REFINE_TOL:
-        return None
-    return x, s2
-
-
 def bordered_solver(sb: Sbibd) -> list:
     """Bordered Cretan matrices of order v+1 over a symmetric design.
 
@@ -208,39 +195,35 @@ def bordered_solver(sb: Sbibd) -> list:
     validate() enforces lam(v-1) = k(k-1).  So the solutions form a
     one-parameter family; we return the canonical members (corner
     saturated at x = +-1, corner zero, border maximized, interval
-    endpoints) that satisfy every modulus constraint.  Output is float
-    mode, sorted by b.
+    endpoints) that satisfy every modulus constraint.  Each b is rational,
+    so x and s^2 are too and s lies in one quadratic field: the output is
+    exact, sorted by b.
     """
     sb.validate()
     v, k, lam = sb.params
-    cands = [(1 - k) / (v - k), -(1 + k) / (v - k), -k / (v - k)]
-    if v - 2 * k + lam != 0:
-        cands.append(-(k - lam) / (v - 2 * k + lam))
-    cands += [-1.0, 1.0]
-
-    picked: list = []
-    for b in sorted(cands):
-        feas = bordered_feasibility(v, k, lam, b)
-        if feas is None:
-            continue
-        if any(abs(b - p) <= REFINE_TOL for p, _ in picked):
-            continue
-        picked.append((b, feas))
-
+    c2 = v - 2 * k + lam
+    cands = {Fraction(1 - k, v - k), Fraction(-1 - k, v - k),
+             Fraction(-k, v - k), Fraction(-1), Fraction(1)}
+    if c2 != 0:
+        cands.add(Fraction(lam - k, c2))
     out = []
     # codes: 0 corner, 1 border, 2 incidence ones, 3 zeros
     codes = np.ones((v + 1, v + 1), dtype=np.intp)
     codes[0, 0] = 0
     codes[1:, 1:] = np.where(sb.incidence, 2, 3)
-    for b, (x, s2) in picked:
-        s = math.sqrt(s2)
-        values_scale = max(abs(x), abs(s), 1.0, abs(b))
-        values = [Scalar.from_float(t / values_scale)
-                  for t in (x, s, 1.0, b)]
-        omega = Scalar.from_float((x * x + v * s2) / values_scale ** 2)
-        out.append(from_codes(values, codes, omega, "bordered",
-                               {"v": v, "k": k, "lam": lam, "b": b,
-                                "x": x, "s": s, "design": sb.source}))
+    for b in sorted(cands):
+        x = -(k + (v - k) * b)
+        s2 = -(lam + 2 * (k - lam) * b + c2 * b * b)
+        if not (0 <= s2 <= 1 and abs(x) <= 1 and abs(b) <= 1):
+            continue
+        xv, sv, bv = (Scalar.from_fraction(x), Scalar.sqrt_fraction(s2),
+                      Scalar.from_fraction(b))
+        omega = Scalar.from_fraction(x * x + v * s2)
+        params = {"v": v, "k": k, "lam": lam, "b": format_scalar(bv),
+                  "x": format_scalar(xv), "s": format_scalar(sv),
+                  "design": sb.source}
+        out.append(from_codes((xv, sv, Scalar(1), bv), codes, omega,
+                              "bordered", params))
     return out
 
 

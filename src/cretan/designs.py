@@ -31,12 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from cretan.fields import (
+    MAX_FIELD_SIZE,
     factor_prime_power,
     is_prime,
     make_field,
     quadratic_character,
     trace_of_powers,
 )
+from cretan.scalar import parse_int
 
 
 class NotADifferenceSet(ValueError):
@@ -273,8 +275,11 @@ def biquadratic_difference_set(p: int, with_zero: bool = False) -> DifferenceSet
 
     Only special primes work; the census rejects everything else.  Without
     zero the parameters are (p, (p-1)/4, lam); with zero the block is the
-    fourth powers plus 0 and k grows by one.
+    fourth powers plus 0 and k grows by one.  p is capped at 10^6.
     """
+    if p > MAX_FIELD_SIZE:
+        raise ValueError("p above the field size cap %d: %d"
+                         % (MAX_FIELD_SIZE, p))
     if not is_prime(p) or p % 4 != 1:
         raise ValueError("p must be a prime 1 mod 4, got %d" % p)
     group = cyclic(p)
@@ -298,10 +303,15 @@ def singer_difference_set(n: int, q: int) -> DifferenceSet:
     exponents i < v whose power g^i of the generator of GF(q^(n+1)) has
     relative trace zero down to GF(q), all v traces taken in one array
     step by `trace_of_powers`.  Parameters (v, (q^n-1)/(q-1),
-    (q^(n-1)-1)/(q-1)).
+    (q^(n-1)-1)/(q-1)).  A field above the 10^6 cap is refused before q
+    is factored.
     """
     if n < 2:
         raise ValueError("projective dimension must be >= 2")
+    # 2^20 is above the cap, so for q >= 2 the first 20 powers decide
+    if q > 1 and q ** min(n + 1, 20) > MAX_FIELD_SIZE:
+        raise ValueError("GF(%d^%d) is above the field size cap %d"
+                         % (q, n + 1, MAX_FIELD_SIZE))
     p, j = factor_prime_power(q)
     f = make_field(p, j * (n + 1))
     v = (q ** (n + 1) - 1) // (q - 1)
@@ -355,44 +365,45 @@ def fixture_path(name: str) -> Path:
            FIXTURE_DIR_ENV))
 
 
+def _ints(text: str) -> tuple:
+    return tuple(map(parse_int, text.split()))
+
+
+# header key -> reader of the rest of its line, stripped
+_FIXTURE_HEADERS = {"kind": str, "label": str, "provenance": str,
+                    "group": _ints, "params": _ints, "order": parse_int}
+
+
 def parse_fixture(text: str) -> Fixture:
+    """Raises ValueError.  Integers are ASCII digits, as in matrix files."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     if not lines or lines[0].strip() != FIXTURE_MAGIC:
         raise ValueError("missing fixture magic line")
-    kind = label = provenance = None
-    group_orders: tuple = ()
-    params: tuple = ()
-    order = 0
+    head: dict = {}
     body_at = None
     for idx, ln in enumerate(lines[1:], start=1):
         if ln in ("elements", "rows"):
             body_at = idx + 1
             break
         key, _, rest = ln.partition(" ")
-        if key == "kind":
-            kind = rest.strip()
-        elif key == "label":
-            label = rest.strip()
-        elif key == "provenance":
-            provenance = rest.strip()
-        elif key == "group":
-            group_orders = tuple(int(t) for t in rest.split())
-        elif key == "params":
-            params = tuple(int(t) for t in rest.split())
-        elif key == "order":
-            order = int(rest)
-        else:
+        if key not in _FIXTURE_HEADERS:
             raise ValueError("unknown fixture header line: %r" % ln)
+        if key in head:
+            raise ValueError("repeated %s header" % key)
+        head[key] = _FIXTURE_HEADERS[key](rest.strip())
+    kind = head.get("kind")
     if kind not in ("difference-set", "sign-matrix") or body_at is None:
         raise ValueError("malformed fixture file")
     body = [t for ln in lines[body_at:] for t in ln.split()]
+    label, provenance = head.get("label", ""), head.get("provenance", "")
     if kind == "difference-set":
-        elements = tuple(tuple(int(x) for x in t.split(",")) for t in body)
-        return Fixture(kind, label or "", provenance or "",
-                       group_orders=group_orders, params=params,
-                       elements=elements)
-    return Fixture(kind, label or "", provenance or "",
-                   order=order, rows=tuple(body))
+        elements = tuple(tuple(parse_int(x) for x in t.split(","))
+                         for t in body)
+        return Fixture(kind, label, provenance,
+                       group_orders=head.get("group", ()),
+                       params=head.get("params", ()), elements=elements)
+    return Fixture(kind, label, provenance, order=head.get("order", 0),
+                   rows=tuple(body))
 
 
 def format_fixture(fx: Fixture) -> str:

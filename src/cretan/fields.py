@@ -31,6 +31,9 @@ import numpy as np
 # exact below 3.3e24, far above the 10^6 cap on field sizes
 from cretan.scalar import is_probable_prime as is_prime
 
+# make_field builds no field with more elements than this
+MAX_FIELD_SIZE = 10 ** 6
+
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division."""
@@ -250,7 +253,7 @@ def make_field(p: int, k: int) -> FieldSpec:
         raise ValueError("%d is not prime" % p)
     if not (1 <= k <= 10):
         raise ValueError("extension degree out of range: %d" % k)
-    if p ** k > 10 ** 6:
+    if p ** k > MAX_FIELD_SIZE:
         raise ValueError("field too large: %d^%d" % (p, k))
 
     n = p ** k

@@ -200,7 +200,7 @@ def regular_hadamard(m: int) -> SignMatrix:
             "no regular Hadamard construction for m=%d; provide a "
             "sign-matrix fixture %r" % (m, name))
     try:
-        M = sign_matrix_from_fixture(fx, expect_regular=True)
+        M = sign_matrix_from_fixture(fx)
         if M.excess != 2 * m:
             raise ValueError("wrong row sums")
     except ValueError as exc:
@@ -208,30 +208,22 @@ def regular_hadamard(m: int) -> SignMatrix:
     return M
 
 
-def sign_matrix_from_fixture(fx, expect_regular: bool = False) -> SignMatrix:
-    """Decode a sign-matrix fixture ('+'/'-'/'0' rows) and validate it."""
+def sign_matrix_from_fixture(fx) -> SignMatrix:
+    """Decode a regular Hadamard fixture ('+'/'-' rows, constant row
+    sums) and validate it."""
     if fx.kind != "sign-matrix":
         raise ValueError("fixture %r is not a sign matrix" % fx.label)
     n = fx.order
-    chars = {"+": 1, "-": -1, "0": 0}
-    if not set("".join(fx.rows)) <= set(chars):
-        raise ValueError("sign rows may hold only '+', '-' and '0'")
-    E = np.array([[chars[c] for c in row] for row in fx.rows], dtype=np.int8)
+    if not set("".join(fx.rows)) <= {"+", "-"}:
+        raise ValueError("sign rows may hold only '+' and '-'")
+    E = np.array([[1 if c == "+" else -1 for c in row] for row in fx.rows],
+                 dtype=np.int8)
     if E.shape != (n, n):
         raise ValueError("fixture body disagrees with declared order")
-    zeros = int((E == 0).sum())
-    if zeros == 0:
-        sums = E.astype(np.int64).sum(axis=1)
-        excess = int(sums[0]) if (sums == sums[0]).all() else 0
-        M = SignMatrix(n, E, "hadamard", n, excess=abs(excess),
-                       source="fixture:%s" % fx.label)
-    elif zeros == n and not np.diag(E).any():
-        M = SignMatrix(n, E, "conference", n - 1,
-                       source="fixture:%s" % fx.label)
-    else:
-        w = int((E[0] != 0).sum())
-        M = SignMatrix(n, E, "weighing", w, source="fixture:%s" % fx.label)
-    if expect_regular and M.excess == 0:
+    sums = E.astype(np.int64).sum(axis=1)
+    if sums[0] == 0 or (sums != sums[0]).any():
         raise ValueError("fixture %r is not regular" % fx.label)
+    M = SignMatrix(n, E, "hadamard", n, excess=abs(int(sums[0])),
+                   source="fixture:%s" % fx.label)
     M.validate()
     return M

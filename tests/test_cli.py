@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line driver."""
 
+import contextlib
 import math
+import signal
 import subprocess
 import sys
 
@@ -55,7 +57,10 @@ def test_construct_regular_hadamard_exit_codes(capsys):
 def test_construct_bordered(capsys):
     assert main(["construct", "--order", "8", "--method", "bordered"]) == 0
     out = capsys.readouterr().out
-    assert "mode float" in out
+    assert "mode exact" in out and "omega 8\n" in out
+    # a product of factors from two fields is still written in float
+    assert main(["construct", "--order", "77", "--method", "kronecker"]) == 0
+    assert "mode float" in capsys.readouterr().out
 
 
 def test_construct_kronecker(capsys):
@@ -338,6 +343,51 @@ def test_designs_usage(capsys):
     assert main(["designs", "make"]) == 2
     assert main(["designs", "make", "--family", "qr", "--params",
                  "5", "6"]) == 2
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %s s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_designs_make_refuses_huge_parameters_at_once(capsys):
+    # p and GF(q^(n+1)) above the 10^6 field cap are refused before the
+    # fourth powers are listed or q is factored; GF(101^3) was refused
+    # before too, by make_field
+    for family, params in (("biquadratic", ["1000000000061"]),
+                           ("singer", ["2", "1000000000000000003"]),
+                           ("singer", ["1" + "0" * 30, "2"]),
+                           ("singer", ["2", "101"])):
+        with _deadline(1.0):
+            code = main(["designs", "make", "--family", family,
+                         "--params"] + params)
+        err = capsys.readouterr().err
+        assert code == 2 and "field size cap" in err and err.count("\n") == 1
+
+
+def test_designs_make_reports_memory_error(capsys, monkeypatch):
+    # at p = 999749 the k x k census asks numpy for 233 GiB; stub it
+    message = ("Unable to allocate 233. GiB for an array with shape "
+               "(249937, 249937) and data type int32")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("cretan.designs.make_difference_set", no_memory)
+    with _deadline(2.0):
+        code = main(["designs", "make", "--family", "biquadratic",
+                     "--params", "999749"])
+    assert code == 2 and capsys.readouterr().err == message + "\n"
 
 
 def test_usage_exit_codes(capsys):

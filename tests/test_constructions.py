@@ -13,7 +13,6 @@ from cretan.constructions import (
     GroupMatrix,
     ModulusViolation,
     basic_family,
-    bordered_feasibility,
     bordered_solver,
     characteristic_roots,
     conference_complex,
@@ -40,7 +39,7 @@ from cretan.designs import (
 )
 from cretan.fields import is_prime_power
 from cretan.hadamard import paley_conference, regular_hadamard, sylvester
-from cretan.scalar import Scalar
+from cretan.scalar import Scalar, parse_scalar
 from cretan.verify import verify_cretan
 
 
@@ -156,10 +155,14 @@ def test_border_requires_regular_core():
 
 
 def brute_feasible(v, k, lam, step=1e-4):
+    """Core levels b on a grid whose corner x and border s^2 have
+    modulus <= 1, computed here from the two constraint equations."""
     out = []
     b = -1.0
     while b <= 1.0 + 1e-12:
-        if bordered_feasibility(v, k, lam, b) is not None:
+        x = -(k + (v - k) * b)
+        s2 = -(lam + 2 * (k - lam) * b + (v - 2 * k + lam) * b * b)
+        if -1e-12 <= s2 <= 1 + 1e-12 and abs(x) <= 1 + 1e-12:
             out.append(b)
         b += step
     return out
@@ -171,11 +174,16 @@ def test_bordered_solver_7_3_1():
     grid = brute_feasible(7, 3, 1)
     assert grid, "oracle disagrees: no feasible band found"
     for m in mats:
-        assert m.order == 8 and m.mode == "float"
-        b = m.params["b"]
-        assert min(abs(b - g) for g in grid) < 2e-4
+        assert m.order == 8 and m.mode == "exact"
+        b = parse_scalar(m.params["b"])
+        assert b in m.levels
+        assert min(abs(b.to_float() - g) for g in grid) < 2e-4
         cert = verify_cretan(m, mode="relaxed")
-        assert cert.relaxed and cert.max_offdiag < 1e-9
+        assert cert.relaxed and cert.gram_exact
+    # b = -1 borders the core to the +-1 Hadamard matrix of order 8
+    H = [m for m in mats if m.params["b"] == "-1"][0]
+    assert H.levels == (Scalar(-1), Scalar(1)) and H.omega == Scalar(8)
+    assert verify_cretan(H, mode="strict").det.exact_zero
 
 
 def test_bordered_solver_degenerate_is_empty():
@@ -191,6 +199,33 @@ def test_bordered_solver_respects_modulus():
         for m in bordered_solver(sb):
             assert all(l.abs_le_one() for l in m.levels)
             assert verify_cretan(m, mode="relaxed").passed
+
+
+def _sym(x):
+    return (sympy.Integer(x.p) + x.q * sympy.sqrt(x.d)) / x.r
+
+
+def test_bordered_gram_is_exact_against_sympy():
+    mats = []
+    for ds in (qr_difference_set(7), singer_difference_set(2, 3),
+               singer_difference_set(2, 4)):
+        design = ds.develop()
+        for sb in (design, design.complement()):
+            mats += bordered_solver(sb)
+    assert len(mats) == 12
+    for m in mats:
+        assert m.mode == "exact"
+        values = [[m.entry(i, j) for j in range(m.order)]
+                  for i in range(m.order)]
+        S = sympy.Matrix([[_sym(x) for x in row] for row in values])
+        G = (S * S.T).applyfunc(sympy.expand)
+        assert G == _sym(m.omega) * sympy.eye(m.order)
+        assert verify_cretan(m, mode="relaxed").gram_exact
+        # negate one border entry: the exact check must catch it
+        values[0][1] = -values[0][1]
+        flipped = from_values(values, m.omega, "bordered")
+        cert = verify_cretan(flipped, mode="relaxed")
+        assert not cert.gram_exact and not cert.relaxed
 
 
 def test_bordered_radius_match_vanishes_on_valid_parameters():

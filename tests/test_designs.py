@@ -202,8 +202,9 @@ def test_fixture_files_load_and_validate():
 
 
 def test_fixture_round_trip():
-    fx = load_fixture("45-12-3")
-    assert parse_fixture(format_fixture(fx)) == fx
+    for name in ("45-12-3", "36-15-6", "133-33-8"):
+        fx = load_fixture(name)
+        assert parse_fixture(format_fixture(fx)) == fx
 
 
 def test_missing_fixture():
@@ -361,6 +362,30 @@ def test_unparsable_fixture_is_bad_fixture(tmp_path, monkeypatch):
         _write_fixture(tmp_path, monkeypatch, "45-12-3", text)
         with pytest.raises(BadFixture, match="45-12-3"):
             fixture_difference_set("45-12-3")
+
+
+def test_fixture_integers_and_headers_are_strict():
+    src = fixture_path("133-33-8").read_text()
+    assert "group 133\n" in src and "elements\n2 7 " in src
+    sign = "cretan-fixture 1\nkind sign-matrix\norder 2\nrows\n++\n+-\n"
+    assert parse_fixture(sign).order == 2
+    # int() would read 1_33 as 133 and an Arabic-Indic seven as 7
+    cases = [(src.replace("group 133", "group 1_33"), "malformed integer"),
+             (src.replace("params 133 ", "params \u0661\u0663\u0663 "),
+              "malformed integer"),
+             (src.replace("elements\n2 7 ", "elements\n2 \u0667 "),
+              "malformed integer"),
+             (sign.replace("order 2", "order +2"), "malformed integer"),
+             (src.replace("group 133\n", "group 133\ngroup 7 19\n"),
+              "repeated group header"),
+             (src.replace("kind difference-set\n",
+                          "kind difference-set\nkind sign-matrix\n"),
+              "repeated kind header"),
+             (sign.replace("order 2\n", "order 2\norder 2\n"),
+              "repeated order header")]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse_fixture(text)
 
 
 def test_census_failing_fixture_is_bad_fixture(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cretan.designs import fixture_difference_set
+from cretan.designs import Fixture, fixture_difference_set
 from cretan.fields import (
     factor_prime_power,
     is_prime,
@@ -18,6 +18,7 @@ from cretan.hadamard import (
     menon_hadamard_from_design,
     paley_conference,
     regular_hadamard,
+    sign_matrix_from_fixture,
     sylvester,
 )
 from test_fields import poly_mul, quadratic_character_elem
@@ -124,6 +125,21 @@ def test_regular_hadamard_missing_fixture():
     for m in (5, 7):
         with pytest.raises(NoConstructionAvailable):
             regular_hadamard(m)
+
+
+def _sign_fixture(M):
+    chars = {1: "+", -1: "-", 0: "0"}
+    rows = tuple("".join(chars[x] for x in row) for row in M.entries.tolist())
+    return Fixture("sign-matrix", "test", "", order=M.order, rows=rows)
+
+
+def test_sign_matrix_fixture_must_be_regular_hadamard():
+    M = sign_matrix_from_fixture(_sign_fixture(regular_hadamard(2)))
+    assert M.order == 16 and M.excess == 4 and M.kind == "hadamard"
+    with pytest.raises(ValueError, match="sign rows may hold only"):
+        sign_matrix_from_fixture(_sign_fixture(paley_conference(5)))
+    with pytest.raises(ValueError, match="is not regular"):
+        sign_matrix_from_fixture(_sign_fixture(sylvester(2)))
 
 
 def test_menon_mapping_direct():

@@ -10,10 +10,10 @@ from cretan.constructions import (
     STAR,
     GroupMatrix,
     basic_family,
-    bordered_solver,
     conference_complex,
     from_values,
     gw_z3_order5,
+    kronecker_cretan,
     sbibd_two_level,
 )
 from cretan.cli import main
@@ -36,6 +36,14 @@ def identity2():
     return from_values(vals, Scalar(1), "identity")
 
 
+def float_product():
+    """CM(77; 4) from two-level factors over Q(sqrt 2) and Q(sqrt 3):
+    no one field holds the products, so the levels are floats."""
+    return kronecker_cretan(
+        sbibd_two_level(qr_difference_set(7).develop())[0],
+        sbibd_two_level(qr_difference_set(11).develop())[0])
+
+
 def test_exact_round_trip_rational():
     m = basic_family(9)
     text = serialize_matrix(m)
@@ -55,8 +63,8 @@ def test_exact_round_trip_quadratic():
 
 
 def test_float_round_trip():
-    m = bordered_solver(qr_difference_set(7).develop())[0]
-    assert m.mode == "float"
+    m = float_product()
+    assert m.mode == "float" and m.tau == 4
     text = serialize_matrix(m)
     again = parse_matrix(text)
     assert again == m
@@ -283,7 +291,7 @@ def test_parse_large_radicand_tokens():
 
 
 def test_parse_rejects_non_finite_floats():
-    text = serialize_matrix(bordered_solver(qr_difference_set(7).develop())[0])
+    text = serialize_matrix(float_product())
     head, body = text.split("entries\n")
     first_row = head.count("\n") + 2
     for token in ("fnan", "finf", "f-inf"):
@@ -382,7 +390,7 @@ def test_header_errors_name_their_own_line():
 
 
 def test_every_mode_swap_raises_parse_error():
-    samples = [identity2(), bordered_solver(qr_difference_set(7).develop())[0],
+    samples = [identity2(), float_product(),
                conference_complex(paley_conference(5)), gw_z3_order5()]
     modes = ("exact", "float", "complex", "group")
     for m in samples:

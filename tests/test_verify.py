@@ -14,7 +14,6 @@ from sympy.polys.matrices import DomainMatrix
 from cretan.constructions import (
     LevelMatrix,
     basic_family,
-    bordered_solver,
     conference_complex,
     from_values,
     kronecker_cretan,
@@ -22,10 +21,8 @@ from cretan.constructions import (
     sign_to_level,
 )
 from cretan.designs import (
-    build_family,
     fixture_difference_set,
     qr_difference_set,
-    registered_designs,
     singer_difference_set,
 )
 from cretan.hadamard import paley_conference, sylvester
@@ -356,17 +353,15 @@ def test_verify_complex_conference():
     assert not verify_complex(B)
 
 
-def _bordered_197():
-    row = [r for r in registered_designs(197) if r[:3] == (197, 49, 12)][0]
-    return bordered_solver(build_family(row[3], **row[4]).develop())
-
-
 def test_float_gram_is_one_sided():
     mats = [c.matrix for e in catalog_table(199).entries
             for c in e.candidates
             if c.certificate and c.certificate.gram_path.startswith("float")]
     assert mats
-    mats += bordered_solver(qr_difference_set(7).develop()) + _bordered_197()
+    # CM(77; 4) over Q(sqrt 2) x Q(sqrt 3), checked in float
+    mats.append(kronecker_cretan(
+        sbibd_two_level(qr_difference_set(7).develop())[0],
+        sbibd_two_level(qr_difference_set(11).develop())[0]))
     for S in mats:
         cert = verify_cretan(S, mode="relaxed")
         A = S.to_float_array()
