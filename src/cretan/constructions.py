@@ -374,6 +374,12 @@ class GroupCensusReport:
     message: str
 
 
+# the largest group order whose census runs as float32 products; their
+# work grows as g^2 n^3 against n^3/2 for the row bincounts, and on a
+# 2-vCPU Xeon with one BLAS thread the two meet near g = 13
+BLAS_MAX_GROUP = 11
+
+
 def group_orthogonality_check(G: GroupMatrix) -> GroupCensusReport:
     """Difference census over distinct row pairs.
 
@@ -382,11 +388,18 @@ def group_orthogonality_check(G: GroupMatrix) -> GroupCensusReport:
     must equal n/g.  GW: every column must carry exactly `weight` non-star
     entries, and N_d(i, j) must not depend on d.  A failure reports the
     first bad pair in row-major order with its counts [N_0, ..., N_(g-1)];
-    a GW pass reports N_0 of the last pair, (n-1, n-2).
+    a GW pass reports N_0 of the last pair, (n-2, n-1).
 
-    N_d(j, i) = N_(-d)(i, j), so a pair passes or fails in both orders,
-    and each row is counted against the rows below it with one bincount:
-    n^3/2 cells in all, whatever the group order.
+    N_d(j, i) = N_(-d)(i, j), so a pair passes or fails in both orders and
+    only pairs i < j are judged.  Two kernels count them, chosen by g:
+
+    - g <= BLAS_MAX_GROUP: with X_a the 0/1 matrix of the cells holding a
+      (stars in none), N_d = sum_a X_(a+d) X_a^T, g float32 products of
+      n x gn by gn x n, g^2 n^3 multiply-adds.  The terms are 0 or 1 and
+      every partial sum is an integer of at most n < 2^24, so each count
+      is exact in float32, whatever order BLAS adds in.
+    - larger g: each row is counted against the rows below it with one
+      bincount, stopping at the first bad row: n^3/2 cells, whatever g.
     """
     E = G.entries
     n, g = G.order, G.group_order
@@ -397,7 +410,41 @@ def group_orthogonality_check(G: GroupMatrix) -> GroupCensusReport:
                                      "column star counts are uneven")
     star = E == STAR
     E = E % g
-    uniform = n // g if G.kind == "GH" else 0
+    want = n // g if G.kind == "GH" else None
+    kernel = _first_bad_pair_blas if g <= BLAS_MAX_GROUP \
+        else _first_bad_pair_rows
+    bad = kernel(E, star, g, want)
+    if bad is not None:
+        return GroupCensusReport(False, G.kind, 0,
+                                 "rows %d,%d: counts %s" % bad)
+    uniform = want or 0
+    if want is None and n > 1:
+        uniform = int(((E[-2] == E[-1]) & ~star[-2] & ~star[-1]).sum())
+    return GroupCensusReport(True, G.kind, uniform, "ok")
+
+
+def _first_bad_pair_blas(E, star, g, want):
+    """(i, j, counts) of the first bad pair i < j, or None; want is the
+    GH count n/g, or None for GW (every N_d equal to N_0)."""
+    n = len(E)
+    codes = np.where(star, g, E)
+    # Y2[i, a n + c] = [codes[i, c] == a mod g], two periods wide, so
+    # that columns d n .. (d + g) n hold the X_(a+d) side of N_d
+    Y = (codes[:, None, :] == np.arange(g)[:, None]).reshape(n, g * n)
+    Y2 = np.tile(Y.astype(np.float32), 2)
+    N = np.empty((g, n, n), dtype=np.float32)
+    for d in range(g):
+        np.matmul(Y2[:, d * n:(d + g) * n], Y2[:, :g * n].T, out=N[d])
+    bad = np.triu((N != (N[0] if want is None else want)).any(axis=0), 1)
+    if not bad.any():
+        return None
+    i, j = divmod(int(np.argmax(bad)), n)
+    return i, j, N[:, i, j].astype(np.int64).tolist()
+
+
+def _first_bad_pair_rows(E, star, g, want):
+    """As _first_bad_pair_blas, by one bincount per row."""
+    n = len(E)
     for i in range(n - 1):
         diffs = (E[i] - E[i + 1:]) % g
         diffs[star[i] | star[i + 1:]] = g    # spare bin, dropped below
@@ -405,16 +452,12 @@ def group_orthogonality_check(G: GroupMatrix) -> GroupCensusReport:
         codes = np.arange(below)[:, None] * (g + 1) + diffs
         counts = np.bincount(codes.ravel(), minlength=below * (g + 1))
         counts = counts.reshape(below, g + 1)[:, :g]
-        want = uniform if G.kind == "GH" else counts[:, :1]
-        bad = (counts != want).any(axis=1)
+        bad = (counts != (counts[:, :1] if want is None else want)) \
+            .any(axis=1)
         if bad.any():
             j = int(np.argmax(bad))
-            return GroupCensusReport(
-                False, G.kind, 0, "rows %d,%d: counts %s"
-                % (i, i + 1 + j, counts[j].tolist()))
-    if G.kind == "GW" and n > 1:
-        uniform = int(counts[-1, 0])
-    return GroupCensusReport(True, G.kind, uniform, "ok")
+            return i, i + 1 + j, counts[j].tolist()
+    return None
 
 
 def gh_from_field(p: int, k: int) -> GroupMatrix:
@@ -427,8 +470,7 @@ def gh_from_field(p: int, k: int) -> GroupMatrix:
     n = p ** k
     E = np.zeros((n, n), dtype=np.int16)
     for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            E[i, j] = trace_to_prime(x * y)
+        E[i] = [trace_to_prime(x * y) for y in xs]
     G = GroupMatrix(n, p, E, "GH")
     rep = group_orthogonality_check(G)
     if not rep.passed:

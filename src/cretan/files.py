@@ -77,9 +77,12 @@ def _serialize_group(m: GroupMatrix) -> str:
     pairs = [("mode", "group"), ("order", m.order), ("kind", m.kind),
              ("group-order", m.group_order), ("weight", m.weight)]
     lines = _header(pairs) + ["entries"]
-    for row in m.entries:
-        lines.append(" ".join(STAR_TOKEN if x == STAR else str(int(x))
-                              for x in row))
+    # toks[x - lo] is the token of entry x; the offset keeps a negative
+    # entry from indexing the table from its end
+    lo, hi = int(m.entries.min()), int(m.entries.max())
+    toks = [STAR_TOKEN if x == STAR else str(x) for x in range(lo, hi + 1)]
+    for row in m.entries.tolist():
+        lines.append(" ".join([toks[x - lo] for x in row]))
     return "\n".join(lines) + "\n"
 
 

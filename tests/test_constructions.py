@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from cretan.constructions import (
+    BLAS_MAX_GROUP,
     STAR,
     ComplexLevelMatrix,
     GroupCensusReport,
@@ -390,31 +391,56 @@ def census_by_row_pairs(G):
     return GroupCensusReport(True, G.kind, uniform, "ok")
 
 
+def gw_conference(q):
+    """GW(q + 1, q) over Z_(q-1) for a prime q: a star diagonal, a zero
+    border, and log(x - y) to a primitive root elsewhere.  Rows x, y meet
+    in the border (ratio 1) and in z -> (x - z)/(y - z), which takes every
+    other unit once, so every N_d is 1."""
+    r = next(r for r in range(2, q)
+             if len({pow(r, e, q) for e in range(q - 1)}) == q - 1)
+    log = {pow(r, e, q): e for e in range(q - 1)}
+    E = np.zeros((q + 1, q + 1), dtype=np.int16)
+    for x in range(q):
+        E[x + 1, 1:] = [log.get((x - y) % q, STAR) for y in range(q)]
+    E[0, 0] = STAR
+    return GroupMatrix(q + 1, q - 1, E, "GW", weight=q)
+
+
 def census_cases():
-    """Field GH matrices up to GF(3^4), the published GH(6) and GW(5),
-    and copies of each with one entry perturbed."""
+    """Field GH matrices up to GF(11^2), the published GH(6) and GW(5),
+    GW(q + 1, q) conference matrices on both sides of BLAS_MAX_GROUP, a
+    GW copy of each GH matrix with a star diagonal, and copies of each
+    with one entry perturbed, one entry starred, and one entry moved by
+    -2g (the census reads entries mod g)."""
     fields = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
               (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2),
-              (13, 1), (31, 1)]
-    base = [gh_from_field(p, k) for p, k in fields]
-    base += [gh_z3_order6(), gw_z3_order5()]
+              (11, 1), (11, 2), (13, 1), (31, 1)]
+    base = [gh_from_field(p, k) for p, k in fields] + [gh_z3_order6()]
+    for G in list(base):
+        E = G.entries.copy()
+        np.fill_diagonal(E, STAR)
+        base.append(GroupMatrix(G.order, G.group_order, E, "GW",
+                                G.order - 1))
+    base += [gw_z3_order5(), gw_conference(7), gw_conference(17)]
     rng = np.random.default_rng(7)
     cases = list(base)
     for G in base:
+        g = G.group_order
         for _ in range(2):
             E = G.entries.copy()
             i, j = rng.integers(G.order, size=2)
             if E[i, j] == STAR:
-                E[i, j] = rng.integers(G.group_order)
+                E[i, j] = rng.integers(g)
             else:
-                E[i, j] = (E[i, j] + rng.integers(1, G.group_order)) \
-                    % G.group_order
-            cases.append(GroupMatrix(G.order, G.group_order, E, G.kind,
-                                     G.weight))
+                E[i, j] = (E[i, j] + rng.integers(1, g)) % g
+            cases.append(GroupMatrix(G.order, g, E, G.kind, G.weight))
         E = G.entries.copy()
         E[rng.integers(G.order), rng.integers(G.order)] = STAR
-        cases.append(GroupMatrix(G.order, G.group_order, E, G.kind,
-                                 G.weight))
+        cases.append(GroupMatrix(G.order, g, E, G.kind, G.weight))
+        E = G.entries.copy()
+        i, j = np.argwhere(E != STAR)[rng.integers((E != STAR).sum())]
+        E[i, j] -= 2 * g
+        cases.append(GroupMatrix(G.order, g, E, G.kind, G.weight))
     return cases
 
 
@@ -423,8 +449,9 @@ def test_census_matches_row_pair_oracle():
     for G in census_cases():
         rep = group_orthogonality_check(G)
         assert rep == census_by_row_pairs(G)
-        verdicts.add(rep.passed)
-    assert verdicts == {True, False}
+        verdicts.add((G.group_order <= BLAS_MAX_GROUP, G.kind, rep.passed))
+    # both kernels pass and fail both kinds
+    assert len(verdicts) == 8
 
 
 @pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (251, 1)])

@@ -466,6 +466,20 @@ def test_group_round_trip_property(m):
     assert np.array_equal(again.entries, m.entries)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-2 ** 15, 2 ** 15 - 1)),
+    min_size=n * n, max_size=n * n)))
+def test_group_rows_write_each_int16_entry(values):
+    # a negative entry must not pick another entry's token
+    n = int(round(len(values) ** 0.5))
+    m = GroupMatrix(n, 3, np.array(values).reshape(n, n), "GH")
+    body = serialize_matrix(m).splitlines()[-n:]
+    assert body == [" ".join("\u22c6" if x == STAR else str(x)
+                             for x in values[i * n:(i + 1) * n])
+                    for i in range(n)]
+
+
 _token_alphabet = "0123456789-+/*().,fsqrtina \u22c6\n"
 _replacements = st.one_of(
     st.text(_token_alphabet, max_size=10),
