@@ -2,7 +2,7 @@
 
 Subcommands: construct, verify, catalog, bounds, designs.  Exit codes:
 0 success / verified, 1 verification failure, 2 usage or unsatisfiable
-request, 3 missing fixture.
+request or a file that cannot be read or written, 3 missing fixture.
 """
 
 from __future__ import annotations
@@ -160,6 +160,8 @@ def _cmd_construct(args) -> int:
     if not 1 <= args.order <= MAX_CONSTRUCT_ORDER:
         raise CliError("order must be in 1..%d, got %d"
                        % (MAX_CONSTRUCT_ORDER, args.order))
+    if args.render and not args.render.endswith((".svg", ".pgm")):
+        raise CliError("render target must end in .svg or .pgm")
     builder = _CONSTRUCTORS[args.method]
     m = builder(args.order)
     ok, _ = _verify_any(m, strict=False, tolerance=1e-9)
@@ -171,14 +173,8 @@ def _cmd_construct(args) -> int:
     else:
         sys.stdout.write(text)
     if args.render:
-        if args.render.endswith(".svg"):
-            style = "svg"
-        elif args.render.endswith(".pgm"):
-            style = "pgm"
-        else:
-            raise CliError("render target must end in .svg or .pgm")
         with open(args.render, "w", encoding="utf-8") as fh:
-            fh.write(render(m, style))
+            fh.write(render(m, args.render[-3:]))
         print("rendered %s" % args.render)
     if not ok:
         print("constructed matrix failed verification", file=sys.stderr)
@@ -323,7 +319,7 @@ def main(argv=None) -> int:
     except (MissingFixture, NoConstructionAvailable) as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except (CliError, ValueError, MemoryError) as exc:
+    except (CliError, ValueError, MemoryError, OSError) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)
         return 2
 

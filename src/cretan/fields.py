@@ -1,14 +1,14 @@
 """Small finite fields GF(p^k) with exp, log and trace tables.
 
-Elements are coefficient tuples (length k, constant term first) over a
-fixed monic irreducible modulus.  The modulus is chosen deterministically:
-the monic irreducible polynomial of degree k whose non-leading coefficient
-vector, read as the base-p integer c0 + c1*p + ..., is smallest.  The
-generator is the least primitive element under the same ordering, so two
-calls to make_field with the same (p, k) agree everywhere.
+An element is its integer code: the base-p integer c0 + c1*p + ... whose
+digits are its coefficients (length k, constant term first) over a fixed
+monic irreducible modulus.  The modulus is chosen deterministically: the
+monic irreducible polynomial of degree k whose non-leading coefficient
+vector, read as a code, is smallest.  The generator is the least
+primitive element under the same ordering, so two calls to make_field
+with the same (p, k) agree everywhere.
 
-Inside make_field an element is its integer code, the same base-p integer
-(`FieldElem.to_int`), and every table is an array over all p^k codes.
+make_field builds every table as an array over all p^k codes.
 Multiplying by x shifts the digits up one place and folds the top digit
 back with the modulus; multiplying by c = sum c_i x^i sums the digit rows
 of x^i a.  The powers of c come from such a table by repeated doubling.
@@ -18,10 +18,10 @@ reads x^(p^k) off the powers of x and checks that each x^(p^(k/e)) - x
 multiplies the codes by a permutation.  The winner's table then gives the
 generator, the first code whose powers have period p^k - 1.
 The exp table is kept as codes (`FieldSpec.codes`) with the digit array
-(`FieldSpec.digits`); the tuple exp and dict log tables are read off them,
-so products, powers and Frobenius are table lookups.  The trace table is
-built on the first trace_to_prime call for a field.  Sizes are capped at
-p^k <= 10^6.
+(`FieldSpec.digits`); element products, powers and Frobenius index the
+exp codes and a log table over codes, both as Python lists.  The trace
+table, also over codes, is built on the first trace_to_prime call for a
+field.  Sizes are capped at p^k <= 10^6.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 class FieldSpec:
-    """GF(p^k) with a fixed modulus, generator, exp/log tables, and a
-    trace table built on first use."""
+    """GF(p^k) with a fixed modulus, generator, exp/log tables over
+    integer codes, and a trace table built on first use."""
 
     __slots__ = ("p", "k", "modulus", "generator", "codes", "digits",
                  "_exp", "_log", "_trace")
@@ -79,46 +79,40 @@ class FieldSpec:
         self.k = k
         self.modulus = modulus   # monic, length k+1, constant term first
         self.generator = None    # set by make_field
-        self.codes = None        # codes[i] = to_int(g^i), i < p^k - 1
+        self.codes = None        # codes[i] = code of g^i, i < p^k - 1
         self.digits = None       # digits[c] = coefficient vector of code c
-        self._exp = None
-        self._log = None
-        self._trace = None        # built by trace_to_prime on first use
+        self._exp = None         # codes as a list of ints, for lookups
+        self._log = None         # _log[c] = i with g^i = c, for c >= 1
+        self._trace = None       # _trace[c] = Tr(c), on first use
 
     @property
     def order(self) -> int:
         return self.p ** self.k
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, (0,) * self.k)
+        return FieldElem(self, 0)
 
     def one(self) -> "FieldElem":
-        return FieldElem(self, (1,) + (0,) * (self.k - 1))
+        return FieldElem(self, 1)
 
     def from_int(self, j: int) -> "FieldElem":
         """Element whose coefficient vector is j written in base p."""
-        cs = []
-        for _ in range(self.k):
-            cs.append(j % self.p)
-            j //= self.p
-        return FieldElem(self, tuple(cs))
+        return FieldElem(self, j % self.order)
 
     def elements(self) -> list["FieldElem"]:
         """All p^k elements in base-p integer order, zero first."""
-        return [FieldElem(self, cs)
-                for cs in map(tuple, self.digits.tolist())]
+        return [FieldElem(self, c) for c in range(self.order)]
 
     def gen(self) -> "FieldElem":
-        return FieldElem(self, self.generator)
+        return self.exp(1)
 
     def exp(self, i: int) -> "FieldElem":
         return FieldElem(self, self._exp[i % (self.order - 1)])
 
     def log(self, x: "FieldElem") -> int:
-        try:
-            return self._log[x.coeffs]
-        except KeyError:
+        if not x.code:
             raise ZeroDivisionError("log of the zero element")
+        return self._log[x.code]
 
     def __repr__(self):
         return "FieldSpec(GF(%d^%d), modulus=%s)" % (
@@ -126,59 +120,65 @@ class FieldSpec:
 
 
 class FieldElem:
-    __slots__ = ("spec", "coeffs")
+    """An element of GF(p^k) as its code: the base-p integer whose digits
+    are the coefficients, constant term lowest."""
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple):
+    __slots__ = ("spec", "code")
+
+    def __init__(self, spec: FieldSpec, code: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self) -> tuple:
+        p = self.spec.p
+        return tuple(self.code // p ** i % p for i in range(self.spec.k))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.code
 
     def to_int(self) -> int:
-        j = 0
-        for c in reversed(self.coeffs):
-            j = j * self.spec.p + c
-        return j
+        return self.code
 
     def __eq__(self, other):
         return (isinstance(other, FieldElem)
                 and self.spec is other.spec
-                and self.coeffs == other.coeffs)
+                and self.code == other.code)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.code)
 
     def __add__(self, other):
         p = self.spec.p
-        return FieldElem(self.spec, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElem(self.spec, sum(
+            (a + b) % p * p ** i
+            for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs))))
 
     def __neg__(self):
         p = self.spec.p
-        return FieldElem(self.spec, tuple((-a) % p for a in self.coeffs))
+        return FieldElem(self.spec, sum(
+            -a % p * p ** i for i, a in enumerate(self.coeffs)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         spec = self.spec
-        i = spec._log.get(self.coeffs)
-        j = spec._log.get(other.coeffs)
-        if i is None or j is None:
-            return spec.zero()
-        return FieldElem(spec, spec._exp[(i + j) % len(spec._exp)])
+        if not (self.code and other.code):
+            return FieldElem(spec, 0)
+        log = spec._log
+        return FieldElem(spec, spec._exp[
+            (log[self.code] + log[other.code]) % len(spec._exp)])
 
     def __pow__(self, e: int):
         spec = self.spec
-        if self.is_zero():
+        if not self.code:
             if e == 0:
                 return spec.one()
             if e < 0:
                 raise ZeroDivisionError("inverse of the zero element")
             return spec.zero()
-        i = spec.log(self)
-        return spec.exp((i * e) % (spec.order - 1))
+        return spec.exp(spec._log[self.code] * e)
 
     def inverse(self):
         return self ** -1
@@ -290,8 +290,10 @@ def make_field(p: int, k: int) -> FieldSpec:
     spec.generator = tuple(digits[c].tolist())
     spec.codes = powers
     spec.digits = digits
-    spec._exp = list(map(tuple, digits[powers].tolist()))
-    spec._log = dict(zip(spec._exp, range(n - 1)))
+    spec._exp = powers.tolist()
+    log = np.zeros(n, dtype=np.int64)
+    log[powers] = np.arange(n - 1)
+    spec._log = log.tolist()
     _field_cache[key] = spec
     return spec
 
@@ -314,20 +316,16 @@ def trace_of_powers(spec: FieldSpec, exponents, j: int = 1) -> np.ndarray:
     return rows % spec.p
 
 
-def _trace_table(spec: FieldSpec) -> dict:
-    """Tr of every element, keyed by coefficient tuple."""
-    rows = trace_of_powers(spec, np.arange(spec.order - 1))
-    assert not rows[:, 1:].any(), "trace landed outside the prime field"
-    return dict(zip([spec.zero().coeffs] + spec._exp,
-                    [0] + rows[:, 0].tolist()))
-
-
 def trace_to_prime(x: FieldElem) -> int:
     """Absolute trace Tr(x) = x + x^p + ... + x^(p^(k-1)) as an integer."""
     spec = x.spec
     if spec._trace is None:
-        spec._trace = _trace_table(spec)
-    return spec._trace[x.coeffs]
+        rows = trace_of_powers(spec, np.arange(spec.order - 1))
+        assert not rows[:, 1:].any(), "trace landed outside the prime field"
+        table = np.zeros(spec.order, dtype=np.int64)
+        table[spec.codes] = rows[:, 0]
+        spec._trace = table.tolist()
+    return spec._trace[x.code]
 
 
 def relative_trace(x: FieldElem, j: int) -> FieldElem:

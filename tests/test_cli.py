@@ -10,6 +10,7 @@ import pytest
 
 from cretan import cli
 from cretan.cli import main
+from cretan.designs import MissingFixture
 from cretan.files import load_matrix
 from cretan.scalar import Scalar
 from cretan.verify import det_bounds
@@ -103,15 +104,42 @@ def test_construct_auto_small_orders(capsys):
     assert main(["construct", "--order", "2"]) == 2
 
 
-def test_render_outputs(tmp_path, capsys):
+def test_render_outputs(tmp_path, capsys, monkeypatch):
     svg = tmp_path / "m.svg"
     pgm = tmp_path / "m.pgm"
     assert main(["construct", "--order", "13", "--render", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
     assert main(["construct", "--order", "13", "--render", str(pgm)]) == 0
     assert pgm.read_text().startswith("P2")
-    assert main(["construct", "--order", "13",
+    capsys.readouterr()
+    # the suffix is refused before anything is built or written
+    calls = []
+    monkeypatch.setitem(cli._CONSTRUCTORS, "auto", calls.append)
+    out = tmp_path / "m.cm"
+    assert main(["construct", "--order", "13", "--out", str(out),
                  "--render", str(tmp_path / "m.png")]) == 2
+    assert "must end in .svg or .pgm" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_file_errors_exit_2_in_one_line(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing" / "dir"
+    for argv in (["verify", str(tmp_path)],
+                 ["construct", "--order", "9", "--out",
+                  str(missing / "x.cm")],
+                 ["construct", "--order", "9", "--render",
+                  str(missing / "x.svg")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path) in err, (argv, err)
+    # a missing fixture is a FileNotFoundError too, but keeps exit 3
+
+    def no_fixture(n):
+        raise MissingFixture("no fixture 45-12-3.txt")
+
+    monkeypatch.setitem(cli._CONSTRUCTORS, "basic", no_fixture)
+    assert main(["construct", "--order", "9", "--method", "basic"]) == 3
+    assert capsys.readouterr().err == "no fixture 45-12-3.txt\n"
 
 
 def test_verify_pipeline(tmp_path, capsys):

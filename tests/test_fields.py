@@ -87,11 +87,32 @@ def test_every_nonzero_element_invertible():
             assert x * x.inverse() == f.one()
 
 
-def test_log_exp_round_trip():
-    f = make_field(5, 2)
-    for j in range(1, f.order):
-        x = f.from_int(j)
+# GF(2) and GF(3) have exp tables of length 1 and 2, so an index that
+# is not reduced mod p^k - 1 falls off them
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 2)])
+def test_log_exp_round_trip(p, k):
+    f = make_field(p, k)
+    g, one, m = f.gen(), f.one(), f.order - 1
+    assert g.coeffs == f.generator
+    acc = one
+    for i in range(m):
+        assert f.exp(i) == f.exp(i + m) == f.exp(i - m) == acc
+        assert f.log(acc) == i
+        acc = poly_mul(acc, g)
+    assert acc == one
+    for x in f.elements():
+        assert x ** 0 == one
+        assert all(x * y == poly_mul(x, y) for y in f.elements())
+        if x.is_zero():
+            assert x ** 3 == x
+            for bad in (lambda: f.log(x), lambda: x ** -1, x.inverse):
+                with pytest.raises(ZeroDivisionError):
+                    bad()
+            continue
         assert f.exp(f.log(x)) == x
+        assert x ** 5 == poly_pow(x, 5)
+        assert poly_mul(x, x.inverse()) == one
+        assert poly_mul(x ** -2, poly_mul(x, x)) == one
 
 
 def test_absolute_trace_is_additive_and_balanced():
@@ -190,7 +211,7 @@ def poly_mul(x, y):
         c = out[top]
         for i, mi in enumerate(m):
             out[top - k + i] = (out[top - k + i] - c * mi) % p
-    return FieldElem(spec, tuple(out[:k]))
+    return FieldElem(spec, sum(c * p ** i for i, c in enumerate(out[:k])))
 
 
 def poly_frobenius(x):
@@ -222,6 +243,16 @@ def test_table_frobenius_and_trace_match_direct_sums(p, k):
     for x in make_field(p, k).elements():
         assert x.frobenius() == poly_frobenius(x)
         assert trace_to_prime(x) == poly_trace(x)
+        # the conjugates x^(p^t), t < k, by polynomial products; the trace
+        # down to GF(p^j) sums every j-th one, digitwise mod p
+        conj = [x]
+        for _ in range(k - 1):
+            conj.append(poly_frobenius(conj[-1]))
+        for j in range(1, k + 1):
+            if k % j == 0:
+                want = tuple(sum(col) % p
+                             for col in zip(*[c.coeffs for c in conj[::j]]))
+                assert relative_trace(x, j).coeffs == want, (x, j)
 
 
 def test_trace_table_is_built_on_first_use():
@@ -287,11 +318,13 @@ def test_make_field_matches_polynomial_builder():
         modulus, generator, exp = poly_tables(p, k)
         assert f.modulus == modulus, (p, k)
         assert f.generator == generator, (p, k)
-        assert f._exp == exp, (p, k)
-        assert f._log == {cs: i for i, cs in enumerate(exp)}, (p, k)
-        assert f.codes.tolist() == [FieldElem(f, cs).to_int() for cs in exp]
+        powers = [f.exp(i) for i in range(len(exp))]
+        assert [x.coeffs for x in powers] == exp, (p, k)
+        assert [f.log(x) for x in powers] == list(range(len(exp))), (p, k)
+        assert f.codes.tolist() == [x.to_int() for x in powers], (p, k)
         assert all(type(c) is int for c in f.generator), (p, k)
-        assert all(type(c) is int for cs in f._exp for c in cs), (p, k)
+        assert all(type(x.code) is int for x in powers), (p, k)
+        assert all(type(f.log(x)) is int for x in powers), (p, k)
 
 
 def test_table_irreducibility_matches_sympy():
