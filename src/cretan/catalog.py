@@ -37,7 +37,8 @@ from cretan.designs import (
     registered_designs,
 )
 from cretan.fields import is_prime_power
-from cretan.hadamard import NoConstructionAvailable, regular_hadamard
+from cretan.hadamard import (NoConstructionAvailable, regular_hadamard,
+                             square_side)
 from cretan.verify import ByDesign, ByFactors, Certificate, verify_cretan
 
 MIN_ORDER = 3
@@ -95,16 +96,6 @@ def _check_range(v: int) -> None:
 
 # -- construction routes ------------------------------------------------------
 
-def _square_core_side(v: int) -> int | None:
-    # v = 4 m^2 + 1 exactly, with m >= 1
-    m = math.isqrt(v // 4) if v > 4 else 0
-    return m if m and 4 * m * m + 1 == v else None
-
-
-def _is_prime_power_3mod4(v: int) -> bool:
-    return v % 4 == 3 and is_prime_power(v)
-
-
 def _odd_factor_pairs(v: int) -> list:
     return [(a, v // a) for a in range(3, math.isqrt(max(v, 0)) + 1, 2)
             if v % a == 0 and v % 2]
@@ -117,7 +108,7 @@ def design_sources(v: int) -> list:
     out = [("sbibd-ds", "(%d,%d,%d)" % (v, k, lam),
             lambda fam=fam, kw=kw: build_family(fam, **kw).develop())
            for _, k, lam, fam, kw in registered_designs(v)]
-    if _is_prime_power_3mod4(v):
+    if v % 4 == 3 and is_prime_power(v):
         out.append(("paley-sbibd", "t=%d" % ((v + 1) // 4),
                     lambda: qr_difference_set(v).develop()))
     return out
@@ -140,7 +131,7 @@ def _design_parts(route: str):
 
 
 def _regular_hadamard_parts(v: int) -> list:
-    m = _square_core_side(v)
+    m = square_side(v - 1)
     if m is None:
         return []
     return [("", lambda: [(regular_hadamard_border(regular_hadamard(m)),
@@ -148,15 +139,14 @@ def _regular_hadamard_parts(v: int) -> list:
 
 
 def _missing_core(v: int) -> str:
-    m = _square_core_side(v)
+    m = square_side(v - 1)
     return ("no regular Hadamard fixture for m=%d (order %d core)"
             % (m, 4 * m * m))
 
 
 def _kronecker(a: int, b: int) -> list:
+    # every odd order >= 3 has a best: basic from 5 on, paley-sbibd at 3
     left, right = construct_best(a).best, construct_best(b).best
-    if left is None or right is None:
-        return []
     return [(kronecker_cretan(left.matrix, right.matrix),
              ByFactors(left.certificate, right.certificate))]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -46,7 +47,7 @@ from cretan.fields import factor_prime_power, is_prime_power
 from cretan.files import ParseError, load_matrix, serialize_matrix
 from cretan.hadamard import NoConstructionAvailable, paley_conference
 from cretan.render import render
-from cretan.scalar import Scalar
+from cretan.scalar import VERIFY_TOL, Scalar
 from cretan.verify import det_bounds, verify_complex, verify_cretan
 
 
@@ -85,14 +86,8 @@ def _construct_direct_sum(n: int):
     a = n // 2
     if a % 2 == 0:
         a -= 1
-    b = n - a
-
-    def part(x):
-        if x % 2 == 1:
-            return construct_best(x).best.matrix
-        return basic_family(x)
-
-    return direct_sum(part(a), part(b))
+    # both parts have order >= 3, and an even part >= 4
+    return direct_sum(_construct_auto(a), _construct_auto(n - a))
 
 
 def _construct_bordered(n: int):
@@ -156,6 +151,25 @@ def _verify_any(m, strict: bool, tolerance: float):
     raise CliError("cannot verify %r" % type(m).__name__)
 
 
+def _write_all(files) -> None:
+    """Write each (verb, path, text) or no file: all paths are opened for
+    appending first, and if one fails the files that probe made go."""
+    made = []
+    try:
+        for _, path, _ in files:
+            new = not os.path.lexists(path)
+            open(path, "a").close()
+            if new:
+                made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
+    for _, path, text in files:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _cmd_construct(args) -> int:
     if not 1 <= args.order <= MAX_CONSTRUCT_ORDER:
         raise CliError("order must be in 1..%d, got %d"
@@ -164,18 +178,16 @@ def _cmd_construct(args) -> int:
         raise CliError("render target must end in .svg or .pgm")
     builder = _CONSTRUCTORS[args.method]
     m = builder(args.order)
-    ok, _ = _verify_any(m, strict=False, tolerance=1e-9)
+    ok, _ = _verify_any(m, strict=False, tolerance=VERIFY_TOL)
     text = serialize_matrix(m)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print("wrote %s" % args.out)
-    else:
-        sys.stdout.write(text)
+    files = [("wrote", args.out, text)] if args.out else []
     if args.render:
-        with open(args.render, "w", encoding="utf-8") as fh:
-            fh.write(render(m, args.render[-3:]))
-        print("rendered %s" % args.render)
+        files.append(("rendered", args.render, render(m, args.render[-3:])))
+    _write_all(files)
+    if not args.out:
+        sys.stdout.write(text)
+    for verb, path, _ in files:
+        print("%s %s" % (verb, path))
     if not ok:
         print("constructed matrix failed verification", file=sys.stderr)
         return 1
@@ -251,12 +263,10 @@ def _cmd_designs(args) -> int:
                 raise CliError("biquadratic takes p [with_zero]")
             ds = biquadratic_difference_set(p[0], bool(p[1])
                                             if len(p) == 2 else False)
-        elif args.family == "singer":
+        else:  # singer, the last of the parser's choices
             if len(p) != 2:
                 raise CliError("singer takes n q")
             ds = singer_difference_set(p[0], p[1])
-        else:
-            raise CliError("unknown family %s" % args.family)
     except NotADifferenceSet as exc:
         print("census failed: %s" % exc, file=sys.stderr)
         return 1
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
     v.add_argument("--strict", action="store_true",
                    help="require a unit entry in every row and column")
-    v.add_argument("--tolerance", type=float, default=1e-9)
+    v.add_argument("--tolerance", type=float, default=VERIFY_TOL)
     v.set_defaults(func=_cmd_verify)
 
     k = sub.add_parser("catalog", help="best known constructions per order")

@@ -35,7 +35,6 @@ from cretan.fields import (
     factor_prime_power,
     is_prime,
     make_field,
-    quadratic_character,
     trace_of_powers,
 )
 from cretan.scalar import parse_int
@@ -251,23 +250,19 @@ class Sbibd:
 def qr_difference_set(q: int) -> DifferenceSet:
     """Nonzero squares in GF(q) for a prime power q = 3 (mod 4), q <= 1000.
 
-    Parameters (q, (q-1)/2, (q-3)/4).  For prime q the group is Z_q; for
-    a proper prime power p^k it is the additive group (Z_p)^k.
+    Parameters (q, (q-1)/2, (q-3)/4).  The set is the even powers of the
+    generator (`codes[::2]`) in the additive group (Z_p)^k of GF(p^k),
+    which for prime q = p is Z_q.
     """
     if q > 1000 or q < 3:
         raise ValueError("q out of range: %d" % q)
     if q % 4 != 3:
         raise ValueError("q must be 3 mod 4, got %d" % q)
-    lam = (q - 3) // 4
-    if is_prime(q):
-        group = cyclic(q)
-        els = [(a,) for a in range(1, q) if quadratic_character(a, q) == 1]
-        return make_difference_set(group, els, lam, source="qr(%d)" % q)
     p, k = factor_prime_power(q)
     f = make_field(p, k)
-    group = GroupDesc((p,) * k)
     els = list(map(tuple, f.digits[f.codes[::2]].tolist()))
-    return make_difference_set(group, els, lam, source="qr(%d)" % q)
+    return make_difference_set(GroupDesc((p,) * k), els, (q - 3) // 4,
+                               source="qr(%d)" % q)
 
 
 def biquadratic_difference_set(p: int, with_zero: bool = False) -> DifferenceSet:

@@ -273,9 +273,9 @@ def make_field(p: int, k: int) -> FieldSpec:
             break
 
     spec = FieldSpec(p, k, tuple(cs.tolist()) + (1,))
-    # a nonzero constant lies in GF(p)^*, of order at most p - 1, so for
-    # k >= 2 the least primitive element is x (code p) or a later code;
-    # every power of a rejected element is rejected with it
+    # constants have order at most p - 1, so for k >= 2 the least
+    # primitive element is x (code p) or later; every power of a rejected
+    # element is rejected with it, and GF(p^k)^* is cyclic, so one is found
     rejected = np.zeros(n, dtype=bool)
     for c in range(p if k > 1 else 1, n):
         if rejected[c]:
@@ -285,8 +285,6 @@ def make_field(p: int, k: int) -> FieldSpec:
         if not (powers[1:] == 1).any():
             break
         rejected[powers] = True
-    else:
-        raise AssertionError("no primitive element found")
     spec.generator = tuple(digits[c].tolist())
     spec.codes = powers
     spec.digits = digits
@@ -321,7 +319,6 @@ def trace_to_prime(x: FieldElem) -> int:
     spec = x.spec
     if spec._trace is None:
         rows = trace_of_powers(spec, np.arange(spec.order - 1))
-        assert not rows[:, 1:].any(), "trace landed outside the prime field"
         table = np.zeros(spec.order, dtype=np.int64)
         table[spec.codes] = rows[:, 0]
         spec._trace = table.tolist()
@@ -329,17 +326,14 @@ def trace_to_prime(x: FieldElem) -> int:
 
 
 def relative_trace(x: FieldElem, j: int) -> FieldElem:
-    """Trace from GF(p^k) down to the subfield GF(p^j); requires
-    1 <= j and j | k."""
-    k = x.spec.k
-    _check_subfield(k, j)
-    total = x
-    acc = x
-    for _ in range(k // j - 1):
-        for _ in range(j):
-            acc = acc.frobenius()
-        total = total + acc
-    return total
+    """Trace from GF(p^k) down to the subfield GF(p^j), read off
+    `trace_of_powers` at log x; requires 1 <= j and j | k."""
+    spec = x.spec
+    _check_subfield(spec.k, j)
+    if x.is_zero():
+        return x
+    digits = trace_of_powers(spec, [spec.log(x)], j)[0].tolist()
+    return FieldElem(spec, sum(d * spec.p ** i for i, d in enumerate(digits)))
 
 
 def quadratic_character(a: int, p: int) -> int:

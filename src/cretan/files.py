@@ -270,8 +270,13 @@ def save_matrix(m, path) -> None:
 
 
 def load_matrix(path):
+    """Parse a matrix file; bytes that are not UTF-8 raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("not UTF-8 text: %s" % exc) from None
+    return parse_matrix(text)
 
 
 def serialize_certificate(cert) -> str:

@@ -9,6 +9,7 @@ n = 4 m^2; these are the seeds for bordered constructions of odd order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ from cretan.fields import factor_prime_power, make_field
 
 class NoConstructionAvailable(ValueError):
     """No construction for the requested order is known to this package."""
+
+
+def square_side(n: int) -> int | None:
+    """m >= 1 with n = 4 m^2, or None; n >= 0."""
+    m = math.isqrt(n // 4)
+    return m if m and 4 * m * m == n else None
 
 
 @dataclass
@@ -50,9 +57,8 @@ class SignMatrix:
             if self.weight != n or (E == 0).any():
                 raise ValueError("Hadamard matrices have no zeros")
             if self.excess:
-                m2, r = divmod(n, 4)
-                s = round(m2 ** 0.5)
-                if r or s * s != m2 or self.excess != 2 * s:
+                s = square_side(n)
+                if s is None or self.excess != 2 * s:
                     raise ValueError("regular Hadamard needs n = 4 m^2, "
                                      "row sums 2m")
                 sums = E.sum(axis=1)
@@ -119,64 +125,48 @@ def paley_conference(q: int) -> SignMatrix:
 def kronecker_sign(A: SignMatrix, B: SignMatrix) -> SignMatrix:
     """Kronecker product; weight multiplies, kind follows the factors."""
     E = np.kron(A.entries, B.entries).astype(np.int8)
-    n = A.order * B.order
-    w = A.weight * B.weight
-    if A.kind == "hadamard" and B.kind == "hadamard":
-        kind = "hadamard"
-        excess = 0
-        if A.excess and B.excess:
-            excess = A.excess * B.excess  # (2m)(2m') = 2 * (2 m m')
-    else:
-        kind = "weighing"
-        excess = 0
-    M = SignMatrix(n, E, kind, w, excess=excess,
-                   source="kron(%s, %s)" % (A.source, B.source))
-    return M
+    both = A.kind == B.kind == "hadamard"
+    # row sums multiply: (2m)(2m') = 2 (2 m m'), and 0 when either is 0
+    return SignMatrix(A.order * B.order, E,
+                      "hadamard" if both else "weighing",
+                      A.weight * B.weight,
+                      excess=A.excess * B.excess if both else 0,
+                      source="kron(%s, %s)" % (A.source, B.source))
 
 
 def menon_hadamard_from_design(sb: Sbibd) -> SignMatrix:
     """Regular Hadamard matrix of order 4 m^2 from a (4m^2, 2m^2-m, m^2-m)
     design, mapping incidence 1 -> -1 and 0 -> +1."""
     v = sb.v
-    m2, r = divmod(v, 4)
-    s = round(m2 ** 0.5)
-    if r or s * s != m2:
+    s = square_side(v)
+    if s is None:
         raise ValueError("order %d is not 4 m^2" % v)
-    if sb.k not in (2 * m2 - s, 2 * m2 + s):
+    if sb.k not in (2 * s * s - s, 2 * s * s + s):
         raise ValueError("design parameters are not Menon type")
     H = (1 - 2 * sb.incidence).astype(np.int8)
-    excess = int(H.sum(axis=1)[0])
-    M = SignMatrix(v, H, "hadamard", v, excess=abs(excess),
+    if H[0].sum() < 0:
+        H = -H
+    M = SignMatrix(v, H, "hadamard", v, excess=int(H[0].sum()),
                    source="menon(%s)" % (sb.params,))
-    if excess < 0:
-        M = SignMatrix(v, (-H).astype(np.int8), "hadamard", v,
-                       excess=-excess, source=M.source)
     M.validate()
     return M
 
 
-_SEED4 = None
-
-
 def _regular_seed4() -> SignMatrix:
     """J - 2I at order 4: symmetric regular Hadamard with row sums 2."""
-    global _SEED4
-    if _SEED4 is None:
-        E = (np.ones((4, 4), dtype=np.int8) - 2 * np.eye(4, dtype=np.int8))
-        _SEED4 = SignMatrix(4, E.astype(np.int8), "hadamard", 4, excess=2,
-                            source="regular-seed(4)")
-        _SEED4.validate()
-    return _SEED4
+    E = np.ones((4, 4), dtype=np.int8) - 2 * np.eye(4, dtype=np.int8)
+    return SignMatrix(4, E, "hadamard", 4, excess=2,
+                      source="regular-seed(4)")
 
 
 def regular_hadamard(m: int) -> SignMatrix:
     """Regular Hadamard matrix of order 4 m^2 with row sums 2m.
 
-    Covers m = 2^a and m = 3 * 2^a (the latter seeded by the shipped
-    (36,15,6) design).  Other m fall back to a sign-matrix fixture named
-    regular-hadamard-<4m^2>; absent that, NoConstructionAvailable.  A
-    fixture that does not parse or decode to a regular Hadamard matrix
-    with row sums 2m raises BadFixture.
+    Covers m = 2^a and m = 3 * 2^a (from the shipped (36,15,6) design) by
+    products with J - 2I, which stay regular Hadamard.  Other m fall back
+    to a sign-matrix fixture regular-hadamard-<4m^2>; absent that,
+    NoConstructionAvailable.  A fixture that does not decode to a regular
+    Hadamard matrix with row sums 2m raises BadFixture.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -190,7 +180,6 @@ def regular_hadamard(m: int) -> SignMatrix:
             fixture_difference_set("36-15-6").develop())
         for _ in range(a):
             M = kronecker_sign(M, _regular_seed4())
-        M.validate()
         return M
     name = "regular-hadamard-%d" % (4 * m * m)
     try:

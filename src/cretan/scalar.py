@@ -164,8 +164,12 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         elif (power := _odd_power_root(x, f)) is not None:
             stack += [power[0]] * power[1]
         else:
+            # strip every power of g: one rho search per repeated prime
             g, budget = _brent_factor(x, budget)
-            stack += [g, x // g]
+            while x % g == 0:
+                x //= g
+                stack.append(g)
+            stack.append(x)
     for x, e in exponents.items():
         s *= x ** (e // 2)
         d *= x ** (e % 2)

@@ -359,6 +359,14 @@ def _exact_gram_check(S) -> tuple:
     return Scalar(int(diag[0]), int(diag[1]), d, R * R), path
 
 
+def kron_pair_codes(ga: np.ndarray, gb: np.ndarray, tb: int) -> np.ndarray:
+    """u tb + w at each entry of the Kronecker product of the grids ga and
+    gb where they hold u and w: the mixed-radix code of the level pair."""
+    n = len(ga) * len(gb)
+    return (ga.astype(np.int32)[:, None, :, None] * tb
+            + gb.astype(np.int32)[None, :, None, :]).reshape(n, n)
+
+
 @dataclass
 class ByFactors:
     """Proof that S = A (x) B, from the certificates that verify_cretan
@@ -384,10 +392,8 @@ class ByFactors:
         if any(p not in index for p in prods):
             return None
         table = np.array([index[p] for p in prods], dtype=np.int32)
-        pair = (A.grid.astype(np.int32)[:, None, :, None] * len(B.levels)
-                + B.grid.astype(np.int32)[None, :, None, :])
-        if not np.array_equal(table[pair].reshape(S.order, S.order),
-                              S.grid):
+        pair = kron_pair_codes(A.grid, B.grid, len(B.levels))
+        if not np.array_equal(table[pair], S.grid):
             return None
         return omega
 

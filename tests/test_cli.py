@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import random
 import signal
 import subprocess
 import sys
@@ -140,6 +141,51 @@ def test_file_errors_exit_2_in_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli._CONSTRUCTORS, "basic", no_fixture)
     assert main(["construct", "--order", "9", "--method", "basic"]) == 3
     assert capsys.readouterr().err == "no fixture 45-12-3.txt\n"
+
+
+def test_construct_writes_all_files_or_none(tmp_path, capsys):
+    ok = tmp_path / "ok.txt"
+    missing = tmp_path / "missing"
+    # a render path that cannot be opened: the --out file is not created
+    assert main(["construct", "--order", "9", "--out", str(ok),
+                 "--render", str(missing / "x.svg")]) == 2
+    assert "missing" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+    # nor is an existing one changed, whichever of the two paths fails
+    ok.write_text("old\n")
+    svg = tmp_path / "m.svg"
+    for argv in (["--out", str(ok), "--render", str(missing / "x.svg")],
+                 ["--out", str(missing / "x.cm"), "--render", str(svg)],
+                 ["--out", str(tmp_path), "--render", str(svg)]):
+        assert main(["construct", "--order", "9"] + argv) == 2, argv
+        assert capsys.readouterr().out == ""
+        assert ok.read_text() == "old\n" and not svg.exists(), argv
+    # both paths good: both written, reported in order
+    assert main(["construct", "--order", "9", "--out", str(ok),
+                 "--render", str(svg)]) == 0
+    assert capsys.readouterr().out == "wrote %s\nrendered %s\n" % (ok, svg)
+    assert ok.read_text().startswith("cretan-matrix 1")
+    assert svg.read_text().startswith("<svg")
+
+
+def test_verify_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    rng = random.Random(18)
+    f = tmp_path / "noise.cm"
+    seen = 0
+    for _ in range(300):
+        data = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 64)))
+        f.write_bytes(data)
+        code = main(["verify", str(f)])
+        err = capsys.readouterr().err
+        assert code == 2, data
+        assert err.startswith("cannot parse %s: " % f), (data, err)
+        assert "Traceback" not in err and err.count("\n") == 1
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            seen += 1
+            assert "not UTF-8" in err
+    assert seen > 250
 
 
 def test_verify_pipeline(tmp_path, capsys):
@@ -369,6 +415,8 @@ def test_designs_census_failure(capsys):
 
 def test_designs_usage(capsys):
     assert main(["designs", "make"]) == 2
+    # argparse refuses a family outside its choices before any design work
+    assert main(["designs", "make", "--family", "hadamard"]) == 2
     assert main(["designs", "make", "--family", "qr", "--params",
                  "5", "6"]) == 2
 

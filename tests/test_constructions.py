@@ -38,7 +38,7 @@ from cretan.designs import (
     registered_designs,
     singer_difference_set,
 )
-from cretan.fields import is_prime_power
+from cretan.fields import factor_prime_power, is_prime_power
 from cretan.hadamard import paley_conference, regular_hadamard, sylvester
 from cretan.scalar import Scalar, parse_scalar
 from cretan.verify import verify_cretan
@@ -462,6 +462,18 @@ def test_gh_from_field_at_the_cap(p, k):
     assert rep.passed and rep.uniform_count == n // p
     H = np.exp(2j * np.pi * G.entries / p)
     assert np.abs(H @ H.conj().T - n * np.eye(n)).max() < 1e-9
+
+
+def test_gh_from_field_passes_the_census_at_every_field():
+    # gh_from_field runs no census of its own: the trace form is a GH
+    # matrix by theorem, checked here at every p^k <= 256
+    fields = [factor_prime_power(q) for q in range(2, 257)
+              if is_prime_power(q)]
+    assert len(fields) == 70
+    for p, k in fields:
+        G = gh_from_field(p, k)
+        rep = group_orthogonality_check(G)
+        assert rep.passed and rep.uniform_count == p ** (k - 1), (p, k)
 
 
 def test_gh_to_complex():

@@ -29,6 +29,7 @@ from cretan.fields import (
     factor_prime_power,
     is_prime_power,
     make_field,
+    quadratic_character,
     relative_trace,
 )
 from test_fields import poly_mul
@@ -133,14 +134,24 @@ def test_singer_sets_match_relative_trace():
 
 
 def test_qr_prime_powers_are_the_squares():
-    # the proper prime powers q = 3 (mod 4) below 1000
-    for q in (27, 243, 343):
-        f = make_field(*factor_prime_power(q))
-        squares = {poly_mul(x, x).coeffs for x in f.elements()
-                   if not x.is_zero()}
+    # every prime power q = 3 (mod 4) below 1000: the Legendre symbol at
+    # a prime, polynomial squares at the proper powers 27, 243 and 343
+    qs = [q for q in range(3, 1000, 4) if is_prime_power(q)]
+    assert len(qs) == 90
+    for q in qs:
+        p, k = factor_prime_power(q)
+        if k == 1:
+            squares = {(a,) for a in range(1, q)
+                       if quadratic_character(a, q) == 1}
+        else:
+            f = make_field(p, k)
+            squares = {poly_mul(x, x).coeffs for x in f.elements()
+                       if not x.is_zero()}
         ds = qr_difference_set(q)
-        assert set(ds.elements) == squares
-        assert len(ds.elements) == (q - 1) // 2
+        assert ds.group == GroupDesc((p,) * k), q
+        assert ds.elements == tuple(sorted(squares)), q
+        assert ds.params == (q, (q - 1) // 2, (q - 3) // 4), q
+        assert ds.source == "qr(%d)" % q
 
 
 def test_census_rejects_non_difference_set():

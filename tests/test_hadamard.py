@@ -116,9 +116,11 @@ def test_regular_hadamard_from_menon_fixture():
 
 
 def test_regular_hadamard_times_two():
-    M = regular_hadamard(6)
-    assert M.order == 144 and M.excess == 12
-    M.validate()
+    # regular_hadamard does not validate its Kronecker products itself
+    for m in (6, 12):
+        M = regular_hadamard(m)
+        assert M.order == 4 * m * m and M.excess == 2 * m
+        M.validate()
 
 
 def test_regular_hadamard_missing_fixture():

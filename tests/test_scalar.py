@@ -377,6 +377,8 @@ def radicands_split_by_rho(draw):
 @example(2 * P14 ** 3)
 @example(5 * P14 ** 5)
 @example(3 * 1009 ** 3 * P14 ** 7)
+# a prime below 10^9 to the 9th power: one rho search, not nine
+@example(5011096241 * 678331631 ** 9)
 def test_squarefree_decompose_matches_factorint_past_trial_division(n):
     s, d = 1, 1
     for p, e in sympy.factorint(n).items():
