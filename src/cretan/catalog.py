@@ -356,8 +356,9 @@ def _table1_claims():
             "sbibd-ds", row, row + " not registered", "two-level route failed",
             lambda c, row=row: c.note == row and c.certificate.strict)
     for v in TABLE1_REGULAR_HADAMARD:
+        m = square_side(v - 1)
         yield "table1-rh", v, Claim(
-            "regular-hadamard", "m=%d" % math.isqrt(v // 4),
+            "regular-hadamard", "m=%d" % m if m else "",
             "%d - 1 = %d is not 4 m^2" % (v, v - 1), "border failed",
             lambda c: c.certificate.omega.to_float() == 1.0)
 

@@ -45,28 +45,23 @@ def serialize_matrix(m) -> str:
 
 
 def _header(pairs) -> list:
-    return [MATRIX_MAGIC] + ["%s %s" % (k, v) for k, v in pairs]
+    """The magic line, the header lines and the entries marker."""
+    return [MATRIX_MAGIC] + ["%s %s" % (k, v) for k, v in pairs] + ["entries"]
 
 
 def _serialize_level(m: LevelMatrix) -> str:
     pairs = [("mode", m.mode), ("order", m.order), ("tau", m.tau),
              ("omega", format_scalar(m.omega)), ("method", m.method)]
-    pairs += [("param %s" % k, v) for k, v in sorted(m.params.items(),
-                                                     key=lambda kv: kv[0])]
+    pairs += [("param %s" % k, m.params[k]) for k in sorted(m.params)]
     pairs += [("note", n) for n in m.notes]
-    lines = _header(pairs) + ["entries"]
-    toks = [format_scalar(l) for l in m.levels]
-    for row in m.grid.tolist():
-        lines.append(" ".join([toks[u] for u in row]))
-    return "\n".join(lines) + "\n"
+    return _with_rows(_header(pairs), map(format_scalar, m.levels), m.grid)
 
 
 def _serialize_complex(m: ComplexLevelMatrix) -> str:
     pairs = [("mode", "complex"), ("order", m.order),
              ("omega", repr(float(m.omega))), ("method", m.method)]
-    pairs += [("param %s" % k, v) for k, v in sorted(m.params.items(),
-                                                     key=lambda kv: kv[0])]
-    lines = _header(pairs) + ["entries"]
+    pairs += [("param %s" % k, m.params[k]) for k in sorted(m.params)]
+    lines = _header(pairs)
     for row in m.entries:
         lines.append(" ".join("%r,%r" % (float(z.real), float(z.imag))
                               for z in row))
@@ -76,13 +71,18 @@ def _serialize_complex(m: ComplexLevelMatrix) -> str:
 def _serialize_group(m: GroupMatrix) -> str:
     pairs = [("mode", "group"), ("order", m.order), ("kind", m.kind),
              ("group-order", m.group_order), ("weight", m.weight)]
-    lines = _header(pairs) + ["entries"]
-    # toks[x - lo] is the token of entry x; the offset keeps a negative
-    # entry from indexing the table from its end
+    # code x - lo is entry x; the offset keeps a negative entry from
+    # indexing the table from its end
     lo, hi = int(m.entries.min()), int(m.entries.max())
-    toks = [STAR_TOKEN if x == STAR else str(x) for x in range(lo, hi + 1)]
-    for row in m.entries.tolist():
-        lines.append(" ".join([toks[x - lo] for x in row]))
+    toks = (STAR_TOKEN if x == STAR else str(x) for x in range(lo, hi + 1))
+    return _with_rows(_header(pairs), toks, m.entries.astype(np.intp) - lo)
+
+
+def _with_rows(lines: list, tokens, codes: np.ndarray) -> str:
+    """The header lines and one line per row of codes, whose entry c is
+    written as the c-th of tokens; each token is formatted once."""
+    table = np.array(list(tokens), dtype=object)
+    lines += [" ".join(table[row].tolist()) for row in codes]
     return "\n".join(lines) + "\n"
 
 
@@ -167,6 +167,33 @@ def _tokens(row: str, order: int, line: int) -> list:
     return toks
 
 
+def _read_rows(rows, body_at, order, decode, check_row=None) -> tuple:
+    """(values, codes) of the entry rows of a level or group file, with
+    entry (i, j) = values[codes[i, j]].  Each distinct token is decoded
+    once, on its first line; check_row(row, line) sees each row first."""
+    ids: dict = {}
+    values = []
+    codes = np.empty((order, order), dtype=np.intp)
+    for i, row in enumerate(rows):
+        line = body_at + 1 + i
+        if check_row:
+            check_row(row, line)
+        toks = _tokens(row, order, line)
+        try:
+            codes[i] = np.fromiter(map(ids.__getitem__, toks), np.intp, order)
+        except KeyError:
+            # the row holds a new token: decode each new one in row order
+            for t in toks:
+                if t not in ids:
+                    try:
+                        values.append(decode(t))
+                    except ValueError as exc:
+                        raise ParseError(str(exc), line)
+                    ids[t] = len(ids)
+            codes[i] = np.fromiter(map(ids.__getitem__, toks), np.intp, order)
+    return values, codes
+
+
 def _parse_level(header, params, notes, rows, body_at, order):
     try:
         omega = parse_scalar(header["omega"])
@@ -175,25 +202,12 @@ def _parse_level(header, params, notes, rows, body_at, order):
     # f1.0 compares and hashes equal to 1, so from_codes would merge a
     # float token into an exact level: exact rows must hold no float token
     # ('f' occurs in no exact token), and a float file must stay float
-    exact = header["mode"] == "exact"
-    # each distinct token is parsed once, on the line where it first
-    # appears; codes[i, j] indexes the token's scalar in values
-    ids: dict = {}
-    values = []
-    codes = np.empty((order, order), dtype=np.intp)
-    for i, row in enumerate(rows):
-        line = body_at + 1 + i
-        if exact and "f" in row:
+    def no_float(row, line):
+        if "f" in row:
             raise ParseError("float entry in a mode exact file", line)
-        toks = _tokens(row, order, line)
-        for t in dict.fromkeys(toks):
-            if t not in ids:
-                try:
-                    values.append(parse_scalar(t))
-                except ValueError as exc:
-                    raise ParseError(str(exc), line)
-                ids[t] = len(ids)
-        codes[i] = [ids[t] for t in toks]
+
+    values, codes = _read_rows(rows, body_at, order, parse_scalar,
+                               no_float if header["mode"] == "exact" else None)
     try:
         m = from_codes(values, codes, omega, header.get("method", ""),
                        params, tuple(notes))
@@ -242,26 +256,21 @@ def _parse_group(header, rows, body_at, order):
     kind = header.get("kind", "GH")
     if kind not in ("GH", "GW"):
         raise ParseError("kind must be GH or GW", header.line("kind"))
-    # each distinct token is checked once, on the line where it first
-    # appears
-    values = {STAR_TOKEN: STAR, "*": STAR}
-    entries = np.zeros((order, order), dtype=np.int16)
-    for i, row in enumerate(rows):
-        line = body_at + 1 + i
-        toks = _tokens(row, order, line)
-        for t in dict.fromkeys(toks):
-            if t in values:
-                continue
-            try:
-                val = parse_int(t)
-            except ValueError:
-                raise ParseError("bad group entry %r" % t, line)
-            if not 0 <= val < g:
-                raise ParseError("entry %d outside group of order %d"
-                                 % (val, g), line)
-            values[t] = val
-        entries[i] = [values[t] for t in toks]
-    return GroupMatrix(order, g, entries, kind, weight)
+
+    def decode(t):
+        if t in (STAR_TOKEN, "*"):
+            return STAR
+        try:
+            val = parse_int(t)
+        except ValueError:
+            raise ValueError("bad group entry %r" % t)
+        if not 0 <= val < g:
+            raise ValueError("entry %d outside group of order %d" % (val, g))
+        return val
+
+    values, codes = _read_rows(rows, body_at, order, decode)
+    return GroupMatrix(order, g, np.array(values, dtype=np.int16)[codes],
+                       kind, weight)
 
 
 def save_matrix(m, path) -> None:
@@ -281,30 +290,14 @@ def load_matrix(path):
 
 def serialize_certificate(cert) -> str:
     """Verification certificate as a stable structured report."""
-    doc = {
-        "order": cert.order,
-        "radius": format_scalar(cert.omega),
-        "radius_float": cert.omega.to_float(),
-        "tau": cert.tau,
-        "mode": cert.mode,
-        "gram_exact": cert.gram_exact,
-        "gram_path": cert.gram_path,
-        "max_offdiag": cert.max_offdiag,
-        "moduli_ok": cert.moduli_ok,
-        "omega_claim_ok": cert.omega_claim_ok,
-        "strict": cert.strict,
-        "relaxed": cert.relaxed,
-        "det": {
-            "residual": cert.det.residual,
-            "exact": cert.det.exact_zero,
-            "log_abs_det": cert.det.log_abs_det,
-        },
-        "bounds": {
-            "hadamard_log": cert.bounds.hadamard_log,
-            "barba_log": cert.bounds.barba_log,
-            "wojtas_log": cert.bounds.wojtas_log,
-            "brent_osborn_log": cert.bounds.brent_osborn_log,
-        },
-        "method": cert.method,
-    }
+    doc = {k: getattr(cert, k) for k in (
+        "order", "tau", "mode", "gram_exact", "gram_path", "max_offdiag",
+        "moduli_ok", "omega_claim_ok", "strict", "relaxed", "method")}
+    doc["radius"] = format_scalar(cert.omega)
+    doc["radius_float"] = cert.omega.to_float()
+    doc["det"] = {"residual": cert.det.residual,
+                  "exact": cert.det.exact_zero,
+                  "log_abs_det": cert.det.log_abs_det}
+    doc["bounds"] = {k: getattr(cert.bounds, k) for k in (
+        "hadamard_log", "barba_log", "wojtas_log", "brent_osborn_log")}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -19,9 +19,14 @@ With Pg = P[grid] and Qg = Q[grid],
 
     R^2 S S^T = (Pg Pg^T + d Qg Qg^T) + sqrt(d) (Pg Qg^T + Qg Pg^T),
 
-so the Gram matrix is a few integer matrix products.  They run as
-float64 BLAS when every partial sum stays below 2^53, and is therefore
-exact, and on Python integers otherwise; nothing is ever rounded.  Only
+so the Gram matrix is a few integer matrix products.  With big the
+largest |P[u]| or |Q[u]|, every partial sum of Pg Pg^T, Qg Qg^T and
+Pg Qg^T is an integer of modulus at most n big^2, and every partial sum
+of the two combinations at most (d+1) n big^2.  Integers below 2^24 are
+exact in float32 and below 2^53 in float64, so the products run as
+float32 BLAS when n big^2 < 2^24 and are combined in float64, run as
+float64 BLAS when (d+1) n big^2 < 2^53, and run on Python integers
+otherwise; nothing is ever rounded.  Only
 S S^T is checked: for a real square S, S S^T = omega I with omega != 0
 makes S invertible with S^-1 = S^T / omega, so S^T S = omega S^-1 S =
 omega I; and omega = 0 gives every row norm zero, so S = 0 = S^T S.
@@ -277,8 +282,9 @@ class Certificate:
     tau: int
     mode: str                     # exact | float (how Gram was checked)
     gram_exact: bool              # off-diagonals exactly zero
-    # the check that gave the Gram verdict: lift-float64, lift-object,
-    # by-factors, by-design, or "float: <why no exact check ran>"
+    # the check that gave the Gram verdict: lift-float32, lift-float64,
+    # lift-object, by-factors, by-design, or "float: <why no exact check
+    # ran>"
     gram_path: str
     max_offdiag: float
     moduli_ok: bool
@@ -326,8 +332,9 @@ class Certificate:
 
 def _exact_gram_check(S) -> tuple:
     """(omega, path): omega when S S^T = omega I holds exactly, else None,
-    and path names the integer kernel that ran (lift-float64 or
-    lift-object).
+    and path names the integer kernel that ran: lift-float32 when
+    n big^2 < 2^24 and (d+1) n big^2 < 2^53, lift-float64 when only the
+    second bound holds, lift-object otherwise (see the module docstring).
 
     S^T S = omega I follows (see the module docstring), so it is not
     computed.  Raises IncompatibleRadicands when the levels span
@@ -336,18 +343,29 @@ def _exact_gram_check(S) -> tuple:
     P, Q, d, R = _lift(S.levels)
     n = S.order
     big = max(map(abs, P + Q))
-    # bounds |Pg Pg^T + d Qg Qg^T| and |Pg Qg^T + Qg Pg^T| entrywise, and
-    # every partial sum on the way there
-    bound = (d + 1) * n * big * big
-    dtype = np.float64 if bound < 2 ** 53 else object
-    path = "lift-float64" if dtype is np.float64 else "lift-object"
+    # bounds every partial sum of each product Pg Pg^T, Qg Qg^T, Pg Qg^T
+    partial = n * big * big
+    # bounds |Pg Pg^T + d Qg Qg^T| and |Pg Qg^T + Qg Pg^T| entrywise
+    bound = (d + 1) * partial
+    if bound >= 2 ** 53:
+        dtype, path = object, "lift-object"
+    elif partial < 2 ** 24:
+        dtype, path = np.float32, "lift-float32"
+    else:
+        dtype, path = np.float64, "lift-float64"
     Pg = np.array(P, dtype=dtype)[S.grid]
     Qg = np.array(Q, dtype=dtype)[S.grid]
-    rat = Pg @ Pg.T
+
+    def gram(A, B):
+        # exact products, combined below in float64 or on Python ints
+        G = A @ B.T
+        return G.astype(np.float64) if dtype is np.float32 else G
+
+    rat = gram(Pg, Pg)
     irr = np.zeros_like(rat)
     if d:
-        rat = rat + d * (Qg @ Qg.T)
-        X = Pg @ Qg.T
+        rat = rat + d * gram(Qg, Qg)
+        X = gram(Pg, Qg)
         irr = X + X.T
     diag = (rat[0, 0], irr[0, 0])
     for part, first in zip((rat, irr), diag):

@@ -1,6 +1,7 @@
 """Catalog dispatch, best-radius selection, and the published-table diff."""
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from cretan.catalog import (
     TABLE2_EXPECTED,
+    _table1_claims,
     catalog_structured,
     catalog_table,
     construct_best,
@@ -194,6 +196,22 @@ def test_diff_agreements_cover_all_nonblank_labels(full_report):
     assert t1rh == {5, 17, 37, 65, 145}
 
 
+def test_table1_rows_name_only_m_with_4m2_equal_to_v_minus_1(full_report):
+    claims = {v: c.agree for tag, v, c in _table1_claims()
+              if tag == "table1-rh"}
+    # 45 - 1 = 44 is not 4 m^2, so its claim names no m
+    assert claims == {5: "m=1", 17: "m=2", 37: "m=3", 45: "", 65: "m=4",
+                      101: "m=5", 145: "m=6", 197: "m=7"}
+    diff = full_report.diff
+    notes = [(v, note) for rows in (diff.agreements, diff.paper_extra,
+                                    diff.conflicts)
+             for tag, v, note in rows if tag == "table1-rh"]
+    assert len(notes) == len(claims)
+    for v, note in notes + list(claims.items()):
+        for m in re.findall(r"\bm=(\d+)", note):
+            assert 4 * int(m) ** 2 == v - 1, (v, note)
+
+
 def test_text_output(full_report):
     text = format_catalog_text(full_report, show_diff=True)
     assert "order  best-method" in text
@@ -230,7 +248,7 @@ def test_proofs_agree_with_the_lift(full_report):
             assert (got.omega, got.gram_exact, got.strict, got.relaxed) == \
                 (lift.omega, lift.gram_exact, lift.strict, lift.relaxed)
             if got.gram_exact:
-                assert lift.gram_path == "lift-float64"
+                assert lift.gram_path == "lift-float32"
             else:
                 assert got.gram_path == lift.gram_path
     assert paths == {(True, "by-factors"): 69, (False, "by-design"): 172,
@@ -243,7 +261,7 @@ def test_gram_path_counts_119():
                     for c in e.candidates if c.certificate)
     # the regular-hadamard borders have no proof and take the lift; the
     # float pair are Kronecker products of factors from two fields
-    assert paths == {"by-design": 108, "by-factors": 36, "lift-float64": 4,
+    assert paths == {"by-design": 108, "by-factors": 36, "lift-float32": 4,
                      "float: float levels": 2}
 
 

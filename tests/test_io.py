@@ -1,16 +1,19 @@
 """Serialization round trips, parse failures, and rendering."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cretan import files
 from cretan.constructions import (
     STAR,
     GroupMatrix,
     basic_family,
     conference_complex,
+    from_codes,
     from_values,
     gw_z3_order5,
     kronecker_cretan,
@@ -20,6 +23,7 @@ from cretan.cli import main
 from cretan.designs import qr_difference_set, singer_difference_set
 from cretan.files import (
     MATRIX_MAGIC,
+    STAR_TOKEN,
     ParseError,
     load_matrix,
     parse_matrix,
@@ -28,7 +32,7 @@ from cretan.files import (
 )
 from cretan.hadamard import paley_conference
 from cretan.render import render, render_pgm, render_svg, shade_grid
-from cretan.scalar import Scalar
+from cretan.scalar import Scalar, format_scalar, parse_int, parse_scalar
 
 
 def identity2():
@@ -239,7 +243,7 @@ def test_certificate_report():
     doc = json.loads(serialize_certificate(cert))
     assert doc["strict"] is True
     assert doc["radius"] == "81/49"
-    assert doc["tau"] == 2 and doc["gram_path"] == "lift-float64"
+    assert doc["tau"] == 2 and doc["gram_path"] == "lift-float32"
     assert doc["bounds"]["hadamard_log"] > doc["det"]["log_abs_det"] / 1e9
 
 
@@ -506,3 +510,251 @@ def test_one_token_mutation_raises_only_parse_error(m, data):
         parse_matrix(mutated)
     except ParseError:
         pass
+
+
+# -- the row codec against the per-entry code it replaced ---------------------
+
+def _oracle_header(pairs) -> list:
+    return [MATRIX_MAGIC] + ["%s %s" % (k, v) for k, v in pairs] + ["entries"]
+
+
+def _oracle_serialize_level(m) -> str:
+    pairs = [("mode", m.mode), ("order", m.order), ("tau", m.tau),
+             ("omega", format_scalar(m.omega)), ("method", m.method)]
+    pairs += [("param %s" % k, v) for k, v in sorted(m.params.items(),
+                                                     key=lambda kv: kv[0])]
+    pairs += [("note", n) for n in m.notes]
+    lines = _oracle_header(pairs)
+    toks = [format_scalar(l) for l in m.levels]
+    for row in m.grid.tolist():
+        lines.append(" ".join([toks[u] for u in row]))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_serialize_group(m) -> str:
+    pairs = [("mode", "group"), ("order", m.order), ("kind", m.kind),
+             ("group-order", m.group_order), ("weight", m.weight)]
+    lines = _oracle_header(pairs)
+    lo, hi = int(m.entries.min()), int(m.entries.max())
+    toks = [STAR_TOKEN if x == STAR else str(x) for x in range(lo, hi + 1)]
+    for row in m.entries.tolist():
+        lines.append(" ".join([toks[x - lo] for x in row]))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_parse_level(header, params, notes, rows, body_at, order):
+    try:
+        omega = parse_scalar(header["omega"])
+    except (KeyError, ValueError):
+        raise ParseError("missing or bad omega header", header.line("omega"))
+    exact = header["mode"] == "exact"
+    ids: dict = {}
+    values = []
+    codes = np.empty((order, order), dtype=np.intp)
+    for i, row in enumerate(rows):
+        line = body_at + 1 + i
+        if exact and "f" in row:
+            raise ParseError("float entry in a mode exact file", line)
+        toks = files._tokens(row, order, line)
+        for t in dict.fromkeys(toks):
+            if t not in ids:
+                try:
+                    values.append(parse_scalar(t))
+                except ValueError as exc:
+                    raise ParseError(str(exc), line)
+                ids[t] = len(ids)
+        codes[i] = [ids[t] for t in toks]
+    try:
+        m = from_codes(values, codes, omega, header.get("method", ""),
+                       params, tuple(notes))
+    except ValueError as exc:
+        raise ParseError(str(exc), body_at)
+    if m.mode != header["mode"]:
+        raise ParseError("header says mode %s, but the entries and omega "
+                         "are %s" % (header["mode"], m.mode),
+                         header.line("mode"))
+    if "tau" in header and header.integer("tau") != m.tau:
+        raise ParseError("header says tau %s, but the entries take %d "
+                         "values" % (header["tau"], m.tau),
+                         header.line("tau"))
+    return m
+
+
+def _oracle_parse_group(header, rows, body_at, order):
+    g = header.integer("group-order")
+    weight = header.integer("weight", "0")
+    if not 1 <= g <= np.iinfo(np.int16).max:
+        raise ParseError("group order %d out of range" % g,
+                         header.line("group-order"))
+    kind = header.get("kind", "GH")
+    if kind not in ("GH", "GW"):
+        raise ParseError("kind must be GH or GW", header.line("kind"))
+    values = {STAR_TOKEN: STAR, "*": STAR}
+    entries = np.zeros((order, order), dtype=np.int16)
+    for i, row in enumerate(rows):
+        line = body_at + 1 + i
+        toks = files._tokens(row, order, line)
+        for t in dict.fromkeys(toks):
+            if t in values:
+                continue
+            try:
+                val = parse_int(t)
+            except ValueError:
+                raise ParseError("bad group entry %r" % t, line)
+            if not 0 <= val < g:
+                raise ParseError("entry %d outside group of order %d"
+                                 % (val, g), line)
+            values[t] = val
+        entries[i] = [values[t] for t in toks]
+    return GroupMatrix(order, g, entries, kind, weight)
+
+
+def _oracle_serialize(m) -> str:
+    if isinstance(m, GroupMatrix):
+        return _oracle_serialize_group(m)
+    return _oracle_serialize_level(m)
+
+
+def _oracle_parse(text: str):
+    """parse_matrix with the per-row parsers in place of the row codec."""
+    with mock.patch.object(files, "_parse_level", _oracle_parse_level), \
+            mock.patch.object(files, "_parse_group", _oracle_parse_group):
+        return parse_matrix(text)
+
+
+def _outcome(parse, text):
+    """The matrix parse gives, or the message and line of its error."""
+    try:
+        return parse(text), None
+    except ParseError as exc:
+        return None, (str(exc), exc.line)
+
+
+def _same_matrix(a, b) -> bool:
+    if isinstance(a, GroupMatrix):
+        return (a.order, a.group_order, a.kind, a.weight) == \
+            (b.order, b.group_order, b.kind, b.weight) \
+            and a.entries.dtype == b.entries.dtype \
+            and np.array_equal(a.entries, b.entries)
+    return a == b and a.mode == b.mode and a.grid.dtype == b.grid.dtype
+
+
+@st.composite
+def codec_level_matrices(draw):
+    """Level grids with 1 to 40 levels, exact or float; with two or more
+    levels, one of them first appears on a late row."""
+    n = draw(st.integers(1, 9))
+    tau = draw(st.integers(1, min(40, n * n)))
+    kind = draw(st.sampled_from(("rational", "quadratic", "float")))
+    d = draw(st.sampled_from((2, 3, 5)))
+    if kind == "float":
+        level = st.one_of(_finite.map(Scalar.from_float),
+                          st.builds(Scalar, _ints))
+    elif kind == "quadratic":
+        level = st.builds(Scalar, _ints, _ints, st.just(d), _dens)
+    else:
+        level = st.builds(Scalar, _ints, st.just(0), st.just(0), _dens)
+    values = draw(st.lists(level, min_size=tau, max_size=tau,
+                           unique_by=lambda l: (l.is_float, l)))
+    # the last value first appears on row `first`, in the later half
+    first = draw(st.integers(n // 2, n - 1)) if tau > 1 else 0
+    codes = [draw(st.integers(0, tau - (2 if k < first * n else 1)))
+             for k in range(n * n)]
+    late = draw(st.integers(first * n, n * n - 1))
+    codes[late] = tau - 1
+    # every other value appears too, at distinct cells
+    cells = [c for c in draw(st.permutations(range(n * n))) if c != late]
+    for u in range(tau - 1):
+        codes[cells[u]] = u
+    codes = np.array(codes, dtype=np.intp).reshape(n, n)
+    omega = values[0] if kind == "float" else draw(level)
+    params = draw(st.dictionaries(st.sampled_from("abc"),
+                                  st.integers(0, 9).map(str), max_size=2))
+    notes = tuple(draw(st.lists(st.sampled_from(("x", "y z")),
+                                max_size=2)))
+    if kind == "float" and not omega.is_float:
+        omega = Scalar.from_float(0.5)
+    return from_codes(values, codes, omega, "random", params, notes)
+
+
+@st.composite
+def codec_group_matrices(draw):
+    n = draw(st.integers(1, 9))
+    g = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["GH", "GW"]))
+    cells = st.sampled_from([STAR] + list(range(g)))
+    entries = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+    return GroupMatrix(n, g, np.array(entries).reshape(n, n), kind,
+                       draw(st.integers(0, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(codec_level_matrices(), codec_group_matrices()))
+def test_row_codec_matches_the_per_entry_oracle(m):
+    text = serialize_matrix(m)
+    assert text == _oracle_serialize(m)
+    got, want = _outcome(parse_matrix, text), _outcome(_oracle_parse, text)
+    assert got[1] is None and want[1] is None
+    assert _same_matrix(got[0], want[0]) and _same_matrix(got[0], m)
+
+
+def _bad_tokens(m):
+    """Tokens that break a row of m."""
+    if isinstance(m, GroupMatrix):
+        return st.sampled_from([
+            str(m.group_order), "40000", "-1", "x", "1_0", "١"])
+    toks = ["1/0", "x", "(1+1*sqrt(2))/0", "sqrt", "١", "2/"]
+    if m.mode == "exact":
+        toks += ["f0.5", "f1.0"]
+    return st.sampled_from(toks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(codec_level_matrices(), codec_group_matrices()),
+       st.data())
+def test_row_codec_errors_match_the_oracle(m, data):
+    """One to three rows broken, each by a bad token, a float token in a
+    mode exact file, a group entry out of range, or a wrong count: the
+    codec raises the oracle's message on the oracle's line."""
+    lines = serialize_matrix(m).splitlines()
+    body = lines.index("entries") + 1
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = body + data.draw(st.integers(0, m.order - 1))
+        toks = lines[i].split(" ")
+        how = data.draw(st.sampled_from(("token", "drop", "add")))
+        if how == "token":
+            toks[data.draw(st.integers(0, len(toks) - 1))] = \
+                data.draw(_bad_tokens(m))
+        elif how == "drop":
+            toks.pop(data.draw(st.integers(0, len(toks) - 1)))
+        else:
+            toks.append(toks[0])
+        lines[i] = " ".join(toks)
+    text = "\n".join(lines) + "\n"
+    got, want = _outcome(parse_matrix, text), _outcome(_oracle_parse, text)
+    assert got[1] == want[1]
+    if want[1] is None:
+        assert _same_matrix(got[0], want[0])
+
+
+@pytest.mark.parametrize("faults, message", [
+    # a bad token on row 2, a wrong count on row 3
+    ([(2, 1, "x"), (3, None, "1")], "line 11: malformed scalar token: 'x'"),
+    # the float check comes before the count on the same row
+    ([(2, None, "f0.5")], "line 11: float entry in a mode exact file"),
+    # two new bad tokens on one row: the first in row order is named
+    ([(4, 0, "x"), (4, 2, "1/0")], "line 13: malformed scalar token: 'x'"),
+])
+def test_row_codec_names_the_first_bad_row(faults, message):
+    lines = serialize_matrix(basic_family(6)).splitlines()
+    body = lines.index("entries") + 1
+    for row, j, tok in faults:
+        toks = lines[body + row].split()
+        if j is None:
+            toks.append(tok)
+        else:
+            toks[j] = tok
+        lines[body + row] = " ".join(toks)
+    text = "\n".join(lines) + "\n"
+    got, want = _outcome(parse_matrix, text), _outcome(_oracle_parse, text)
+    assert got[1] == want[1] and got[1][0].startswith(message)

@@ -534,6 +534,96 @@ def test_exact_gram_sees_what_float64_cannot():
     assert not cert.relaxed and not cert.strict
 
 
+# -- the lift's kernel at the float32 bound -----------------------------------
+
+def _quaternion(big: int, r: int, d: int = 0):
+    """The quaternion array of (big, 5 or 5 sqrt d, 3, 1) / r, whose Gram
+    matrix is (sum of the squares) I.  The numerators are prime to r, so
+    the lift has R = r and max |P|, |Q| = big, and n big^2 = 4 big^2."""
+    a, b, c, e = (Scalar(big, 0, 0, r),
+                  Scalar(0, 5, d, r) if d else Scalar(5, 0, 0, r),
+                  Scalar(3, 0, 0, r), Scalar(1, 0, 0, r))
+    return [[a, b, c, e], [-b, a, -e, c], [-c, e, a, -b], [-e, -c, b, a]]
+
+
+# 4 * 2047^2 = 2^24 - 16420 and 4 * 2048^2 = 2^24
+@pytest.mark.parametrize("big, r, d, path", [
+    (2047, 2048, 0, "lift-float32"),
+    (2048, 2049, 0, "lift-float64"),
+    (2047, 2048, 2, "lift-float32"),
+    (2048, 2049, 2, "lift-float64"),
+])
+def test_lift_kernel_at_the_float32_bound(big, r, d, path):
+    values = _quaternion(big, r, d)
+    cert = verify_cretan(from_values(values, Scalar(1), "quaternion"))
+    assert cert.gram_path == path and cert.gram_exact
+    assert sympy.expand(_sym(cert.omega) - _oracle_omega(values)) == 0
+    # one flipped sign makes rows 0 and 1 meet at -2 b a
+    values[0][1] = -values[0][1]
+    assert _oracle_omega(values) is None
+    flipped = verify_cretan(from_values(values, Scalar(1), "flipped"))
+    assert flipped.gram_path == path and not flipped.gram_exact
+    assert not flipped.relaxed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1990, 2100), st.sampled_from((0, 2, 3)),
+       st.integers(0, 3), st.integers(0, 4))
+@example(2047, 0, 0, 4)
+@example(2048, 0, 1, 1)
+def test_lift_kernel_bound_agrees_with_sympy(big, d, i, j):
+    """The quaternion array, with entry (i, j) raised by 1/r when j < 4;
+    the kernel follows n max|P, Q|^2 < 2^24, the verdict sympy."""
+    r = 2 ** 12 + 1 if big % 2 == 0 else 2 ** 12
+    values = _quaternion(big, r, d)
+    if j < 4:
+        values[i][j] = values[i][j] + Scalar(1, 0, 0, r)
+    cert = verify_cretan(from_values(values, Scalar(1), "quaternion"))
+    P, Q, _, R = _lift(cert.matrix.levels)
+    big = max(map(abs, P + Q))
+    assert R == r
+    assert cert.gram_path == ("lift-float32" if 4 * big * big < 2 ** 24
+                              else "lift-float64")
+    want = _oracle_omega(values)
+    assert cert.gram_exact == (want is not None)
+    if want is not None:
+        assert sympy.expand(_sym(cert.omega) - want) == 0
+
+
+def test_float32_bound_keeps_a_rounded_off_diagonal():
+    # 2^24 + 1 is no float32: rounded to 2^24, the rows (2^24, 1) and
+    # (-1, 2^24) are orthogonal with equal norms 2^48 + 1, itself rounded
+    # to 2^48, in any summation order; a float32 kernel run past its bound
+    # would pass the matrix, whose exact off-diagonal is -1
+    N = 2 ** 24
+    rows = [[N + 1, 1], [-1, N]]
+    rounded = np.array(rows, dtype=np.float32)
+    assert np.array_equal(rounded @ rounded.T, np.diag([2.0 ** 48] * 2))
+    exact = np.array(rows, dtype=object)
+    assert (exact @ exact.T)[0, 1] == -1
+    cert = verify_cretan(from_values([[Scalar(x) for x in row]
+                                      for row in rows],
+                                     Scalar(N * N), "rounded"))
+    assert cert.gram_path == "lift-float64" and not cert.gram_exact
+    assert not cert.relaxed
+
+
+def test_float32_products_are_combined_in_float64():
+    # diag(B(1), B(0)) with B(a) = [[a, b], [-b, a]] and b = 2047 sqrt 7
+    # has orthogonal rows of norms 7 * 2047^2 + 1 and 7 * 2047^2, both
+    # above 2^24.  n max|P, Q|^2 = 4 * 2047^2 < 2^24 keeps the products in
+    # float32, but a float32 sum would round both norms to one value.
+    q = np.float32(7) * np.float32(2047 ** 2)
+    assert q + np.float32(1) == q
+    b, zero = Scalar(0, 2047, 7), Scalar(0)
+    values = [[Scalar(1), b, zero, zero], [-b, Scalar(1), zero, zero],
+              [zero, zero, zero, b], [zero, zero, -b, zero]]
+    assert _oracle_omega(values) is None
+    cert = verify_cretan(from_values(values, Scalar(1), "two norms"))
+    assert cert.gram_path == "lift-float32" and not cert.gram_exact
+    assert not cert.relaxed
+
+
 def test_failed_exact_gram_fails_both_verdicts():
     near = Scalar(-999999999999, 0, 0, 10 ** 12)
     M = from_values([[Scalar(1), Scalar(1)], [Scalar(1), near]],
@@ -598,7 +688,7 @@ def test_proof_agrees_with_lift(build, path):
     cert = verify_cretan(S, gram=proof)
     assert cert.gram_path == path and cert.strict
     lift = verify_cretan(S)
-    assert lift.gram_path == "lift-float64"
+    assert lift.gram_path == "lift-float32"
     assert _verdict(cert) == _verdict(lift)
 
 
@@ -629,7 +719,7 @@ def _mutants():
                          ids=[m[0] for m in _mutants()])
 def test_failed_proof_gives_the_lift_verdict(name, S, proof, cretan):
     cert = verify_cretan(S, mode="relaxed", gram=proof)
-    assert cert.gram_path == "lift-float64"
+    assert cert.gram_path == "lift-float32"
     assert _verdict(cert) == _verdict(verify_cretan(S, mode="relaxed"))
     assert cert.relaxed == cretan
 
