@@ -105,8 +105,8 @@ def from_codes(values, codes: np.ndarray, omega: Scalar, method: str,
                          % len(levels))
     index = {l: i for i, l in enumerate(levels)}
     lut = np.array([index[x] for x in values], dtype=np.int16)
-    return LevelMatrix(codes.shape[0], levels, lut[codes], omega, method,
-                       params or {}, tuple(notes))
+    return LevelMatrix(codes.shape[0], levels, lut.take(codes), omega,
+                       method, params or {}, tuple(notes))
 
 
 def basic_family(n: int) -> LevelMatrix:
@@ -145,7 +145,7 @@ def sbibd_two_level(sb: Sbibd) -> list:
     for b in characteristic_roots(v, k, lam):
         if not b.abs_le_one():
             continue
-        omega = Scalar(k) + Scalar(v - k) * b * b
+        omega = k + (v - k) * b * b
         params = {"v": v, "k": k, "lam": lam, "b": format_scalar(b),
                   "design": sb.source}
         # grid = incidence: 0 -> b, 1 -> 1; b < 1, as the quadratic is v at

@@ -229,15 +229,17 @@ class Sbibd:
         if lam * (v - 1) != k * (k - 1):
             raise ValueError("parameter identity fails for %s" % (self.params,))
         B = self.incidence
-        if B.shape != (v, v) or not np.isin(B, (0, 1)).all():
+        if B.shape != (v, v) or not ((B == 0) | (B == 1)).all():
             raise ValueError("incidence must be a v x v 0/1 matrix")
         if not (B.sum(axis=1) == k).all() or not (B.sum(axis=0) == k).all():
             raise ValueError("row or column sums differ from k")
-        # float64 BLAS is exact here: every partial sum of a 0/1 Gram
-        # product is an integer of at most v, far below 2^53
-        F = B.astype(np.float64)
-        want = (k - lam) * np.eye(v) + lam
-        if not (F @ F.T == want).all():
+        # float32 BLAS is exact here: every partial sum of a 0/1 Gram
+        # product is an integer of at most v, and a v x v matrix that fits
+        # in memory has v far below 2^24
+        F = B.astype(np.float32)
+        G = F @ F.T
+        G.flat[::v + 1] -= k - lam
+        if not (G == lam).all():
             raise ValueError("Gram identity fails for %s" % (self.params,))
 
     def complement(self) -> "Sbibd":

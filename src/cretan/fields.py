@@ -16,7 +16,9 @@ Irreducibility is tested on the same tables: each candidate modulus
 without a root in GF(p) gets its multiply-by-x table, and Rabin's test
 reads x^(p^k) off the powers of x and checks that each x^(p^(k/e)) - x
 multiplies the codes by a permutation.  The winner's table then gives the
-generator, the first code whose powers have period p^k - 1.
+generator, the first code whose powers have period p^k - 1.  For k = 1
+the modulus is x, and the generator, the least primitive root mod p, is
+found by Python's pow on ints, so only its own power table is built.
 The exp table is kept as codes (`FieldSpec.codes`) with the digit array
 (`FieldSpec.digits`); element products, powers and Frobenius index the
 exp codes and a log table over codes, both as Python lists.  The trace
@@ -259,32 +261,43 @@ def make_field(p: int, k: int) -> FieldSpec:
     n = p ** k
     pw = p ** np.arange(k, dtype=np.int64)
     digits = (np.arange(n, dtype=np.int64)[:, None] // pw) % p
-    # candidates x^k + cs in code order; degree 1 takes x, so elements
-    # are residues mod p.  at[a, i] = a^i mod p: for k >= 2 a candidate
-    # with a root in GF(p) is reducible, so only the others get the test
-    at = np.ones((p, k + 1), dtype=np.int64)
-    for i in range(1, k + 1):
-        at[:, i] = at[:, i - 1] * np.arange(p) % p
-    for cs in digits:
-        if k > 1 and not ((at[:, :k] @ cs + at[:, k]) % p).all():
-            continue
-        times_x = _times_x(cs, digits, pw, p)
-        if k == 1 or _is_irreducible(times_x, digits, pw, p):
-            break
+    if k == 1:
+        # degree 1 takes x, so elements are residues mod p and c
+        # multiplies by c a mod p; c is primitive iff c^((p-1)/r) != 1
+        # for every prime r | p - 1, a test on Python ints
+        cs = digits[0]
+        ords = [(p - 1) // r for r in prime_factors(p - 1)]
+        c = next(c for c in range(1, p)
+                 if all(pow(c, e, p) != 1 for e in ords))
+        powers = _powers(c * digits[:, 0] % p, p - 1)
+    else:
+        # candidates x^k + cs in code order.  at[a, i] = a^i mod p: a
+        # candidate with a root in GF(p) is reducible, so only the others
+        # get the test
+        at = np.ones((p, k + 1), dtype=np.int64)
+        for i in range(1, k + 1):
+            at[:, i] = at[:, i - 1] * np.arange(p) % p
+        for cs in digits:
+            if not ((at[:, :k] @ cs + at[:, k]) % p).all():
+                continue
+            times_x = _times_x(cs, digits, pw, p)
+            if _is_irreducible(times_x, digits, pw, p):
+                break
+        # constants have order at most p - 1, so the least primitive
+        # element is x (code p) or later; every power of a rejected
+        # element is rejected with it, and GF(p^k)^* is cyclic, so one is
+        # found
+        rejected = np.zeros(n, dtype=bool)
+        for c in range(p, n):
+            if rejected[c]:
+                continue
+            powers = _powers(
+                _times_table(digits[c], times_x, digits, pw, p), n - 1)
+            if not (powers[1:] == 1).any():
+                break
+            rejected[powers] = True
 
     spec = FieldSpec(p, k, tuple(cs.tolist()) + (1,))
-    # constants have order at most p - 1, so for k >= 2 the least
-    # primitive element is x (code p) or later; every power of a rejected
-    # element is rejected with it, and GF(p^k)^* is cyclic, so one is found
-    rejected = np.zeros(n, dtype=bool)
-    for c in range(p if k > 1 else 1, n):
-        if rejected[c]:
-            continue
-        powers = _powers(_times_table(digits[c], times_x, digits, pw, p),
-                         n - 1)
-        if not (powers[1:] == 1).any():
-            break
-        rejected[powers] = True
     spec.generator = tuple(digits[c].tolist())
     spec.codes = powers
     spec.digits = digits

@@ -1,14 +1,26 @@
 """Exact scalars in Q and in real quadratic fields Q(sqrt(d)).
 
-An exact scalar is stored as (p + q*sqrt(d)) / r with integers p, q, r and
-a squarefree radicand d.  Canonical form: r > 0, gcd(p, q, r) = 1, d
-squarefree, and q = 0 if and only if d = 0.  Rationals therefore always
-have d = 0 and compare equal regardless of how they were produced.
+An exact scalar is stored as (p + q*sqrt(d)) / r with plain Python ints
+p, q, r and a squarefree radicand d.  Canonical form: r > 0,
+gcd(p, q, r) = 1, d squarefree, and q = 0 if and only if d = 0.
+Rationals therefore always have d = 0 and compare equal regardless of how
+they were produced.
+
+The exact operations work on the four integers directly.  Sums,
+differences, products and quotients are formed in p, q, d, r and reduced
+by one gcd; an int operand takes no coercion, and adding or subtracting
+it, negation and the conjugate need no gcd at all (they keep
+gcd(p, q, r) = 1).  `sign` and `abs_le_one` share one integer test, the
+sign of a + b sqrt(d), which compares a^2 with b^2 d when the two terms
+differ in sign.  `==` compares the canonical integers, and a rational
+hashes like the `Fraction` p/r (by the same numeric rule, without
+building one), so equal numbers hash alike whatever their type.
 
 Mixed-radicand sums (sqrt(2) + sqrt(3)) are refused rather than modelled:
 no construction in this package needs a field tower.  A float fallback
 mode exists for matrices whose levels are only known numerically; any
-arithmetic touching a float scalar yields a float scalar.
+arithmetic touching a float scalar yields a float scalar, computed from
+the operands' `to_float` values.
 
 Tolerances used across the package are defined once, here.
 """
@@ -18,7 +30,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
+from operator import index as _index
 
 # Absolute tolerance for float-mode verification (Gram residuals, radius).
 VERIFY_TOL = 1e-9
@@ -176,6 +190,28 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return (s, d)
 
 
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign (-1, 0, 1) of a + b sqrt(d), for integers a and b and a d that
+    is 0 or squarefree and not 1, so that the sum is 0 only at a = b = 0."""
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a * sb >= 0:
+        return sb
+    # opposite signs: the larger of a^2 and b^2 d decides
+    return sb if a * a < b * b * d else -sb
+
+
+def _radicand(x: "Scalar", y: "Scalar") -> int:
+    """The field Q(sqrt d) of exact x and y: a rational has d = 0 and
+    mixes with either; two nonzero radicands must agree."""
+    d, e = x.d, y.d
+    if d and e and d != e:
+        raise IncompatibleRadicands(
+            "sqrt(%d) and sqrt(%d) do not mix" % (d, e))
+    return d or e
+
+
 class Scalar:
     """A number that is either exact ((p + q*sqrt(d))/r) or a float.
 
@@ -186,6 +222,8 @@ class Scalar:
     __slots__ = ("p", "q", "r", "d", "f")
 
     def __init__(self, p: int, q: int = 0, d: int = 0, r: int = 1):
+        # stored as plain ints: a bool would print as True
+        p, q, d, r = _index(p), _index(q), _index(d), _index(r)
         if r == 0:
             raise ZeroDivisionError("zero denominator")
         if d < 0:
@@ -197,32 +235,7 @@ class Scalar:
             q *= s
             if d == 1:
                 p, q = p + q, 0
-        self._normalize(p, q, d, r)
-
-    def _normalize(self, p: int, q: int, d: int, r: int) -> None:
-        """Store (p + q sqrt d)/r in canonical form, for r != 0 and a d
-        that is 0 or squarefree and not 1."""
-        if q == 0:
-            d = 0
-        if r < 0:
-            p, q, r = -p, -q, -r
-        # zero comes out as 0/1: then g = r
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
-        if g > 1:
-            p, q, r = p // g, q // g, r // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "f", None)
-
-    @classmethod
-    def _exact(cls, p: int, q: int, d: int, r: int) -> "Scalar":
-        """An arithmetic result over an operand's radicand d, which is
-        already squarefree: no radicand factoring, unlike __init__."""
-        obj = cls.__new__(cls)
-        obj._normalize(p, q, d, r)
-        return obj
+        _exact(p, q, d, r, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -231,13 +244,7 @@ class Scalar:
 
     @classmethod
     def from_float(cls, x: float) -> "Scalar":
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "p", 0)
-        object.__setattr__(obj, "q", 0)
-        object.__setattr__(obj, "d", 0)
-        object.__setattr__(obj, "r", 1)
-        object.__setattr__(obj, "f", float(x))
-        return obj
+        return _make(0, 0, 0, 1, float(x))
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "Scalar":
@@ -264,9 +271,9 @@ class Scalar:
         return self.f is None and self.q == 0
 
     def is_zero(self) -> bool:
-        if self.is_float:
+        if self.f is not None:
             return self.f == 0.0
-        return self.p == 0 and self.q == 0
+        return not self.p and not self.q
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -274,41 +281,38 @@ class Scalar:
         return Fraction(self.p, self.r)
 
     def to_float(self) -> float:
-        if self.is_float:
+        if self.f is not None:
             return self.f
         return (self.p + self.q * math.sqrt(self.d)) / self.r
 
     def sign(self) -> int:
         """Exact sign (-1, 0, 1); floats fall back to IEEE comparison."""
-        if self.is_float:
+        if self.f is not None:
             return (self.f > 0) - (self.f < 0)
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 against q^2 d
-        t = p * p - q * q * self.d
-        big = (t > 0) - (t < 0)
-        return big if p > 0 else -big
+        return _sign(self.p, self.q, self.d)
 
     def abs_le_one(self) -> bool:
-        """Whether |x| <= 1, exactly when possible."""
-        if self.is_float:
+        """Whether |x| <= 1, exactly when possible: for x = (p + q sqrt d)/r
+        with r > 0, whether r - p - q sqrt d and r + p + q sqrt d are both
+        non-negative."""
+        if self.f is not None:
             return abs(self.f) <= 1.0 + REFINE_TOL
-        return (_ONE - self).sign() >= 0 and (_ONE + self).sign() >= 0
+        p, q, d, r = self.p, self.q, self.d, self.r
+        return _sign(r - p, -q, d) >= 0 and _sign(r + p, q, d) >= 0
 
     def conjugate(self) -> "Scalar":
         """Galois conjugate: sqrt(d) -> -sqrt(d).  Floats are unchanged."""
-        if self.is_float:
+        if self.f is not None:
             return self
-        return Scalar._exact(self.p, -self.q, self.d, self.r)
+        return _make(self.p, -self.q, self.d, self.r)
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # An exact operand meets an int operand without coercion.  Adding or
+    # subtracting o leaves gcd(p, q, r) = 1, so (p + o r, q, d, r) is
+    # canonical as it stands; so are negation and the conjugate.  With a
+    # float operand both sides go through to_float; a - b is a + (-b)
+    # there, and o / x is o * (1 / x).
 
     @staticmethod
     def _coerce(x) -> "Scalar":
@@ -322,82 +326,95 @@ class Scalar:
             return Scalar.from_float(x)
         return NotImplemented
 
-    def _common_radicand(self, other: "Scalar") -> int:
-        if self.q == 0:
-            return other.d
-        if other.q == 0:
-            return self.d
-        if self.d != other.d:
-            raise IncompatibleRadicands(
-                "sqrt(%d) and sqrt(%d) do not mix" % (self.d, other.d)
-            )
-        return self.d
-
     def __add__(self, other):
+        if isinstance(other, int) and self.f is None:
+            return _make(self.p + other * self.r, self.q, self.d, self.r)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_float or other.is_float:
+        if self.f is not None or other.f is not None:
             return Scalar.from_float(self.to_float() + other.to_float())
-        d = self._common_radicand(other)
-        return Scalar._exact(
-            self.p * other.r + other.p * self.r,
-            self.q * other.r + other.q * self.r,
-            d,
-            self.r * other.r,
-        )
+        r, s = self.r, other.r
+        return _exact(self.p * s + other.p * r, self.q * s + other.q * r,
+                      _radicand(self, other), r * s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_float:
+        if self.f is not None:
             return Scalar.from_float(-self.f)
-        return Scalar._exact(-self.p, -self.q, self.d, self.r)
+        return _make(-self.p, -self.q, self.d, self.r)
 
     def __sub__(self, other):
+        if isinstance(other, int) and self.f is None:
+            return _make(self.p - other * self.r, self.q, self.d, self.r)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if self.f is not None or other.f is not None:
+            return Scalar.from_float(self.to_float() + (-other).to_float())
+        r, s = self.r, other.r
+        return _exact(self.p * s - other.p * r, self.q * s - other.q * r,
+                      _radicand(self, other), r * s)
 
     def __rsub__(self, other):
+        if isinstance(other, int) and self.f is None:
+            return _make(other * self.r - self.p, -self.q, self.d, self.r)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
+        if isinstance(other, int) and self.f is None:
+            if not other:
+                return _make(0, 0, 0, 1)
+            # gcd(p, q, r) = 1, so gcd(o p, o q, r) = gcd(o, r)
+            g = math.gcd(other, self.r)
+            o = other // g
+            return _make(self.p * o, self.q * o, self.d, self.r // g)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_float or other.is_float:
+        if self.f is not None or other.f is not None:
             return Scalar.from_float(self.to_float() * other.to_float())
-        d = self._common_radicand(other)
-        p = self.p * other.p + self.q * other.q * d
-        q = self.p * other.q + self.q * other.p
-        return Scalar._exact(p, q, d, self.r * other.r)
+        d = _radicand(self, other)
+        p, q, s, t = self.p, self.q, other.p, other.q
+        return _exact(p * s + q * t * d, p * t + q * s, d, self.r * other.r)
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "Scalar":
-        if self.is_float:
+        if self.f is not None:
             return Scalar.from_float(1.0 / self.f)
         if self.is_zero():
             raise ZeroDivisionError("division by zero scalar")
         # 1/((p+q sqrt d)/r) = r (p - q sqrt d) / (p^2 - q^2 d)
-        norm = self.p * self.p - self.q * self.q * self.d
-        return Scalar._exact(self.p * self.r, -self.q * self.r, self.d,
-                             norm)
+        p, q, d, r = self.p, self.q, self.d, self.r
+        return _exact(p * r, -q * r, d, p * p - q * q * d)
 
     def __truediv__(self, other):
+        if isinstance(other, int) and self.f is None:
+            if not other:
+                raise ZeroDivisionError("division by zero scalar")
+            return _exact(self.p, self.q, self.d, self.r * other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_float or self.is_float:
+        if other.f is not None or self.f is not None:
             return Scalar.from_float(self.to_float() / other.to_float())
-        return self * other._inverse()
+        s, t = other.p, other.q
+        if not s and not t:
+            raise ZeroDivisionError("division by zero scalar")
+        # times r' (s - t sqrt d) / (s^2 - t^2 d), the inverse of other
+        d = _radicand(self, other)
+        p, q, r = self.p, self.q, other.r
+        return _exact(r * (p * s - q * t * d), r * (q * s - p * t), d,
+                      self.r * (s * s - t * t * d))
 
     def __rtruediv__(self, other):
+        if isinstance(other, int):
+            return self._inverse() * other
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -409,31 +426,41 @@ class Scalar:
     # -- comparison and hashing -------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, int) and self.f is None:
+            return self.p == other and self.r == 1 and not self.q
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_float or other.is_float:
+        if self.f is not None or other.f is not None:
             return self.to_float() == other.to_float()
-        return (self.p, self.q, self.d, self.r) == (
-            other.p,
-            other.q,
-            other.d,
-            other.r,
-        )
+        return (self.p == other.p and self.q == other.q
+                and self.d == other.d and self.r == other.r)
 
     def __hash__(self):
-        if self.is_float:
+        if self.f is not None:
             return hash(self.f)
-        if self.q == 0:
-            # match hash(Fraction) so rational scalars hash like numbers
-            return hash(Fraction(self.p, self.r))
-        return hash((self.p, self.q, self.d, self.r))
+        p, r = self.p, self.r
+        if self.q:
+            return hash((p, self.q, self.d, r))
+        # a rational hashes like Fraction(p, r), by the numeric hash rule
+        # that fractions.Fraction.__hash__ follows, without building one
+        if r == 1:
+            return hash(p)
+        try:
+            inv = pow(r, -1, _HASH_MODULUS)
+        except ValueError:
+            # r is a multiple of the modulus
+            h = _HASH_INF
+        else:
+            h = hash(hash(abs(p)) * inv)
+        h = h if p >= 0 else -h
+        return -2 if h == -1 else h
 
     def _cmp_sign(self, other) -> int:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             raise TypeError("cannot compare Scalar with that type")
-        return (self - other).sign()
+        return diff.sign()
 
     def __lt__(self, other):
         return self._cmp_sign(other) < 0
@@ -454,9 +481,39 @@ class Scalar:
         return format_scalar(self)
 
 
-_ONE = Scalar(1)
-ZERO = Scalar(0)
-ONE = _ONE
+_new = object.__new__
+_set_p, _set_q, _set_d, _set_r, _set_f = (
+    Scalar.__dict__[name].__set__ for name in ("p", "q", "d", "r", "f"))
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _make(p: int, q: int, d: int, r: int, f: float | None = None,
+          x: Scalar | None = None) -> Scalar:
+    """Store fields that are already canonical into x, or into a new
+    Scalar, past the immutability guard."""
+    if x is None:
+        x = _new(Scalar)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    _set_r(x, r)
+    _set_f(x, f)
+    return x
+
+
+def _exact(p: int, q: int, d: int, r: int, x: Scalar | None = None) -> Scalar:
+    """(p + q sqrt d)/r in canonical form, for r != 0 and a d that is 0
+    or squarefree and not 1 (no radicand factoring, unlike __init__)."""
+    if not q:
+        d = 0
+    if r < 0:
+        p, q, r = -p, -q, -r
+    # zero comes out as 0/1: then g = r
+    g = math.gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    return _make(p, q, d, r, None, x)
 
 
 # -- text grammar -----------------------------------------------------------
@@ -524,6 +581,14 @@ def parse_scalar(text: str) -> Scalar:
 
 # -- quadratics -------------------------------------------------------------
 
+def _num_den(c) -> tuple:
+    """(numerator, denominator) of an exact rational coefficient."""
+    if isinstance(c, int):
+        return int(c), 1
+    fr = Scalar._coerce(c).as_fraction()
+    return fr.numerator, fr.denominator
+
+
 def solve_quadratic(c0, c1, c2) -> list[Scalar]:
     """Real roots of c0 + c1*x + c2*x^2 = 0, exact, ascending.
 
@@ -531,20 +596,22 @@ def solve_quadratic(c0, c1, c2) -> list[Scalar]:
     real root (or the equation is a nonzero constant); raises ValueError
     when all three coefficients vanish.
     """
-    a0, a1, a2 = (Scalar._coerce(c).as_fraction() for c in (c0, c1, c2))
-    if a0 == a1 == a2 == 0:
+    (n0, e0), (n1, e1), (n2, e2) = map(_num_den, (c0, c1, c2))
+    # the same roots with integer coefficients a0 + a1 x + a2 x^2
+    den = math.lcm(e0, e1, e2)
+    a0, a1, a2 = n0 * (den // e0), n1 * (den // e1), n2 * (den // e2)
+    if not (a0 or a1 or a2):
         raise ValueError("all coefficients are zero")
-    if a2 == 0:
-        if a1 == 0:
+    if not a2:
+        if not a1:
             return []
-        return [Scalar.from_fraction(-a0 / a1)]
+        return [Scalar(-a0, 0, 0, a1)]
     disc = a1 * a1 - 4 * a0 * a2
     if disc < 0:
         return []
-    root = Scalar.sqrt_fraction(disc)
-    two_a2 = Scalar.from_fraction(2 * a2)
-    lo = (-Scalar.from_fraction(a1) - root) / two_a2
-    hi = (-Scalar.from_fraction(a1) + root) / two_a2
+    # (-a1 -+ sqrt(disc)) / (2 a2); the constructor takes the square part
+    # out of disc
+    lo, hi = (Scalar(-a1, s, disc, 2 * a2) for s in (-1, 1))
     if lo == hi:
         return [lo]
     return [lo, hi] if lo < hi else [hi, lo]

@@ -407,11 +407,12 @@ class ByFactors:
         except IncompatibleRadicands:
             return None
         index = {l: i for i, l in enumerate(S.levels)}
-        if any(p not in index for p in prods):
+        try:
+            table = np.array([index[p] for p in prods], dtype=np.int32)
+        except KeyError:
             return None
-        table = np.array([index[p] for p in prods], dtype=np.int32)
         pair = kron_pair_codes(A.grid, B.grid, len(B.levels))
-        if not np.array_equal(table[pair], S.grid):
+        if not np.array_equal(table.take(pair), S.grid):
             return None
         return omega
 
@@ -431,7 +432,7 @@ class ByDesign:
     def omega(self, S) -> Scalar | None:
         """The row norm k + (v-k) b^2 when the grid of S is X over the
         levels (b, 1) and the coefficient of J in S S^T is exactly zero."""
-        if len(S.levels) != 2 or S.levels[1] != Scalar(1) \
+        if len(S.levels) != 2 or S.levels[1] != 1 \
                 or not np.array_equal(S.grid, self.incidence):
             return None
         b = S.levels[0]
@@ -492,19 +493,21 @@ def verify_cretan(S, mode: str = "strict", tolerance: float = VERIFY_TOL,
     tau = int(np.count_nonzero(
         np.bincount(S.grid.ravel(), minlength=len(S.levels))))
 
-    unit = np.array([_is_unit(l) for l in S.levels])
-    unit_cells = unit[S.grid]
-    strict_units = bool(unit_cells.any(axis=1).all()
-                        and unit_cells.any(axis=0).all())
-
     relaxed = bool(moduli_ok and gram_ok and omega_claim_ok)
-    strict = bool(relaxed and strict_units)
+    strict = relaxed and _units_everywhere(S)
 
     return Certificate(n, omega, tau, "exact" if gram_exact else "float",
                        gram_exact, path, max_offdiag, moduli_ok,
                        omega_claim_ok, strict, relaxed,
                        getattr(S, "method", ""),
                        dict(getattr(S, "params", {})), mode, S)
+
+
+def _units_everywhere(S) -> bool:
+    """Whether every row and every column of S holds a unit level."""
+    unit = np.array([_is_unit(l) for l in S.levels], dtype=bool)
+    cells = unit.take(S.grid)
+    return bool(cells.any(axis=1).all() and cells.any(axis=0).all())
 
 
 def _is_unit(l: Scalar) -> bool:

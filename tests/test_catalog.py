@@ -372,6 +372,21 @@ def test_diff_text_matches_golden(monkeypatch, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_structured_output_matches_golden(monkeypatch, capsys):
+    # every candidate's omega, tau, verdict, Gram path and note, as
+    # `cretan catalog --max 199 --format structured` printed them before
+    # the scalar kernel worked on integers
+    from pathlib import Path
+
+    from cretan.cli import main
+    from cretan.designs import FIXTURE_DIR_ENV
+
+    monkeypatch.delenv(FIXTURE_DIR_ENV, raising=False)
+    golden = Path(__file__).parent / "data" / "catalog-199-structured.json"
+    assert main(["catalog", "--max", "199", "--format", "structured"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_table1_quotes_malformed_fixture_errors(tmp_path, monkeypatch):
     from cretan.designs import FIXTURE_DIR_ENV, fixture_path
 

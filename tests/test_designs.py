@@ -11,6 +11,7 @@ from cretan.designs import (
     GroupDesc,
     MissingFixture,
     NotADifferenceSet,
+    Sbibd,
     biquadratic_difference_set,
     build_family,
     cyclic,
@@ -352,6 +353,9 @@ def test_validate_rejects_one_flipped_entry():
     sb.incidence[4, 3] ^= 1
     with pytest.raises(ValueError):
         sb.validate()
+    # halves have the row and column sums of a (2, 1, 0) design
+    with pytest.raises(ValueError, match="0/1"):
+        Sbibd(2, 1, 0, np.full((2, 2), 0.5)).validate()
 
 
 # -- malformed fixtures -------------------------------------------------------

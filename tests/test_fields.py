@@ -350,3 +350,29 @@ def test_trace_table_matches_direct_sums_up_to_1000():
             f = make_field(*factor_prime_power(q))
             for x in f.elements():
                 assert trace_to_prime(x) == poly_trace(x), (q, x)
+
+
+def test_prime_fields_to_20000_match_sympy(monkeypatch):
+    # GF(p): modulus x, generator the least primitive root and exp table
+    # its powers mod p, for every p to 20000; below 2000 also the lists
+    # made from the table (exp, log) and the trace, which is the identity.
+    # A private cache, emptied per field, keeps memory flat.
+    import cretan.fields as fields
+
+    monkeypatch.setattr(fields, "_field_cache", {})
+    for p in sympy.primerange(2, 20001):
+        fields._field_cache.clear()
+        f = make_field(p, 1)
+        # sympy's primitive_root(p) is the least one
+        g = sympy.primitive_root(p) if p > 2 else 1
+        assert f.modulus == (0, 1) and f.generator == (g,), p
+        assert all(type(c) is int for c in f.modulus + f.generator), p
+        codes = f.codes
+        assert codes.dtype == np.int64 and len(codes) == p - 1, p
+        assert codes[0] == 1 and (codes[1:] == codes[:-1] * g % p).all(), p
+        if p < 2000:
+            assert f._exp == codes.tolist(), p
+            assert f._log[0] == 0 and all(
+                f._log[c] == i for i, c in enumerate(f._exp)), p
+            assert [trace_to_prime(x) for x in f.elements()] \
+                == list(range(p)), p

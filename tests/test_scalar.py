@@ -385,3 +385,177 @@ def test_squarefree_decompose_matches_factorint_past_trial_division(n):
         s *= p ** (e // 2)
         d *= p ** (e % 2)
     assert squarefree_decompose(n) == (s, d)
+
+
+def test_bools_are_stored_as_ints():
+    xs = [Scalar(True), Scalar(False), Scalar(1, 0, 0, True),
+          Scalar(3, True, 2, 4), Scalar(2) * True, True * Scalar(2),
+          Scalar(-1, 0, 0, 3) + True, True - Scalar(1, 0, 0, 3),
+          Scalar(1, 1, 5, 2) - True, Scalar(5, 0, 0, 2) / True,
+          True / Scalar(1, 0, 0, 2), Scalar(0, 1, 3, 1) * False]
+    for x in xs:
+        assert all(type(v) is int for v in (x.p, x.q, x.d, x.r)), repr(x)
+        assert parse_scalar(format_scalar(x)) == x
+    assert format_scalar(Scalar(True)) == "1"
+    assert format_scalar(Scalar(1, 0, 0, True)) == "1"
+    assert format_scalar(Scalar(2) * True) == "2"
+    assert Scalar(True) == 1 == Scalar(1) and hash(Scalar(True)) == hash(1)
+
+
+# -- the integer kernel against sympy's quadratic fields ----------------------
+#
+# Q(sqrt d) is sympy's AlgebraicField: an element is built from its two
+# rational coordinates and every operation is sympy's, so a wrong value,
+# a sign slip or a result left unreduced shows up as a mismatch.
+
+KERNEL_RADICANDS = (2, 3, 5, 6)
+_FIELDS = {d: sympy.QQ.algebraic_field(sympy.sqrt(d))
+           for d in KERNEL_RADICANDS}
+
+
+def _elem(K, y):
+    """y (a Scalar, an int or a Fraction) as an element of K."""
+    if isinstance(y, Scalar):
+        return K([sympy.Rational(y.q, y.r), sympy.Rational(y.p, y.r)])
+    y = Fraction(y)
+    return K([sympy.Rational(y.numerator, y.denominator)])
+
+
+def _assert_canonical(x):
+    assert all(type(v) is int for v in (x.p, x.q, x.d, x.r)), repr(x)
+    assert x.f is None and x.r > 0
+    assert (x.q == 0) == (x.d == 0)
+    assert math.gcd(x.p, x.q, x.r) == 1
+    y = Scalar(x.p, x.q, x.d, x.r)
+    assert (y.p, y.q, y.d, y.r) == (x.p, x.q, x.d, x.r)
+
+
+@st.composite
+def field_scalars(draw, d):
+    """(p + q sqrt d)/r, rational about one time in three."""
+    q = draw(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(-40, 40)))
+    return Scalar(draw(st.integers(-10 ** 6, 10 ** 6) | st.integers(-40, 40)),
+                  q, d, draw(st.integers(1, 10 ** 4) | st.integers(1, 12)))
+
+
+@st.composite
+def kernel_cases(draw):
+    d = draw(st.sampled_from(KERNEL_RADICANDS))
+    x = draw(field_scalars(d))
+    y = draw(st.one_of(field_scalars(d), st.integers(-50, 50),
+                       st.builds(Fraction, st.integers(-50, 50),
+                                 st.integers(1, 50))))
+    return d, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@example((3, Scalar(-3, 1, 3, 6), 1))
+@example((2, Scalar(1, -1, 2, 1), -1))
+@example((5, Scalar(0), Fraction(1, 2)))
+def test_kernel_matches_sympy_field(case):
+    d, x, y = case
+    K = _FIELDS[d]
+    ex, ey = _elem(K, x), _elem(K, y)
+    assert K.to_sympy(K([1, 0])) == sympy.sqrt(d)
+    results = [(x + y, ex + ey), (y + x, ex + ey), (x - y, ex - ey),
+               (y - x, ey - ex), (x * y, ex * ey), (y * x, ex * ey),
+               (-x, -ex)]
+    if y != 0:
+        results.append((x / y, ex / ey))
+    if x != 0:
+        results.append((y / x, ey / ex))
+    for got, want in results:
+        _assert_canonical(got)
+        assert _elem(K, got) == want, (x, y, got)
+    sx, sy = K.to_sympy(ex), K.to_sympy(ey)
+    assert x.sign() == sympy.sign(sx)
+    assert x.abs_le_one() == bool(sympy.Abs(sx) <= 1)
+    assert (x < y) == bool(sx < sy) and (x <= y) == bool(sx <= sy)
+    assert (x > y) == bool(sx > sy) and (x >= y) == bool(sx >= sy)
+    assert (x == y) == (ex == ey) and (y == x) == (ex == ey)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 20, 10 ** 20),
+       st.integers(1, 10 ** 20) | st.sampled_from([1, 2, 2 ** 61 - 1,
+                                                    3 * (2 ** 61 - 1)]))
+# a numerator past the hash modulus 2^61 - 1, and a denominator that is a
+# multiple of it (no inverse)
+@example(2 ** 64 + 1, 3)
+@example(-(2 ** 62) - 1, 7)
+@example(5, 2 ** 61 - 1)
+def test_rationals_hash_like_fractions(p, r):
+    x = Scalar(p, 0, 0, r)
+    fr = Fraction(p, r)
+    assert hash(x) == hash(fr)
+    assert x == fr and fr == x
+    if fr.denominator == 1:
+        assert hash(x) == hash(fr.numerator) and x == fr.numerator
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 5), (5, 2), (6, 3)]),
+       st.integers(-30, 30), st.integers(1, 30),
+       st.integers(-30, 30), st.integers(1, 30),
+       st.integers(1, 20), st.integers(1, 20))
+def test_mixed_radicands_raise(ds, p1, q1, p2, q2, r1, r2):
+    x, y = Scalar(p1, q1, ds[0], r1), Scalar(p2, q2, ds[1], r2)
+    msg = r"sqrt\(%d\) and sqrt\(%d\) do not mix"
+    for a, b in ((x, y), (y, x)):
+        for op in (lambda u, v: u + v, lambda u, v: u - v,
+                   lambda u, v: u * v, lambda u, v: u / v,
+                   lambda u, v: u < v, lambda u, v: u >= v):
+            with pytest.raises(IncompatibleRadicands,
+                               match=msg % (a.d, b.d)):
+                op(a, b)
+    # a rational mixes with either field
+    assert (x + Scalar(1, 0, 0, 2)).d == x.d
+    assert (Scalar(3) * y).d == y.d
+
+
+def _float_of(y):
+    return Scalar._coerce(y).to_float()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-4, 4, allow_nan=False) | st.sampled_from([0.0, -0.0]),
+       st.one_of(field_scalars(3), st.integers(-9, 9),
+                 st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                 st.floats(-4, 4, allow_nan=False)))
+# y / f and y * (1 / f) differ in the last bit
+@example(-0.4, -0.04)
+@example(3.21, -6)
+def test_float_results_follow_to_float(f, y):
+    # the float path is the one from before the integer kernel: operands
+    # go through to_float, a - b is a + (-b), and y / x is y * (1 / x)
+    x = Scalar.from_float(f)
+    wants = [(lambda: x + y, lambda: f + _float_of(y)),
+             (lambda: y + x, lambda: f + _float_of(y)),
+             (lambda: x - y, lambda: f + Scalar._coerce(-y).to_float()),
+             (lambda: x * y, lambda: f * _float_of(y)),
+             (lambda: y * x, lambda: f * _float_of(y)),
+             (lambda: x / y, lambda: f / _float_of(y)),
+             (lambda: -x, lambda: -f)]
+    if isinstance(y, Scalar):
+        wants += [(lambda: y - x, lambda: y.to_float() + -f),
+                  (lambda: y / x, lambda: y.to_float() / f)]
+    else:
+        wants += [(lambda: y - x, lambda: _float_of(y) + -f),
+                  (lambda: y / x, lambda: _float_of(y) * (1.0 / f))]
+    for got, want in wants:
+        try:
+            expected = want()
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                got()
+            continue
+        result = got()
+        assert result.is_float and result.f.hex() == expected.hex()
+    assert x.sign() == (f > 0) - (f < 0)
+    assert x.abs_le_one() == (abs(f) <= 1.0 + 1e-12)
+    assert (x == y) == (f == _float_of(y))
+    assert hash(x) == hash(f)

@@ -281,6 +281,19 @@ def test_verify_identity_strict():
     assert cert.gram_exact and cert.det.exact_zero
 
 
+def test_strict_needs_a_unit_in_every_row_and_every_column():
+    # M M^T = 2 I over Q(sqrt 2), with h = sqrt(2)/2: every row holds a 1,
+    # columns 2 and 3 hold none; M^T is the same with rows and columns
+    # exchanged, and M^T M = 2 I as well
+    h, z, one = Scalar(0, 1, 2, 2), Scalar(0), Scalar(1)
+    M = [[one, z, h, h], [one, z, -h, -h],
+         [z, one, h, -h], [z, one, -h, h]]
+    for rows in (M, [list(col) for col in zip(*M)]):
+        cert = verify_cretan(from_values(rows, Scalar(2), "test"))
+        assert cert.relaxed and cert.gram_exact and cert.moduli_ok
+        assert not cert.strict and not cert.passed
+
+
 def test_verify_recomputes_omega():
     M = basic_family(5)
     assert verify_cretan(M).omega == Scalar(25, 0, 0, 9)
