@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from cretan.catalog import (
     MAX_ORDER,
@@ -276,7 +276,11 @@ def _cmd_designs(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: the choices of
+    --method are the keys of _CONSTRUCTORS, and a subcommand's builder is
+    looked up when it runs, so a patched builder is still the one used."""
     ap = argparse.ArgumentParser(
         prog="cretan",
         description="Construct, verify, and catalog Cretan matrices.")

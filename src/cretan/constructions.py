@@ -29,7 +29,7 @@ from cretan.scalar import (
     format_scalar,
     solve_quadratic,
 )
-from cretan.verify import kron_pair_codes, verify_complex
+from cretan.verify import verify_complex
 
 
 class ModulusViolation(ValueError):
@@ -42,15 +42,38 @@ def _level_key(x: Scalar):
     return (x.to_float(), format_scalar(x))
 
 
-@dataclass
 class LevelMatrix:
-    order: int
-    levels: tuple                # sorted distinct Scalars
-    grid: np.ndarray             # int16 indices into levels
-    omega: Scalar
-    method: str
-    params: dict = field(default_factory=dict)
-    notes: tuple = ()
+    """An order-n real matrix as its sorted distinct levels (Scalars) and
+    an int16 grid of indices into them.
+
+    A Kronecker product keeps its factors instead: factors is (A, B,
+    table), with table[u tb + w] the index in levels of A.levels[u]
+    B.levels[w] (tb = B.tau), and the grid is built from the factor grids
+    on its first read, cached and made read-only.  Until then a product
+    costs O(tau_A tau_B), and `verify.ByFactors` can certify it without
+    building it.
+    """
+
+    def __init__(self, order: int, levels: tuple, grid: np.ndarray | None,
+                 omega: Scalar, method: str, params=None, notes=(),
+                 factors=None):
+        self.order = order
+        self.levels = levels
+        self._grid = grid
+        self.omega = omega
+        self.method = method
+        self.params = {} if params is None else params
+        self.notes = notes
+        self.factors = factors
+
+    @property
+    def grid(self) -> np.ndarray:
+        if self._grid is None:
+            A, B, table = self.factors
+            grid = table.take(kron_pair_codes(A.grid, B.grid, B.tau))
+            grid.flags.writeable = False
+            self._grid = grid
+        return self._grid
 
     @property
     def tau(self) -> int:
@@ -82,6 +105,14 @@ class LevelMatrix:
             self.method, self.mode)
 
 
+def kron_pair_codes(ga: np.ndarray, gb: np.ndarray, tb: int) -> np.ndarray:
+    """u tb + w at each entry of the Kronecker product of the grids ga and
+    gb where they hold u and w: the mixed-radix code of the level pair."""
+    n = len(ga) * len(gb)
+    return (ga.astype(np.int32)[:, None, :, None] * tb
+            + gb.astype(np.int32)[None, :, None, :]).reshape(n, n)
+
+
 def from_values(values, omega: Scalar, method: str, params=None,
                 notes=()) -> LevelMatrix:
     """Build a LevelMatrix from a square array of Scalars."""
@@ -94,19 +125,25 @@ def from_values(values, omega: Scalar, method: str, params=None,
     return from_codes(list(ids), codes, omega, method, params, notes)
 
 
-def from_codes(values, codes: np.ndarray, omega: Scalar, method: str,
-               params=None, notes=()) -> LevelMatrix:
-    """Build a LevelMatrix whose entry (i, j) is values[codes[i, j]].
-    Equal values merge into one level, and the first of them is kept.
-    More levels than an int16 grid can index is a ValueError."""
+def _merged(values) -> tuple:
+    """(levels, lut): the distinct values sorted, the first of equal ones
+    kept, and the int16 index in levels of each value.  More levels than
+    an int16 grid can index is a ValueError."""
     levels = tuple(sorted(dict.fromkeys(values), key=_level_key))
     if len(levels) > np.iinfo(np.int16).max + 1:
         raise ValueError("%d levels, more than an int16 grid can index"
                          % len(levels))
     index = {l: i for i, l in enumerate(levels)}
-    lut = np.array([index[x] for x in values], dtype=np.int16)
+    return levels, np.array([index[x] for x in values], dtype=np.int16)
+
+
+def from_codes(values, codes: np.ndarray, omega: Scalar, method: str,
+               params=None, notes=()) -> LevelMatrix:
+    """Build a LevelMatrix whose entry (i, j) is values[codes[i, j]].
+    Equal values merge into one level (see _merged)."""
+    levels, lut = _merged(values)
     return LevelMatrix(codes.shape[0], levels, lut.take(codes), omega,
-                       method, params or {}, tuple(notes))
+                       method, params, tuple(notes))
 
 
 def basic_family(n: int) -> LevelMatrix:
@@ -230,7 +267,8 @@ def bordered_solver(sb: Sbibd) -> list:
 
 def kronecker_cretan(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
     """Kronecker product: order and radius multiply, levels are the
-    pairwise products (recounted, since products can coincide)."""
+    pairwise products (recounted, since products can coincide).  The
+    product is kept factored; its grid is built on first read."""
     try:
         prods = [a * b for a in A.levels for b in B.levels]
         omega = A.omega * B.omega
@@ -238,11 +276,12 @@ def kronecker_cretan(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
         prods = [Scalar.from_float(a.to_float() * b.to_float())
                  for a in A.levels for b in B.levels]
         omega = Scalar.from_float(A.omega.to_float() * B.omega.to_float())
-    return from_codes(prods, kron_pair_codes(A.grid, B.grid, B.tau), omega,
-                      "kronecker",
-                      {"left": (A.method, A.order),
-                       "right": (B.method, B.order)},
-                      sorted(set(A.notes) | set(B.notes)))
+    levels, table = _merged(prods)
+    return LevelMatrix(A.order * B.order, levels, None, omega, "kronecker",
+                       {"left": (A.method, A.order),
+                        "right": (B.method, B.order)},
+                       tuple(sorted(set(A.notes) | set(B.notes))),
+                       factors=(A, B, table))
 
 
 def _rescaled(levels: tuple, ratio: Scalar) -> tuple:

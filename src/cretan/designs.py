@@ -13,7 +13,8 @@ int32 coordinate arrays.  Developing D is then one lookup,
 B[i, j] = inside[pos(g_j - g_i)], and the census is one `np.bincount`
 over the k x k difference positions, less the k diagonal hits on the
 identity.  Coordinates are range-checked first, so an element outside
-the group cannot alias to another one.
+the group cannot alias to another one; make_difference_set checks them
+once and keeps them on the set for develop.
 
 Three families are constructed directly (quadratic residues, biquadratic
 residues, hyperplane-based sets in projective space) and the rest ship as
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -152,9 +153,12 @@ def difference_census(group: GroupDesc, elements) -> dict:
 
 @dataclass(frozen=True)
 class DifferenceSet:
+    """A census-checked difference set; make_difference_set builds it.
+    coords holds the coordinate rows of elements, range-checked there."""
     group: GroupDesc
     elements: tuple
     lam: int
+    coords: np.ndarray = field(repr=False, compare=False)
     source: str = ""
 
     @property
@@ -180,7 +184,7 @@ class DifferenceSet:
         """Incidence matrix: row g, column h carries 1 iff h - g is in D."""
         group = self.group
         inside = np.zeros(self.v, dtype=np.int8)
-        inside[group.positions(group.coords(self.elements))] = 1
+        inside[group.positions(self.coords)] = 1
         C = group.all_coords()
         B = inside[group.diff_positions(C, C)]
         return Sbibd(self.v, self.k, self.lam, B, source=self.source)
@@ -207,7 +211,7 @@ def make_difference_set(group: GroupDesc, elements, lam: int,
         raise NotADifferenceSet(
             "census mismatch for %s in %s: %d elements deviate from "
             "lambda=%d" % (sorted(els)[:4], group, bad, lam))
-    return DifferenceSet(group, els, lam, source=source)
+    return DifferenceSet(group, els, lam, C, source=source)
 
 
 @dataclass

@@ -225,13 +225,13 @@ def _powers(times_c: np.ndarray, m: int) -> np.ndarray:
     return out[:m]
 
 
-def _is_irreducible(times_x, digits, pw, p) -> bool:
+def _is_irreducible(times_x, powers, digits, pw, p) -> bool:
     """Rabin's test on the multiply-by-x table of GF(p)[x]/(m), m monic
-    of degree k >= 1: m is irreducible iff x^(p^k) = x and, for every
-    prime e | k, x^(p^(k/e)) - x is a unit, that is, multiplying by it
+    of degree k >= 1, and the codes of x^0 .. x^(p^k) (`_powers(times_x,
+    p^k + 1)`): m is irreducible iff x^(p^k) = x and, for every prime
+    e | k, x^(p^(k/e)) - x is a unit, that is, multiplying by it
     permutes the codes."""
     n = len(digits)
-    powers = _powers(times_x, n + 1)
     x = times_x[1]
     if powers[n] != x:
         return False
@@ -281,17 +281,19 @@ def make_field(p: int, k: int) -> FieldSpec:
             if not ((at[:, :k] @ cs + at[:, k]) % p).all():
                 continue
             times_x = _times_x(cs, digits, pw, p)
-            if _is_irreducible(times_x, digits, pw, p):
+            xpowers = _powers(times_x, n + 1)
+            if _is_irreducible(times_x, xpowers, digits, pw, p):
                 break
         # constants have order at most p - 1, so the least primitive
         # element is x (code p) or later; every power of a rejected
         # element is rejected with it, and GF(p^k)^* is cyclic, so one is
-        # found
+        # found.  x takes its powers from Rabin's test; another candidate
+        # gets its multiply table and power table here
         rejected = np.zeros(n, dtype=bool)
         for c in range(p, n):
             if rejected[c]:
                 continue
-            powers = _powers(
+            powers = xpowers[:n - 1] if c == p else _powers(
                 _times_table(digits[c], times_x, digits, pw, p), n - 1)
             if not (powers[1:] == 1).any():
                 break

@@ -1,6 +1,7 @@
 """Certification of Cretan matrices and the determinant bound suite.
 
-verify_cretan recomputes everything from the entries: the Gram matrix
+verify_cretan recomputes everything from the entries, or from a proof
+of their structure that the caller passes (see below): the Gram matrix
 (exactly, by integer coordinates, whenever the levels live in one
 quadratic field), the level census, modulus bounds, the strict unit-entry
 condition, and the determinant identity |det| = omega^(n/2).  It trusts
@@ -38,31 +39,56 @@ is Q^T E Q for the orthogonal Q = S / sqrt(w), whose largest entry is at
 most n times the largest entry of E.
 
 A caller that built S from checked parts may pass a proof (`gram=`) that
-stands in for the O(n^3) lift with O(n^2) checks of the structure.  The
-identity then follows from a smaller one that was checked before:
+stands in for the O(n^3) lift, and for the O(n^2) level census and unit
+scan, with checks of the structure.  The identity then follows from a
+smaller one that was checked before:
 
 - ByFactors, for S = A (x) B.  (A (x) B)(C (x) D) = AC (x) BD gives
   S S^T = A A^T (x) B B^T = omega_A I (x) omega_B I = omega_A omega_B I.
-  The proof rebuilds the grid of S from the factor grids and the table
-  taking a level pair (u, w) to the index of A.levels[u] B.levels[w] in
-  S.levels, and requires both factor certificates to have gram_exact.
+  The proof holds when S is the factored product that
+  `constructions.kronecker_cretan` made of the two certified matrices
+  (an identity check on S.factors: its grid is by definition the
+  Kronecker product of theirs), and both factor certificates have
+  gram_exact and relaxed.  It reads no grid and takes O(1) time after
+  the O(tau_A tau_B) level products that built S.
 - ByDesign, for S = bJ + (1-b)X with X a 0/1 matrix and X X^T =
   (k-lam) I + lam J (checked by `Sbibd.validate`, or X = I with k = 1,
   lam = 0, or X = J - Y for a design Y that `Sbibd.validate` passed).
   The row sums of X are the diagonal of X X^T, so XJ = JX^T = kJ, and
   with J J^T = vJ
       S S^T = (b^2 v + 2kb(1-b) + lam(1-b)^2) J + (k-lam)(1-b)^2 I.
-  The proof checks that the grid is X over the levels (b, 1) and that the
-  coefficient of J, which is (v-2k+lam) b^2 + 2(k-lam) b + lam (the
-  polynomial `characteristic_roots` solves), is exactly zero; then omega
-  = (k-lam)(1-b)^2, which is also the row norm k + (v-k) b^2.
+  The proof checks, in O(n^2), that the grid is X over the levels
+  (b, 1) and that the coefficient of J, which is (v-2k+lam) b^2 +
+  2(k-lam) b + lam (the polynomial `characteristic_roots` solves), is
+  exactly zero; then omega = (k-lam)(1-b)^2, which is also the row norm
+  k + (v-k) b^2.
   The complement needs no check of its own: for a design Y (v, k, lam),
   YJ = JY^T = kJ as above, so (J-Y)(J-Y)^T = vJ - 2kJ + Y Y^T =
   (k-lam) I + (v-2k+lam) J, the identity of the parameters
   (v, v-k, v-2k+lam) of J - Y.
 
-A proof returns omega only when every check holds; otherwise the lift
-runs, so a verdict is always the one the lift would give.
+The census rule: a proof that holds also gives tau, the number of levels
+the grid uses, and whether every row and column holds a unit (a level of
+modulus 1, which for a real exact level means +-1).
+
+- ByFactors: each factor holds every one of its levels (its certified tau
+  equals its level count, which the proof requires), so every level pair
+  (u, w) occurs in the product grid and tau is the level count of S.
+  With every modulus at most 1 (both factors are relaxed), |ab| = 1
+  exactly when |a| = |b| = 1, so row (i, k) of A (x) B holds a unit
+  exactly when row i of A and row k of B do, and likewise for columns:
+  S has a unit in every row and column exactly when both factors are
+  strict.
+- ByDesign: every row and column sum of X is k (`Sbibd.validate` checks
+  both; I and J - Y inherit them), so X holds a 1 in every row and column
+  when k >= 1 and a 0 somewhere when k < v.  The level 1 is the unit, so
+  tau = 1 + (0 < k < v), and every row and column holds a unit when
+  k >= 1.  With k = 0 the coefficient of J is v b^2, so a proof that
+  holds has b = 0 and no unit.
+
+A proof returns (omega, tau, units) only when every check holds;
+otherwise the lift and the census run, so a verdict is always the one
+the lift would give.
 
 The exact determinant of a rational matrix (order <= 45) is det(P[grid])
 / R^n, with the integer determinant found by fraction-free (Bareiss)
@@ -377,14 +403,6 @@ def _exact_gram_check(S) -> tuple:
     return Scalar(int(diag[0]), int(diag[1]), d, R * R), path
 
 
-def kron_pair_codes(ga: np.ndarray, gb: np.ndarray, tb: int) -> np.ndarray:
-    """u tb + w at each entry of the Kronecker product of the grids ga and
-    gb where they hold u and w: the mixed-radix code of the level pair."""
-    n = len(ga) * len(gb)
-    return (ga.astype(np.int32)[:, None, :, None] * tb
-            + gb.astype(np.int32)[None, :, None, :]).reshape(n, n)
-
-
 @dataclass
 class ByFactors:
     """Proof that S = A (x) B, from the certificates that verify_cretan
@@ -393,45 +411,44 @@ class ByFactors:
     right: Certificate
     path = "by-factors"
 
-    def omega(self, S) -> Scalar | None:
-        """omega_A omega_B when the grid of S is the Kronecker product of
-        the factor grids and both factors are exactly certified."""
-        if not (self.left.gram_exact and self.right.gram_exact):
+    def prove(self, S) -> tuple | None:
+        """(omega_A omega_B, tau, units) when S is the product that
+        `constructions.kronecker_cretan` made of the two certified
+        matrices, both certificates are gram_exact and relaxed, and each
+        factor holds every one of its levels; None otherwise.  Reads no
+        grid; tau and units follow the census rule."""
+        factors = S.factors
+        left, right = self.left, self.right
+        if factors is None or factors[0] is not left.matrix \
+                or factors[1] is not right.matrix:
             return None
-        A, B = self.left.matrix, self.right.matrix
-        if A.order * B.order != S.order:
+        if not all(c.gram_exact and c.relaxed and c.tau == len(c.matrix.levels)
+                   for c in (left, right)):
             return None
         try:
-            prods = [a * b for a in A.levels for b in B.levels]
-            omega = self.left.omega * self.right.omega
-        except IncompatibleRadicands:
+            omega = left.omega * right.omega
+        except IncompatibleRadicands:   # a float product of two fields
             return None
-        index = {l: i for i, l in enumerate(S.levels)}
-        try:
-            table = np.array([index[p] for p in prods], dtype=np.int32)
-        except KeyError:
-            return None
-        pair = kron_pair_codes(A.grid, B.grid, len(B.levels))
-        if not np.array_equal(table.take(pair), S.grid):
-            return None
-        return omega
+        return omega, len(S.levels), left.strict and right.strict
 
 
 @dataclass
 class ByDesign:
     """Proof that S = bJ + (1-b)X for a 0/1 matrix X with X X^T =
-    (k-lam) I + lam J.  Whoever makes the proof has checked X: by
-    `Sbibd.validate`, as X = I with k = 1 and lam = 0, or as J - Y for a
-    design Y that `Sbibd.validate` passed, whose identity gives that of
-    J - Y (see the module docstring)."""
+    (k-lam) I + lam J and every row and column sum k.  Whoever makes the
+    proof has checked X: by `Sbibd.validate`, as X = I with k = 1 and
+    lam = 0, or as J - Y for a design Y that `Sbibd.validate` passed,
+    whose identity gives that of J - Y (see the module docstring)."""
     incidence: np.ndarray
     k: int
     lam: int
     path = "by-design"
 
-    def omega(self, S) -> Scalar | None:
-        """The row norm k + (v-k) b^2 when the grid of S is X over the
-        levels (b, 1) and the coefficient of J in S S^T is exactly zero."""
+    def prove(self, S) -> tuple | None:
+        """(omega, tau, units) when the grid of S is X over the levels
+        (b, 1) and the coefficient of J in S S^T is exactly zero, with
+        omega the row norm k + (v-k) b^2; None otherwise.  tau and units
+        follow the census rule."""
         if len(S.levels) != 2 or S.levels[1] != 1 \
                 or not np.array_equal(S.grid, self.incidence):
             return None
@@ -440,7 +457,7 @@ class ByDesign:
         v, k, lam = S.order, self.k, self.lam
         if not ((v - 2 * k + lam) * b2 + 2 * (k - lam) * b + lam).is_zero():
             return None
-        return (v - k) * b2 + k
+        return (v - k) * b2 + k, 1 + (0 < k < v), k >= 1
 
 
 def verify_cretan(S, mode: str = "strict", tolerance: float = VERIFY_TOL,
@@ -449,27 +466,32 @@ def verify_cretan(S, mode: str = "strict", tolerance: float = VERIFY_TOL,
 
     mode picks which verdict `passed` reports; the certificate always
     carries both.  gram is an optional proof (ByFactors or ByDesign) of
-    the Gram identity, tried before the lift on an exact matrix; when any
-    of its checks fails the lift runs.  Only a non-square input raises.
+    the Gram identity, the level count and the unit rows, tried before
+    the lift on an exact matrix; when any of its checks fails the lift
+    and the grid census run.  Only a non-square input raises; a factored
+    product is square by construction, and its grid is read only when
+    no proof holds.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError("mode must be strict or relaxed")
     n = S.order
-    if S.grid.shape != (n, n):
+    if S.factors is None and S.grid.shape != (n, n):
         raise ValueError("matrix is not square")
 
     moduli_ok = all(l.abs_le_one() for l in S.levels)
 
     max_offdiag = 0.0
-    omega = None
+    omega = proved = None
     checked_exactly = False
     if S.mode != "exact":
         path = "float: float %s" % (
             "levels" if any(l.is_float for l in S.levels) else "omega")
     else:
         if gram is not None:
-            omega, path = gram.omega(S), gram.path
-        if omega is None:
+            proved, path = gram.prove(S), gram.path
+        if proved is not None:
+            omega, tau, units = proved
+        else:
             try:
                 omega, path = _exact_gram_check(S)
                 checked_exactly = True
@@ -489,12 +511,14 @@ def verify_cretan(S, mode: str = "strict", tolerance: float = VERIFY_TOL,
     omega_claim_ok = S.omega == omega if gram_exact else \
         abs(S.omega.to_float() - omega.to_float()) <= tolerance
 
-    # census straight from the grid; unused level slots would be a bug
-    tau = int(np.count_nonzero(
-        np.bincount(S.grid.ravel(), minlength=len(S.levels))))
-
     relaxed = bool(moduli_ok and gram_ok and omega_claim_ok)
-    strict = relaxed and _units_everywhere(S)
+    if proved is None:
+        # census straight from the grid; unused level slots would be a bug
+        tau = int(np.count_nonzero(
+            np.bincount(S.grid.ravel(), minlength=len(S.levels))))
+        strict = relaxed and _units_everywhere(S)
+    else:
+        strict = relaxed and units
 
     return Certificate(n, omega, tau, "exact" if gram_exact else "float",
                        gram_exact, path, max_offdiag, moduli_ok,

@@ -15,7 +15,7 @@ from cretan.catalog import (
     construct_best,
     format_catalog_text,
 )
-from cretan.scalar import Scalar
+from cretan.scalar import REFINE_TOL, Scalar
 from cretan.verify import verify_cretan
 
 
@@ -253,6 +253,38 @@ def test_proofs_agree_with_the_lift(full_report):
                 assert got.gram_path == lift.gram_path
     assert paths == {(True, "by-factors"): 69, (False, "by-design"): 172,
                      (True, "float: float levels"): 5}
+
+
+def _census(S):
+    """(tau, units): the level count and unit rows and columns read off
+    the grid, as verify_cretan counted them for every matrix before a
+    proof could give them; the oracle for the proofs' census."""
+    tau = int(np.count_nonzero(
+        np.bincount(S.grid.ravel(), minlength=len(S.levels))))
+
+    def is_unit(l):
+        if l.is_float:
+            return abs(abs(l.f) - 1.0) <= REFINE_TOL
+        return not l.q and abs(l.p) == l.r
+
+    cells = np.array([is_unit(l) for l in S.levels], dtype=bool).take(S.grid)
+    return tau, bool(cells.any(axis=1).all() and cells.any(axis=0).all())
+
+
+def test_proof_census_agrees_with_the_grid(full_report):
+    paths = Counter()
+    for e in full_report.entries:
+        for c in e.candidates:
+            cert = c.certificate
+            if cert is None or cert.gram_path not in ("by-factors",
+                                                      "by-design"):
+                continue
+            tau, units = _census(c.matrix)
+            assert cert.tau == tau, (e.order, c.method, c.note)
+            assert cert.strict == (cert.relaxed and units), \
+                (e.order, c.method, c.note)
+            paths[cert.gram_path] += 1
+    assert paths == {"by-factors": 69, "by-design": 172}
 
 
 def test_gram_path_counts_119():

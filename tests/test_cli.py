@@ -24,6 +24,10 @@ def test_construct_basic_stdout(capsys):
     assert out.startswith("cretan-matrix 1")
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_construct_auto_writes_file(tmp_path, capsys):
     target = tmp_path / "m45.cm"
     code = main(["construct", "--order", "45", "--out", str(target)])

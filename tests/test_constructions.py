@@ -18,12 +18,14 @@ from cretan.constructions import (
     characteristic_roots,
     conference_complex,
     direct_sum,
+    from_codes,
     from_values,
     gh_from_field,
     gh_to_complex,
     gh_z3_order6,
     gw_z3_order5,
     group_orthogonality_check,
+    kron_pair_codes,
     kronecker_cretan,
     regular_hadamard_border,
     sbibd_two_level,
@@ -40,7 +42,9 @@ from cretan.designs import (
 )
 from cretan.fields import factor_prime_power, is_prime_power
 from cretan.hadamard import paley_conference, regular_hadamard, sylvester
-from cretan.scalar import Scalar, parse_scalar
+from cretan import catalog
+from cretan.catalog import catalog_table, construct_best
+from cretan.scalar import IncompatibleRadicands, Scalar, parse_scalar
 from cretan.verify import verify_cretan
 
 
@@ -277,6 +281,60 @@ def test_kronecker_mixed_radicands_degrades_to_float():
     m = kronecker_cretan(a, b)
     assert m.mode == "float"
     assert verify_cretan(m, mode="relaxed").max_offdiag < 1e-9
+
+
+def eager_kronecker(A, B):
+    """The oracle: the product as kronecker_cretan built it before it kept
+    its factors, with the grid gathered at once from the factor grids."""
+    try:
+        prods = [a * b for a in A.levels for b in B.levels]
+        omega = A.omega * B.omega
+    except IncompatibleRadicands:
+        prods = [Scalar.from_float(a.to_float() * b.to_float())
+                 for a in A.levels for b in B.levels]
+        omega = Scalar.from_float(A.omega.to_float() * B.omega.to_float())
+    return from_codes(prods, kron_pair_codes(A.grid, B.grid, B.tau), omega,
+                      "kronecker",
+                      {"left": (A.method, A.order),
+                       "right": (B.method, B.order)},
+                      sorted(set(A.notes) | set(B.notes)))
+
+
+def test_factored_products_match_the_eager_product():
+    # every Kronecker candidate of the catalog, and the nested products
+    # (a factor that is itself a product) at 225 and 441
+    entries = catalog_table(199).entries + [construct_best(225),
+                                            construct_best(441)]
+    products = [c.matrix for e in entries for c in e.candidates
+                if c.method == "kronecker" and c.matrix is not None]
+    nested = {S.order for S in products
+              if any(F.factors is not None for F in S.factors[:2])}
+    assert len(products) == 74 + 4 + 4 and {225, 441} <= nested
+    for S in products:
+        A, B, _ = S.factors
+        want = eager_kronecker(A, B)
+        assert S == want and S.grid.dtype == want.grid.dtype
+        assert (S.method, S.params, S.notes, S.mode) == \
+            (want.method, want.params, want.notes, want.mode)
+        # an exact level rounds the exact product once, np.kron multiplies
+        # two rounded factors: a few ulps apart at most
+        np.testing.assert_allclose(
+            S.to_float_array(),
+            np.kron(A.to_float_array(), B.to_float_array()),
+            rtol=1e-15, atol=0)
+        assert S.grid is S.grid
+        with pytest.raises(ValueError):
+            S.grid[0, 0] = 0
+
+
+def test_catalog_builds_no_grid_of_a_proved_product(monkeypatch):
+    # a fresh memo: other tests read the grids of the shared one
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    report = catalog_table(199)
+    proved = [c.matrix for e in report.entries for c in e.candidates
+              if c.certificate and c.certificate.gram_path == "by-factors"]
+    assert len(proved) == 69
+    assert all(S._grid is None for S in proved)
 
 
 def test_direct_sum_equal_radius():

@@ -181,6 +181,16 @@ def test_census_forces_the_parameter_identity():
     assert passed > 100
 
 
+def test_develop_reads_the_checked_coordinates(monkeypatch):
+    # make_difference_set range-checked the elements; develop reuses them
+    ds = qr_difference_set(7)
+    monkeypatch.setattr(GroupDesc, "coords", lambda self, els: pytest.fail(
+        "develop checked the coordinates again"))
+    sb = ds.develop()
+    assert sb.incidence[0].tolist() == [0, 1, 1, 0, 1, 0, 0]
+    sb.validate()
+
+
 def test_develop_and_validate_small():
     sb = qr_difference_set(11).develop()
     assert sb.params == (11, 5, 2)

@@ -17,6 +17,7 @@ from cretan.fields import (
     trace_of_powers,
     trace_to_prime,
     _is_irreducible,
+    _powers,
     _times_x,
 )
 from cretan.scalar import is_probable_prime
@@ -340,7 +341,9 @@ def test_table_irreducibility_matches_sympy():
         digits = (np.arange(p ** k, dtype=np.int64)[:, None] // pw) % p
         for cs in digits:
             m = sympy.Poly([1] + cs.tolist()[::-1], x, modulus=p)
-            got = _is_irreducible(_times_x(cs, digits, pw, p), digits, pw, p)
+            times_x = _times_x(cs, digits, pw, p)
+            got = _is_irreducible(times_x, _powers(times_x, p ** k + 1),
+                                  digits, pw, p)
             assert got == m.is_irreducible, (p, k, cs.tolist())
 
 

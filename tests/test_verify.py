@@ -17,6 +17,7 @@ from cretan.constructions import (
     conference_complex,
     from_values,
     kronecker_cretan,
+    regular_hadamard_border,
     sbibd_two_level,
     sign_to_level,
 )
@@ -25,7 +26,7 @@ from cretan.designs import (
     qr_difference_set,
     singer_difference_set,
 )
-from cretan.hadamard import paley_conference, sylvester
+from cretan.hadamard import paley_conference, regular_hadamard, sylvester
 from cretan.scalar import REFINE_TOL, VERIFY_TOL, Scalar
 from cretan.catalog import catalog_table, construct_best
 from cretan.verify import (
@@ -690,11 +691,19 @@ def _basic_9():
     return basic_family(9), ByDesign(np.eye(9, dtype=np.int8), 1, 0)
 
 
+def _unit_1():
+    # X = J = I at v = 1 (k = v = 1, lam = 0): the level 0 goes unused
+    ones = np.ones((1, 1), dtype=np.int8)
+    return (LevelMatrix(1, (Scalar(0), Scalar(1)), ones.astype(np.int16),
+                        Scalar(1), "unit"), ByDesign(ones, 1, 0))
+
+
 @pytest.mark.parametrize("build, path", [
     (lambda: _product(3, 5), "by-factors"),
     (lambda: _product(3, 7), "by-factors"),
     (_paley_7, "by-design"),
     (_basic_9, "by-design"),
+    (_unit_1, "by-design"),
 ])
 def test_proof_agrees_with_lift(build, path):
     S, proof = build()
@@ -724,6 +733,8 @@ def _mutants():
     yield "flipped design entry", _flipped(S, 2, 3), proof, False
     yield "other incidence", S, ByDesign(np.roll(S.grid, 1, axis=0),
                                          proof.k, proof.lam), True
+    yield "all-ones incidence (k = v)", _with_grid(
+        S, np.ones_like(S.grid)), ByDesign(np.ones_like(S.grid), 7, 7), False
     S, proof = _basic_9()
     yield "flipped identity", _flipped(S, 0, 0), proof, False
 
@@ -735,6 +746,36 @@ def test_failed_proof_gives_the_lift_verdict(name, S, proof, cretan):
     assert cert.gram_path == "lift-float32"
     assert _verdict(cert) == _verdict(verify_cretan(S, mode="relaxed"))
     assert cert.relaxed == cretan
+
+
+def test_all_ones_mutant_has_one_level():
+    name, S, proof, _ = [m for m in _mutants() if "k = v" in m[0]][0]
+    assert verify_cretan(S, gram=proof).tau == 1
+
+
+def test_product_of_a_relaxed_factor_is_relaxed():
+    # the border of the order-4 regular Hadamard matrix has no unit in
+    # its core rows, so the product has rows without a unit too
+    R = regular_hadamard_border(regular_hadamard(1))
+    P, _ = _paley_7()
+    S = kronecker_cretan(R, P)
+    proof = ByFactors(verify_cretan(R, mode="relaxed"),
+                      verify_cretan(P, mode="relaxed"))
+    cert = verify_cretan(S, mode="relaxed", gram=proof)
+    assert cert.gram_path == "by-factors" and S._grid is None
+    # levels {-1/2, 0, 1/2, 1} x {b, 1}: 0 b and 0 1 merge
+    assert cert.relaxed and not cert.strict and cert.tau == 7
+    assert _verdict(cert) == _verdict(verify_cretan(S, mode="relaxed"))
+
+
+def test_by_factors_declines_a_product_across_fields():
+    a = sbibd_two_level(singer_difference_set(2, 3).develop())[0]  # sqrt 3
+    b = sbibd_two_level(qr_difference_set(7).develop())[0]         # sqrt 2
+    S = kronecker_cretan(a, b)
+    proof = ByFactors(verify_cretan(a), verify_cretan(b))
+    assert S.mode == "float" and proof.prove(S) is None
+    cert = verify_cretan(S, mode="relaxed", gram=proof)
+    assert cert.gram_path == "float: float levels" and cert.relaxed
 
 
 @pytest.mark.parametrize("a, b", [(3, 5), (3, 7)])
