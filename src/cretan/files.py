@@ -54,7 +54,7 @@ def _serialize_level(m: LevelMatrix) -> str:
              ("omega", format_scalar(m.omega)), ("method", m.method)]
     pairs += [("param %s" % k, m.params[k]) for k in sorted(m.params)]
     pairs += [("note", n) for n in m.notes]
-    return _with_rows(_header(pairs), map(format_scalar, m.levels), m.grid)
+    return _with_rows(_header(pairs), map(format_scalar, m.levels), m)
 
 
 def _serialize_complex(m: ComplexLevelMatrix) -> str:
@@ -65,7 +65,7 @@ def _serialize_complex(m: ComplexLevelMatrix) -> str:
     for row in m.entries:
         lines.append(" ".join("%r,%r" % (float(z.real), float(z.imag))
                               for z in row))
-    return "\n".join(lines) + "\n"
+    return _text(lines)
 
 
 def _serialize_group(m: GroupMatrix) -> str:
@@ -78,12 +78,35 @@ def _serialize_group(m: GroupMatrix) -> str:
     return _with_rows(_header(pairs), toks, m.entries.astype(np.intp) - lo)
 
 
-def _with_rows(lines: list, tokens, codes: np.ndarray) -> str:
-    """The header lines and one line per row of codes, whose entry c is
-    written as the c-th of tokens; each token is formatted once."""
-    table = np.array(list(tokens), dtype=object)
-    lines += [" ".join(table[row].tolist()) for row in codes]
-    return "\n".join(lines) + "\n"
+def _with_rows(lines: list, tokens, m) -> str:
+    """The header lines and one line per row of m, a grid of codes or a
+    LevelMatrix, whose code c is written as the c-th of tokens; each
+    token is formatted once."""
+    lines += _rows(np.array(list(tokens), dtype=object), m)
+    return _text(lines)
+
+
+def _rows(table: np.ndarray, m) -> list:
+    """The rows of m, code c written as table[c].  A factored product
+    A (x) B is written from its factors and its grid is not built: row
+    (i, k) joins, for each level u of row i of A, row k of B written with
+    the tokens of the level pairs (u, w), which are made once per u."""
+    if isinstance(m, LevelMatrix):
+        if m.factors is None:
+            return _rows(table, m.grid)
+        A, B, pairs = m.factors
+        tb = B.tau
+        right = [_rows(table[pairs[u * tb:(u + 1) * tb]], B)
+                 for u in range(A.tau)]
+        return [" ".join([right[u][k] for u in row])
+                for row in A.grid.tolist() for k in range(B.order)]
+    return [" ".join(table[row].tolist()) for row in m]
+
+
+def _text(lines: list) -> str:
+    """The lines, each ended by a newline, joined once."""
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_matrix(text: str):
@@ -173,14 +196,14 @@ def _read_rows(rows, body_at, order, decode, check_row=None) -> tuple:
     once, on its first line; check_row(row, line) sees each row first."""
     ids: dict = {}
     values = []
-    codes = np.empty((order, order), dtype=np.intp)
+    codes = np.empty((order, order), dtype=np.int32)
     for i, row in enumerate(rows):
         line = body_at + 1 + i
         if check_row:
             check_row(row, line)
         toks = _tokens(row, order, line)
         try:
-            codes[i] = np.fromiter(map(ids.__getitem__, toks), np.intp, order)
+            codes[i] = np.fromiter(map(ids.__getitem__, toks), np.int32, order)
         except KeyError:
             # the row holds a new token: decode each new one in row order
             for t in toks:
@@ -190,7 +213,7 @@ def _read_rows(rows, body_at, order, decode, check_row=None) -> tuple:
                     except ValueError as exc:
                         raise ParseError(str(exc), line)
                     ids[t] = len(ids)
-            codes[i] = np.fromiter(map(ids.__getitem__, toks), np.intp, order)
+            codes[i] = np.fromiter(map(ids.__getitem__, toks), np.int32, order)
     return values, codes
 
 
@@ -274,8 +297,11 @@ def _parse_group(header, rows, body_at, order):
 
 
 def save_matrix(m, path) -> None:
+    """Write m to path; a matrix that cannot be serialized leaves an
+    existing file as it was."""
+    text = serialize_matrix(m)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_matrix(m))
+        fh.write(text)
 
 
 def load_matrix(path):

@@ -25,10 +25,21 @@ largest |P[u]| or |Q[u]|, every partial sum of Pg Pg^T, Qg Qg^T and
 Pg Qg^T is an integer of modulus at most n big^2, and every partial sum
 of the two combinations at most (d+1) n big^2.  Integers below 2^24 are
 exact in float32 and below 2^53 in float64, so the products run as
-float32 BLAS when n big^2 < 2^24 and are combined in float64, run as
-float64 BLAS when (d+1) n big^2 < 2^53, and run on Python integers
-otherwise; nothing is ever rounded.  Only
-S S^T is checked: for a real square S, S S^T = omega I with omega != 0
+float32 BLAS when n big^2 < 2^24, as float64 BLAS when (d+1) n big^2 <
+2^53, and on Python integers otherwise.
+
+Float32 products are combined in float32, in place, when n (bp^2 +
+d bq^2) < 2^24, with bp and bq the largest |P[u]| and |Q[u]|.  That
+bounds every entry of d Qg Qg^T and of Pg Pg^T + d Qg Qg^T; it also
+bounds 2 n bp bq, which bounds Pg Qg^T + Qg Pg^T, since 2 bp bq <=
+bp^2 + bq^2 and d >= 2 whenever some Q[u] != 0.  So every sum is an
+exact float32 integer formed from exact ones.  Otherwise the products
+are converted to float64 and combined there.  The diagonal is tested by
+subtracting its first entry from each entry; an IEEE difference of two
+floats is 0 only when the two are equal, so the test cannot report a
+false zero.  Nothing is ever rounded.
+
+Only S S^T is checked: for a real square S, S S^T = omega I with omega != 0
 makes S invertible with S^-1 = S^T / omega, so S^T S = omega S^-1 S =
 omega I; and omega = 0 gives every row norm zero, so S = 0 = S^T S.
 
@@ -361,6 +372,10 @@ def _exact_gram_check(S) -> tuple:
     and path names the integer kernel that ran: lift-float32 when
     n big^2 < 2^24 and (d+1) n big^2 < 2^53, lift-float64 when only the
     second bound holds, lift-object otherwise (see the module docstring).
+    Each part is combined in place in the products' dtype, except that
+    float32 products go to float64 unless n (bp^2 + d bq^2) < 2^24 (bp,
+    bq the largest |P|, |Q|), which keeps every sum an exact float32
+    integer; the path names the products' dtype either way.
 
     S^T S = omega I follows (see the module docstring), so it is not
     computed.  Raises IncompatibleRadicands when the levels span
@@ -368,7 +383,8 @@ def _exact_gram_check(S) -> tuple:
     """
     P, Q, d, R = _lift(S.levels)
     n = S.order
-    big = max(map(abs, P + Q))
+    bp, bq = max(map(abs, P)), max(map(abs, Q))
+    big = max(bp, bq)
     # bounds every partial sum of each product Pg Pg^T, Qg Qg^T, Pg Qg^T
     partial = n * big * big
     # bounds |Pg Pg^T + d Qg Qg^T| and |Pg Qg^T + Qg Pg^T| entrywise
@@ -379,28 +395,32 @@ def _exact_gram_check(S) -> tuple:
         dtype, path = np.float32, "lift-float32"
     else:
         dtype, path = np.float64, "lift-float64"
+    # the products are exact; they are combined in their own dtype unless
+    # a float32 sum could pass 2^24, and then in float64
+    combine = dtype
+    if dtype is np.float32 and n * (bp * bp + d * bq * bq) >= 2 ** 24:
+        combine = np.float64
     Pg = np.array(P, dtype=dtype)[S.grid]
     Qg = np.array(Q, dtype=dtype)[S.grid]
 
     def gram(A, B):
-        # exact products, combined below in float64 or on Python ints
-        G = A @ B.T
-        return G.astype(np.float64) if dtype is np.float32 else G
+        return (A @ B.T).astype(combine, copy=False)
 
     rat = gram(Pg, Pg)
-    irr = np.zeros_like(rat)
+    parts = [rat]
     if d:
-        rat = rat + d * gram(Qg, Qg)
-        X = gram(Pg, Qg)
-        irr = X + X.T
-    diag = (rat[0, 0], irr[0, 0])
-    for part, first in zip((rat, irr), diag):
+        rat += d * gram(Qg, Qg)
+        irr = gram(Pg, Qg)
+        irr += irr.T
+        parts.append(irr)
+    diag = [part[0, 0] for part in parts]
+    for part, first in zip(parts, diag):
         # all zero iff the diagonal is constant and the rest is zero
-        # (a float64 difference is 0 only when its operands agree)
+        # (a float difference is 0 only when its operands agree)
         part.flat[::n + 1] -= first
         if part.any():
             return None, path
-    return Scalar(int(diag[0]), int(diag[1]), d, R * R), path
+    return Scalar(int(diag[0]), int(diag[1]) if d else 0, d, R * R), path
 
 
 @dataclass

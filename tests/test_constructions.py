@@ -41,6 +41,7 @@ from cretan.designs import (
     singer_difference_set,
 )
 from cretan.fields import factor_prime_power, is_prime_power
+from cretan.files import serialize_matrix
 from cretan.hadamard import paley_conference, regular_hadamard, sylvester
 from cretan import catalog
 from cretan.catalog import catalog_table, construct_best
@@ -300,9 +301,9 @@ def eager_kronecker(A, B):
                       sorted(set(A.notes) | set(B.notes)))
 
 
-def test_factored_products_match_the_eager_product():
-    # every Kronecker candidate of the catalog, and the nested products
-    # (a factor that is itself a product) at 225 and 441
+def _catalog_products() -> list:
+    """Every Kronecker candidate of the catalog, and the nested products
+    (a factor that is itself a product) at 225 and 441."""
     entries = catalog_table(199).entries + [construct_best(225),
                                             construct_best(441)]
     products = [c.matrix for e in entries for c in e.candidates
@@ -310,7 +311,11 @@ def test_factored_products_match_the_eager_product():
     nested = {S.order for S in products
               if any(F.factors is not None for F in S.factors[:2])}
     assert len(products) == 74 + 4 + 4 and {225, 441} <= nested
-    for S in products:
+    return products
+
+
+def test_factored_products_match_the_eager_product():
+    for S in _catalog_products():
         A, B, _ = S.factors
         want = eager_kronecker(A, B)
         assert S == want and S.grid.dtype == want.grid.dtype
@@ -325,6 +330,28 @@ def test_factored_products_match_the_eager_product():
         assert S.grid is S.grid
         with pytest.raises(ValueError):
             S.grid[0, 0] = 0
+
+
+def _unbuilt(S):
+    """S made again from its factors, recursively: no product grid is
+    built, whatever other tests read of the catalog's matrices."""
+    if S.factors is None:
+        return S
+    A, B, _ = S.factors
+    return kronecker_cretan(_unbuilt(A), _unbuilt(B))
+
+
+def test_factored_writer_matches_the_eager_grid():
+    for S in map(_unbuilt, _catalog_products()):
+        text = serialize_matrix(S)
+        # the writer builds no grid of S or of a factored right factor
+        # (it reads the grid of a left factor)
+        right = S
+        while right.factors is not None:
+            assert right._grid is None
+            right = right.factors[1]
+        A, B, _ = S.factors
+        assert text == serialize_matrix(eager_kronecker(A, B))
 
 
 def test_catalog_builds_no_grid_of_a_proved_product(monkeypatch):

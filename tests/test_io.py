@@ -116,6 +116,15 @@ def test_save_and_load(tmp_path):
     assert load_matrix(p) == m
 
 
+def test_save_that_cannot_serialize_keeps_the_old_file(tmp_path):
+    p = tmp_path / "m.cm"
+    save_matrix(basic_family(5), p)
+    before = p.read_bytes()
+    with pytest.raises(TypeError):
+        save_matrix(object(), p)
+    assert p.read_bytes() == before
+
+
 def test_parse_bad_magic():
     with pytest.raises(ParseError) as err:
         parse_matrix("something else\n")

@@ -32,6 +32,7 @@ from cretan.catalog import catalog_table, construct_best
 from cretan.verify import (
     ByDesign,
     ByFactors,
+    _exact_gram_check,
     _lift,
     bareiss_det,
     check_det_identity,
@@ -636,6 +637,36 @@ def test_float32_products_are_combined_in_float64():
     cert = verify_cretan(from_values(values, Scalar(1), "two norms"))
     assert cert.gram_path == "lift-float32" and not cert.gram_exact
     assert not cert.relaxed
+
+
+# c H for the order-4 Hadamard matrix H and c = (p + q sqrt d) / 4097:
+# the lift has bp = p and bq = q, and every row meets both bounds, since
+# R^2 S S^T = 4 (p^2 + d q^2) I + 8 p q sqrt(d) I.  4 max(p, q)^2 < 2^24
+# keeps the products in float32 on both sides of each bound.
+@pytest.mark.parametrize("p, q, d", [
+    (2047, 1, 4094),      # 4 (p^2 + d q^2) = 2^24 - 4
+    (2047, 1, 4097),      # 4 (p^2 + d q^2) = 2^24 + 8
+    (1448, 1448, 2),      # 2 * 4 p q = 2^24 - 3584
+    (1449, 1449, 2),      # 2 * 4 p q = 2^24 + 19592
+])
+def test_float32_combination_at_its_bound(p, q, d):
+    c = Scalar(p, q, d, 4097)
+    values = [[c if h > 0 else -c for h in row]
+              for row in sylvester(2).entries]
+    S = from_values(values, 4 * c * c, "scaled hadamard")
+    P, Q, _, R = _lift(S.levels)
+    assert (max(map(abs, P)), max(map(abs, Q)), R) == (p, q, 4097)
+    assert min(abs(4 * (p * p + d * q * q) - 2 ** 24),
+               abs(8 * p * q - 2 ** 24)) < 2 ** 15
+    omega, path = _exact_gram_check(S)
+    assert path == verify_cretan(S).gram_path == "lift-float32"
+    assert sympy.expand(_sym(omega) - _oracle_omega(values)) == 0
+    # one flipped entry makes row 0 meet every other row at +-2 c^2
+    values[0][0] = -c
+    flipped = from_values(values, 4 * c * c, "flipped")
+    assert _oracle_omega(values) is None
+    assert _exact_gram_check(flipped) == (None, "lift-float32")
+    assert verify_cretan(flipped).gram_path == "lift-float32"
 
 
 def test_failed_exact_gram_fails_both_verdicts():
