@@ -26,6 +26,7 @@ from cretan.scalar import (
     IncompatibleRadicands,
     Scalar,
     VERIFY_TOL,
+    exact_dtype,
     format_scalar,
     solve_quadratic,
 )
@@ -406,7 +407,7 @@ class GroupCensusReport:
     message: str
 
 
-# the largest group order whose census runs as float32 products; their
+# the largest group order whose census runs as BLAS products; their
 # work grows as g^2 n^3 against n^3/2 for the row bincounts, and on a
 # 2-vCPU Xeon with one BLAS thread the two meet near g = 13
 BLAS_MAX_GROUP = 11
@@ -426,10 +427,10 @@ def group_orthogonality_check(G: GroupMatrix) -> GroupCensusReport:
     only pairs i < j are judged.  Two kernels count them, chosen by g:
 
     - g <= BLAS_MAX_GROUP: with X_a the 0/1 matrix of the cells holding a
-      (stars in none), N_d = sum_a X_(a+d) X_a^T, g float32 products of
-      n x gn by gn x n, g^2 n^3 multiply-adds.  The terms are 0 or 1 and
-      every partial sum is an integer of at most n < 2^24, so each count
-      is exact in float32, whatever order BLAS adds in.
+      (stars in none), N_d = sum_a X_(a+d) X_a^T, g products of n x gn
+      by gn x n, g^2 n^3 multiply-adds.  The terms are 0 or 1 and every
+      partial sum is an integer of at most n, so each count is exact in
+      `scalar.exact_dtype(n)`, whatever order BLAS adds in.
     - larger g: each row is counted against the rows below it with one
       bincount, stopping at the first bad row: n^3/2 cells, whatever g.
     """
@@ -463,8 +464,9 @@ def _first_bad_pair_blas(E, star, g, want):
     # Y2[i, a n + c] = [codes[i, c] == a mod g], two periods wide, so
     # that columns d n .. (d + g) n hold the X_(a+d) side of N_d
     Y = (codes[:, None, :] == np.arange(g)[:, None]).reshape(n, g * n)
-    Y2 = np.tile(Y.astype(np.float32), 2)
-    N = np.empty((g, n, n), dtype=np.float32)
+    dtype = exact_dtype(n)
+    Y2 = np.tile(Y.astype(dtype), 2)
+    N = np.empty((g, n, n), dtype=dtype)
     for d in range(g):
         np.matmul(Y2[:, d * n:(d + g) * n], Y2[:, :g * n].T, out=N[d])
     bad = np.triu((N != (N[0] if want is None else want)).any(axis=0), 1)

@@ -38,7 +38,7 @@ from cretan.fields import (
     make_field,
     trace_of_powers,
 )
-from cretan.scalar import parse_int
+from cretan.scalar import exact_dtype, parse_int
 
 
 class NotADifferenceSet(ValueError):
@@ -237,10 +237,9 @@ class Sbibd:
             raise ValueError("incidence must be a v x v 0/1 matrix")
         if not (B.sum(axis=1) == k).all() or not (B.sum(axis=0) == k).all():
             raise ValueError("row or column sums differ from k")
-        # float32 BLAS is exact here: every partial sum of a 0/1 Gram
-        # product is an integer of at most v, and a v x v matrix that fits
-        # in memory has v far below 2^24
-        F = B.astype(np.float32)
+        # every partial sum of a 0/1 Gram product is an integer of at
+        # most v, so BLAS in exact_dtype(v) forms it exactly
+        F = B.astype(exact_dtype(v))
         G = F @ F.T
         G.flat[::v + 1] -= k - lam
         if not (G == lam).all():

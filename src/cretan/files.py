@@ -61,11 +61,12 @@ def _serialize_complex(m: ComplexLevelMatrix) -> str:
     pairs = [("mode", "complex"), ("order", m.order),
              ("omega", repr(float(m.omega))), ("method", m.method)]
     pairs += [("param %s" % k, m.params[k]) for k in sorted(m.params)]
-    lines = _header(pairs)
-    for row in m.entries:
-        lines.append(" ".join("%r,%r" % (float(z.real), float(z.imag))
-                              for z in row))
-    return _text(lines)
+    # one token per bit pattern: by value, -0.0 would merge into 0.0
+    bits = np.ascontiguousarray(m.entries, dtype=np.complex128).view("V16")
+    distinct, codes = np.unique(bits, return_inverse=True)
+    toks = ("%r,%r" % (float(z.real), float(z.imag))
+            for z in distinct.view(np.complex128))
+    return _with_rows(_header(pairs), toks, codes.reshape(m.order, m.order))
 
 
 def _serialize_group(m: GroupMatrix) -> str:
@@ -80,10 +81,12 @@ def _serialize_group(m: GroupMatrix) -> str:
 
 def _with_rows(lines: list, tokens, m) -> str:
     """The header lines and one line per row of m, a grid of codes or a
-    LevelMatrix, whose code c is written as the c-th of tokens; each
-    token is formatted once."""
+    LevelMatrix, whose code c is written as the c-th of tokens, each
+    line ended by a newline and joined once; each token is formatted
+    once."""
     lines += _rows(np.array(list(tokens), dtype=object), m)
-    return _text(lines)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _rows(table: np.ndarray, m) -> list:
@@ -101,12 +104,6 @@ def _rows(table: np.ndarray, m) -> list:
         return [" ".join([right[u][k] for u in row])
                 for row in A.grid.tolist() for k in range(B.order)]
     return [" ".join(table[row].tolist()) for row in m]
-
-
-def _text(lines: list) -> str:
-    """The lines, each ended by a newline, joined once."""
-    lines.append("")
-    return "\n".join(lines)
 
 
 def parse_matrix(text: str):
@@ -191,7 +188,7 @@ def _tokens(row: str, order: int, line: int) -> list:
 
 
 def _read_rows(rows, body_at, order, decode, check_row=None) -> tuple:
-    """(values, codes) of the entry rows of a level or group file, with
+    """(values, codes) of the entry rows of a matrix file, with
     entry (i, j) = values[codes[i, j]].  Each distinct token is decoded
     once, on its first line; check_row(row, line) sees each row first."""
     ids: dict = {}
@@ -248,19 +245,17 @@ def _parse_level(header, params, notes, rows, body_at, order):
 
 
 def _parse_complex(header, params, rows, body_at, order):
-    entries = np.zeros((order, order), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        line = body_at + 1 + i
-        toks = _tokens(row, order, line)
-        for j, t in enumerate(toks):
-            real, sep, imag = t.partition(",")
-            if not sep:
-                raise ParseError("expected re,im pair, got %r" % t, line)
-            try:
-                entries[i, j] = complex(parse_float(real),
-                                        parse_float(imag))
-            except ValueError:
-                raise ParseError("bad complex entry %r" % t, line)
+    def decode(t):
+        real, sep, imag = t.partition(",")
+        if not sep:
+            raise ValueError("expected re,im pair, got %r" % t)
+        try:
+            return complex(parse_float(real), parse_float(imag))
+        except ValueError:
+            raise ValueError("bad complex entry %r" % t) from None
+
+    values, codes = _read_rows(rows, body_at, order, decode)
+    entries = np.array(values, dtype=np.complex128)[codes]
     try:
         omega = parse_float(header["omega"])
     except (KeyError, ValueError):

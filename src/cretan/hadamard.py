@@ -22,6 +22,7 @@ from cretan.designs import (
     load_fixture,
 )
 from cretan.fields import factor_prime_power, make_field
+from cretan.scalar import exact_dtype
 
 
 class NoConstructionAvailable(ValueError):
@@ -48,9 +49,9 @@ class SignMatrix:
         E = self.entries
         if E.shape != (n, n) or not np.isin(E, (-1, 0, 1)).all():
             raise ValueError("entries must be an n x n matrix over {-1,0,1}")
-        # float64 BLAS is exact here: every partial sum of a 0/+-1 Gram
-        # product is an integer of at most n, far below 2^53
-        F = E.astype(np.float64)
+        # every partial sum of a 0/+-1 Gram product is an integer of at
+        # most n, so BLAS in exact_dtype(n) forms it exactly
+        F = E.astype(exact_dtype(n))
         if not (F @ F.T == self.weight * np.eye(n)).all():
             raise ValueError("Gram matrix is not weight * I")
         if self.kind == "hadamard":

@@ -39,6 +39,20 @@ VERIFY_TOL = 1e-9
 # Tolerance for root refinement and float boundary comparisons.
 REFINE_TOL = 1e-12
 
+
+def exact_dtype(bound: int) -> str:
+    """The dtype in which integer matrix products are exact when every
+    partial sum has modulus at most bound: "float32" for a bound below
+    2^24, "float64" below 2^53, "object" (Python integers) above.  Every
+    integer of modulus up to 2^24 is a float32, and up to 2^53 a float64,
+    so each sum is formed exactly, in any order BLAS adds in."""
+    if bound < 2 ** 24:
+        return "float32"
+    if bound < 2 ** 53:
+        return "float64"
+    return "object"
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -283,7 +297,12 @@ class Scalar:
     def to_float(self) -> float:
         if self.f is not None:
             return self.f
-        return (self.p + self.q * math.sqrt(self.d)) / self.r
+        try:
+            return (self.p + self.q * math.sqrt(self.d)) / self.r
+        except OverflowError:
+            # an int past float range; int / int overflows only when the
+            # quotient does
+            return self.p / self.r + self.q / self.r * math.sqrt(self.d)
 
     def sign(self) -> int:
         """Exact sign (-1, 0, 1); floats fall back to IEEE comparison."""
@@ -559,7 +578,8 @@ def format_scalar(x: Scalar) -> str:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar.  Raises ValueError on malformed tokens."""
+    """Inverse of format_scalar.  Raises ValueError on malformed tokens
+    and on exact tokens whose value is beyond float range."""
     text = text.strip()
     if text.startswith("f"):
         x = parse_float(text[1:])
@@ -570,36 +590,31 @@ def parse_scalar(text: str) -> Scalar:
     if m:
         p, sgn, q, d, r = m.groups()
         qv = int(q) if sgn == "+" else -int(q)
-        return Scalar(int(p), qv, int(d), int(r))
-    m = _RAT_RE.fullmatch(text)
-    if m:
-        return Scalar(int(m.group(1)), 0, 0, int(m.group(2)))
-    if _INT_RE.fullmatch(text):
-        return Scalar(int(text))
-    raise ValueError("malformed scalar token: %r" % text)
+        x = Scalar(int(p), qv, int(d), int(r))
+    elif m := _RAT_RE.fullmatch(text):
+        x = Scalar(int(m.group(1)), 0, 0, int(m.group(2)))
+    elif _INT_RE.fullmatch(text):
+        x = Scalar(int(text))
+    else:
+        raise ValueError("malformed scalar token: %r" % text)
+    try:
+        f = x.to_float()
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError("scalar token beyond float range: %r" % text[:40])
+    return x
 
 
 # -- quadratics -------------------------------------------------------------
 
-def _num_den(c) -> tuple:
-    """(numerator, denominator) of an exact rational coefficient."""
-    if isinstance(c, int):
-        return int(c), 1
-    fr = Scalar._coerce(c).as_fraction()
-    return fr.numerator, fr.denominator
+def solve_quadratic(a0: int, a1: int, a2: int) -> list[Scalar]:
+    """Real roots of a0 + a1*x + a2*x^2 = 0 for integers a0, a1, a2,
+    exact, ascending.
 
-
-def solve_quadratic(c0, c1, c2) -> list[Scalar]:
-    """Real roots of c0 + c1*x + c2*x^2 = 0, exact, ascending.
-
-    Coefficients must be exact rationals.  Returns [] when there is no
-    real root (or the equation is a nonzero constant); raises ValueError
-    when all three coefficients vanish.
+    Returns [] when there is no real root (or the equation is a nonzero
+    constant); raises ValueError when all three coefficients vanish.
     """
-    (n0, e0), (n1, e1), (n2, e2) = map(_num_den, (c0, c1, c2))
-    # the same roots with integer coefficients a0 + a1 x + a2 x^2
-    den = math.lcm(e0, e1, e2)
-    a0, a1, a2 = n0 * (den // e0), n1 * (den // e1), n2 * (den // e2)
     if not (a0 or a1 or a2):
         raise ValueError("all coefficients are zero")
     if not a2:

@@ -20,24 +20,17 @@ With Pg = P[grid] and Qg = Q[grid],
 
     R^2 S S^T = (Pg Pg^T + d Qg Qg^T) + sqrt(d) (Pg Qg^T + Qg Pg^T),
 
-so the Gram matrix is a few integer matrix products.  With big the
-largest |P[u]| or |Q[u]|, every partial sum of Pg Pg^T, Qg Qg^T and
-Pg Qg^T is an integer of modulus at most n big^2, and every partial sum
-of the two combinations at most (d+1) n big^2.  Integers below 2^24 are
-exact in float32 and below 2^53 in float64, so the products run as
-float32 BLAS when n big^2 < 2^24, as float64 BLAS when (d+1) n big^2 <
-2^53, and on Python integers otherwise.
-
-Float32 products are combined in float32, in place, when n (bp^2 +
-d bq^2) < 2^24, with bp and bq the largest |P[u]| and |Q[u]|.  That
-bounds every entry of d Qg Qg^T and of Pg Pg^T + d Qg Qg^T; it also
-bounds 2 n bp bq, which bounds Pg Qg^T + Qg Pg^T, since 2 bp bq <=
-bp^2 + bq^2 and d >= 2 whenever some Q[u] != 0.  So every sum is an
-exact float32 integer formed from exact ones.  Otherwise the products
-are converted to float64 and combined there.  The diagonal is tested by
-subtracting its first entry from each entry; an IEEE difference of two
-floats is 0 only when the two are equal, so the test cannot report a
-false zero.  Nothing is ever rounded.
+so the Gram matrix is a few integer matrix products.  With bp and bq
+the largest |P[u]| and |Q[u]|, every partial sum of Pg Pg^T, Qg Qg^T
+and Pg Qg^T, and every entry of the two combinations, is an integer of
+modulus at most B = n (bp^2 + d bq^2): Pg Qg^T + Qg Pg^T is bounded by
+2 n bp bq, and 2 bp bq <= bp^2 + bq^2, with d >= 2 whenever some
+Q[u] != 0.  The products and their combination (in place) all run in
+`scalar.exact_dtype(B)`: float32 BLAS, float64 BLAS or Python integers,
+whichever keeps every one of those integers exact.  The diagonal is
+tested by subtracting its first entry from each entry; an IEEE
+difference of two floats is 0 only when the two are equal, so the test
+cannot report a false zero.  Nothing is ever rounded.
 
 Only S S^T is checked: for a real square S, S S^T = omega I with omega != 0
 makes S invertible with S^-1 = S^T / omega, so S^T S = omega S^-1 S =
@@ -123,6 +116,7 @@ from cretan.scalar import (
     REFINE_TOL,
     Scalar,
     VERIFY_TOL,
+    exact_dtype,
     format_scalar,
 )
 
@@ -369,13 +363,10 @@ class Certificate:
 
 def _exact_gram_check(S) -> tuple:
     """(omega, path): omega when S S^T = omega I holds exactly, else None,
-    and path names the integer kernel that ran: lift-float32 when
-    n big^2 < 2^24 and (d+1) n big^2 < 2^53, lift-float64 when only the
-    second bound holds, lift-object otherwise (see the module docstring).
-    Each part is combined in place in the products' dtype, except that
-    float32 products go to float64 unless n (bp^2 + d bq^2) < 2^24 (bp,
-    bq the largest |P|, |Q|), which keeps every sum an exact float32
-    integer; the path names the products' dtype either way.
+    and path names the integer kernel that ran: lift-float32,
+    lift-float64 or lift-object, after the dtype that
+    `scalar.exact_dtype` picks for B = n (bp^2 + d bq^2), bp and bq the
+    largest |P| and |Q| (see the module docstring).
 
     S^T S = omega I follows (see the module docstring), so it is not
     computed.  Raises IncompatibleRadicands when the levels span
@@ -384,33 +375,15 @@ def _exact_gram_check(S) -> tuple:
     P, Q, d, R = _lift(S.levels)
     n = S.order
     bp, bq = max(map(abs, P)), max(map(abs, Q))
-    big = max(bp, bq)
-    # bounds every partial sum of each product Pg Pg^T, Qg Qg^T, Pg Qg^T
-    partial = n * big * big
-    # bounds |Pg Pg^T + d Qg Qg^T| and |Pg Qg^T + Qg Pg^T| entrywise
-    bound = (d + 1) * partial
-    if bound >= 2 ** 53:
-        dtype, path = object, "lift-object"
-    elif partial < 2 ** 24:
-        dtype, path = np.float32, "lift-float32"
-    else:
-        dtype, path = np.float64, "lift-float64"
-    # the products are exact; they are combined in their own dtype unless
-    # a float32 sum could pass 2^24, and then in float64
-    combine = dtype
-    if dtype is np.float32 and n * (bp * bp + d * bq * bq) >= 2 ** 24:
-        combine = np.float64
+    dtype = exact_dtype(n * (bp * bp + d * bq * bq))
+    path = "lift-" + dtype
     Pg = np.array(P, dtype=dtype)[S.grid]
-    Qg = np.array(Q, dtype=dtype)[S.grid]
-
-    def gram(A, B):
-        return (A @ B.T).astype(combine, copy=False)
-
-    rat = gram(Pg, Pg)
+    rat = Pg @ Pg.T
     parts = [rat]
     if d:
-        rat += d * gram(Qg, Qg)
-        irr = gram(Pg, Qg)
+        Qg = np.array(Q, dtype=dtype)[S.grid]
+        rat += d * (Qg @ Qg.T)
+        irr = Pg @ Qg.T
         irr += irr.T
         parts.append(irr)
     diag = [part[0, 0] for part in parts]

@@ -253,6 +253,38 @@ def test_verify_non_finite_float(tmp_path, capsys):
     assert "line 8" in err and "non-finite" in err
 
 
+def test_verify_level_with_integers_past_float_range(tmp_path, capsys):
+    from cretan.scalar import Scalar, format_scalar
+
+    # a = (1 + 10^400 sqrt 2) / (2 * 10^400), about 0.707, over a 2 x 2
+    # Hadamard matrix: radius 2 a^2
+    a = Scalar(1, 10 ** 400, 2, 2 * 10 ** 400)
+    A, B, W = map(format_scalar, (a, -a, 2 * a * a))
+    f = tmp_path / "big.cm"
+    f.write_text(_exact_file(2, [A + " " + A, A + " " + B])
+                 .replace("omega 2", "omega " + W))
+    assert main(["verify", str(f)]) == 0
+    rows = dict(ln.split(None, 1) for ln in
+                capsys.readouterr().out.splitlines())
+    assert rows["radius"] == "%s (1)" % W
+    assert rows["gram"] == "exact zero" and rows["relaxed"] == "pass"
+
+
+@pytest.mark.parametrize("mode, rows", [
+    ("float", ["f0.5 f0.5", "f0.5 f-0.5"]),
+    ("exact", ["1 1", "1 -1"]),
+])
+def test_verify_omega_past_float_range_is_a_parse_error(tmp_path, capsys,
+                                                        mode, rows):
+    f = tmp_path / "omega.cm"
+    f.write_text(_exact_file(2, rows).replace("mode exact", "mode " + mode)
+                 .replace("omega 2", "omega 1" + "0" * 400))
+    assert main(["verify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "line 5: missing or bad omega header" in err
+    assert "Traceback" not in err
+
+
 def test_verify_failed_exact_gram_is_not_rescued_by_tolerance(tmp_path,
                                                             capsys):
     # off-diagonal 10^-12, inside the float tolerance, but not zero

@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 from cretan import files
 from cretan.constructions import (
     STAR,
+    ComplexLevelMatrix,
     GroupMatrix,
     basic_family,
     conference_complex,
     from_codes,
     from_values,
+    gh_from_field,
+    gh_to_complex,
     gw_z3_order5,
     kronecker_cretan,
     sbibd_two_level,
@@ -82,6 +85,58 @@ def test_complex_round_trip():
     assert again.order == m.order and again.omega == m.omega
     assert np.array_equal(again.entries, m.entries)
     assert serialize_matrix(again) == text
+
+
+def _complex_text_per_entry(m) -> str:
+    """Oracle for the complex writer: every entry formatted on its own,
+    row by row, after the same header lines."""
+    head = serialize_matrix(m).split("\nentries\n")[0]
+    rows = [" ".join("%r,%r" % (float(z.real), float(z.imag)) for z in row)
+            for row in m.entries]
+    return head + "\nentries\n" + "".join(r + "\n" for r in rows)
+
+
+def _odd_complex():
+    """Entries holding -0.0, nan with either sign bit, and +-inf."""
+    nan, inf = float("nan"), float("inf")
+    E = np.array([[complex(-0.0, 0.0), complex(nan, -0.0), complex(inf, 1)],
+                  [complex(-inf, nan), 0j, complex(0.0, -0.0)],
+                  [complex(-nan, 0), 1 + 1j, complex(0.1, 1 / 3)]])
+    return ComplexLevelMatrix(3, E, 3.0, "odd", {})
+
+
+_COMPLEX = ([conference_complex(paley_conference(q))
+             for q in (5, 9, 13, 17, 25, 29)]
+            + [gh_to_complex(gh_from_field(p, k))
+               for p, k in ((2, 3), (3, 2), (5, 1), (7, 1))])
+
+
+@pytest.mark.parametrize("m", _COMPLEX + [_odd_complex()],
+                         ids=lambda m: "%s-%d" % (m.method, m.order))
+def test_complex_writer_matches_the_per_entry_text(m):
+    text = serialize_matrix(m)
+    assert text == _complex_text_per_entry(m)
+    assert serialize_matrix(parse_matrix(text)) == text
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1.0;0.0", "expected re,im pair, got '1.0;0.0'"),
+    ("1.0,x", "bad complex entry '1.0,x'"),
+    ("1.0,0.0,0.0", "bad complex entry '1.0,0.0,0.0'"),
+    ("1_0.0,0.0", "bad complex entry '1_0.0,0.0'"),
+])
+def test_bad_complex_token_keeps_its_message_and_line(bad, message):
+    lines = serialize_matrix(conference_complex(paley_conference(5))) \
+        .splitlines()
+    body = lines.index("entries") + 1
+    # a token first seen on the fourth entry row, after good ones
+    row = lines[body + 3].split()
+    row[2] = bad
+    lines[body + 3] = " ".join(row)
+    with pytest.raises(ParseError) as err:
+        parse_matrix("\n".join(lines) + "\n")
+    assert err.value.line == body + 4
+    assert str(err.value) == "line %d: %s" % (body + 4, message)
 
 
 def test_group_round_trip():

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from cretan.scalar import (
     IncompatibleRadicands,
     Scalar,
+    exact_dtype,
     format_scalar,
     parse_scalar,
     solve_quadratic,
@@ -62,6 +64,27 @@ def test_rational_radius_example():
 def test_to_float():
     w = quad(14, 3, 3, 2)
     assert math.isclose(w.to_float(), 9.598076211353316, rel_tol=0, abs_tol=1e-12)
+
+
+def test_to_float_past_float_range():
+    # integers past float range, with a quotient inside it
+    x = Scalar(1, 10 ** 400, 2, 2 * 10 ** 400)
+    assert x.to_float() == math.sqrt(2) / 2
+    assert Scalar(10 ** 400, 0, 0, 3 * 10 ** 399).to_float() == 10 / 3
+    # a quotient past float range still overflows
+    with pytest.raises(OverflowError):
+        Scalar(10 ** 400).to_float()
+
+
+def test_exact_dtype_at_its_bounds():
+    assert exact_dtype(0) == exact_dtype(2 ** 24 - 1) == "float32"
+    assert exact_dtype(2 ** 24) == exact_dtype(2 ** 53 - 1) == "float64"
+    assert exact_dtype(2 ** 53) == exact_dtype(10 ** 400) == "object"
+    # the limits are the first integers each float type cannot follow
+    for dtype, bound in (("float32", 2 ** 24), ("float64", 2 ** 53)):
+        top = np.array([bound - 1, bound], dtype=dtype)
+        assert top.astype(object).tolist() == [bound - 1, bound]
+        assert np.array(bound + 1, dtype=dtype) == bound
 
 
 def test_sign_mixed_terms():
@@ -302,6 +325,18 @@ def test_grammar_forms():
     for bad in ["", "sqrt(3)", "(1+2*sqrt(3))", "1/0", "one"]:
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_scalar(bad)
+
+
+def test_grammar_refuses_values_past_float_range():
+    big = "1" + "0" * 400
+    for bad in [big, "-" + big, big + "/3", "(%s+1*sqrt(2))/1" % big,
+                "(0+%s*sqrt(3))/7" % big]:
+        with pytest.raises(ValueError, match="beyond float range"):
+            parse_scalar(bad)
+    # large integers with a quotient in range are fine
+    token = "(1+%s*sqrt(2))/2%s" % (big, "0" * 400)
+    assert parse_scalar(token) == Scalar(1, 10 ** 400, 2, 2 * 10 ** 400)
+    assert parse_scalar(big + "/" + big) == Scalar(1)
 
 
 def test_grammar_takes_ascii_digits_only():

@@ -588,16 +588,18 @@ def test_lift_kernel_at_the_float32_bound(big, r, d, path):
 @example(2048, 0, 1, 1)
 def test_lift_kernel_bound_agrees_with_sympy(big, d, i, j):
     """The quaternion array, with entry (i, j) raised by 1/r when j < 4;
-    the kernel follows n max|P, Q|^2 < 2^24, the verdict sympy."""
+    the kernel follows B = n (max|P|^2 + d max|Q|^2) < 2^24, the verdict
+    sympy."""
     r = 2 ** 12 + 1 if big % 2 == 0 else 2 ** 12
     values = _quaternion(big, r, d)
     if j < 4:
         values[i][j] = values[i][j] + Scalar(1, 0, 0, r)
     cert = verify_cretan(from_values(values, Scalar(1), "quaternion"))
     P, Q, _, R = _lift(cert.matrix.levels)
-    big = max(map(abs, P + Q))
+    bp, bq = max(map(abs, P)), max(map(abs, Q))
     assert R == r
-    assert cert.gram_path == ("lift-float32" if 4 * big * big < 2 ** 24
+    assert cert.gram_path == ("lift-float32"
+                              if 4 * (bp * bp + d * bq * bq) < 2 ** 24
                               else "lift-float64")
     want = _oracle_omega(values)
     assert cert.gram_exact == (want is not None)
@@ -626,8 +628,10 @@ def test_float32_bound_keeps_a_rounded_off_diagonal():
 def test_float32_products_are_combined_in_float64():
     # diag(B(1), B(0)) with B(a) = [[a, b], [-b, a]] and b = 2047 sqrt 7
     # has orthogonal rows of norms 7 * 2047^2 + 1 and 7 * 2047^2, both
-    # above 2^24.  n max|P, Q|^2 = 4 * 2047^2 < 2^24 keeps the products in
-    # float32, but a float32 sum would round both norms to one value.
+    # above 2^24, where a float32 sum would round both norms to one value.
+    # Each product's partial sums stay below 4 * 2047^2 < 2^24, but B =
+    # 4 (1 + 7 * 2047^2) > 2^24 bounds the combination too, so the whole
+    # lift runs in float64.
     q = np.float32(7) * np.float32(2047 ** 2)
     assert q + np.float32(1) == q
     b, zero = Scalar(0, 2047, 7), Scalar(0)
@@ -635,38 +639,65 @@ def test_float32_products_are_combined_in_float64():
               [zero, zero, zero, b], [zero, zero, -b, zero]]
     assert _oracle_omega(values) is None
     cert = verify_cretan(from_values(values, Scalar(1), "two norms"))
-    assert cert.gram_path == "lift-float32" and not cert.gram_exact
+    assert cert.gram_path == "lift-float64" and not cert.gram_exact
     assert not cert.relaxed
 
 
 # c H for the order-4 Hadamard matrix H and c = (p + q sqrt d) / 4097:
-# the lift has bp = p and bq = q, and every row meets both bounds, since
-# R^2 S S^T = 4 (p^2 + d q^2) I + 8 p q sqrt(d) I.  4 max(p, q)^2 < 2^24
-# keeps the products in float32 on both sides of each bound.
-@pytest.mark.parametrize("p, q, d", [
-    (2047, 1, 4094),      # 4 (p^2 + d q^2) = 2^24 - 4
-    (2047, 1, 4097),      # 4 (p^2 + d q^2) = 2^24 + 8
-    (1448, 1448, 2),      # 2 * 4 p q = 2^24 - 3584
-    (1449, 1449, 2),      # 2 * 4 p q = 2^24 + 19592
+# the lift has bp = p and bq = q, and every row meets the bound, since
+# R^2 S S^T = 4 (p^2 + d q^2) I + 8 p q sqrt(d) I, with B = 4 (p^2 +
+# d q^2).  The last two cases put the sqrt part 8 p q near 2^24, where B
+# is far above it.
+@pytest.mark.parametrize("p, q, d, path", [
+    pytest.param(2047, 1, 4094, "lift-float32",      # B = 2^24 - 4
+                 id="2047-1-4094"),
+    pytest.param(2047, 1, 4097, "lift-float64",      # B = 2^24 + 8
+                 id="2047-1-4097"),
+    pytest.param(1182, 1182, 2, "lift-float32",      # B = 2^24 - 11728
+                 id="1182-1182-2"),
+    pytest.param(1183, 1183, 2, "lift-float64",      # B = 2^24 + 16652
+                 id="1183-1183-2"),
+    pytest.param(1448, 1448, 2, "lift-float64",      # 8 p q = 2^24 - 3584
+                 id="1448-1448-2"),
+    pytest.param(1449, 1449, 2, "lift-float64",      # 8 p q = 2^24 + 19592
+                 id="1449-1449-2"),
 ])
-def test_float32_combination_at_its_bound(p, q, d):
+def test_float32_combination_at_its_bound(p, q, d, path):
     c = Scalar(p, q, d, 4097)
     values = [[c if h > 0 else -c for h in row]
               for row in sylvester(2).entries]
     S = from_values(values, 4 * c * c, "scaled hadamard")
     P, Q, _, R = _lift(S.levels)
     assert (max(map(abs, P)), max(map(abs, Q)), R) == (p, q, 4097)
-    assert min(abs(4 * (p * p + d * q * q) - 2 ** 24),
-               abs(8 * p * q - 2 ** 24)) < 2 ** 15
-    omega, path = _exact_gram_check(S)
-    assert path == verify_cretan(S).gram_path == "lift-float32"
+    assert (4 * (p * p + d * q * q) < 2 ** 24) == (path == "lift-float32")
+    omega, got = _exact_gram_check(S)
+    assert got == verify_cretan(S).gram_path == path
     assert sympy.expand(_sym(omega) - _oracle_omega(values)) == 0
     # one flipped entry makes row 0 meet every other row at +-2 c^2
     values[0][0] = -c
     flipped = from_values(values, 4 * c * c, "flipped")
     assert _oracle_omega(values) is None
-    assert _exact_gram_check(flipped) == (None, "lift-float32")
-    assert verify_cretan(flipped).gram_path == "lift-float32"
+    assert _exact_gram_check(flipped) == (None, path)
+    assert verify_cretan(flipped).gram_path == path
+
+
+def test_lift_kernel_float64_below_its_bound():
+    # the quaternion array with a = (2^24 + 1) / 2^25 and b = 5 sqrt 7 /
+    # 2^25: B = 4 ((2^24 + 1)^2 + 7 * 25) < 2^53 although (d + 1) n
+    # max|P, Q|^2 = 32 (2^24 + 1)^2 > 2^53, and every entry of the Gram
+    # matrix is an integer above 2^50
+    big, r = 2 ** 24 + 1, 2 ** 25
+    values = _quaternion(big, r, 7)
+    assert 4 * (big * big + 7 * 25) < 2 ** 53 <= 8 * 4 * big * big
+    cert = verify_cretan(from_values(values, Scalar(1), "quaternion"))
+    assert cert.gram_path == "lift-float64" and cert.gram_exact
+    assert sympy.expand(_sym(cert.omega) - _oracle_omega(values)) == 0
+    # one flipped sign makes rows 0 and 1 meet at -2 b a, a sqrt(7) part
+    values[0][1] = -values[0][1]
+    assert _oracle_omega(values) is None
+    flipped = verify_cretan(from_values(values, Scalar(1), "flipped"))
+    assert flipped.gram_path == "lift-float64" and not flipped.gram_exact
+    assert not flipped.relaxed
 
 
 def test_failed_exact_gram_fails_both_verdicts():
