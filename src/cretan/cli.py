@@ -219,27 +219,19 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_bounds(args) -> int:
     b = det_bounds(args.order)
-
-    def fmt(exact, value, log):
-        if exact is not None:
-            return "%d (log %.6f)" % (exact, log)
-        if value is not None:
-            return "%.6g (log %.6f)" % (value, log)
-        return "exp(%.6f)" % log
-
     print("order %d" % b.order)
-    print("hadamard      %s" % fmt(b.hadamard_exact, b.hadamard_value,
-                                   b.hadamard_log))
-    if b.barba_log is not None:
-        print("barba         %s" % fmt(b.barba_exact, b.barba_value,
-                                       b.barba_log))
-    if b.brent_osborn_log is not None:
-        print("brent-osborn  %s" % fmt(b.brent_osborn_exact,
-                                       b.brent_osborn_value,
-                                       b.brent_osborn_log))
-    if b.wojtas_log is not None:
-        print("wojtas        %s" % fmt(b.wojtas_exact, b.wojtas_value,
-                                       b.wojtas_log))
+    for name in ("hadamard", "barba", "brent_osborn", "wojtas"):
+        exact, value, log = (getattr(b, "%s_%s" % (name, field))
+                             for field in ("exact", "value", "log"))
+        if log is None:
+            continue
+        if exact is not None:
+            text = "%d (log %.6f)" % (exact, log)
+        elif value is not None:
+            text = "%.6g (log %.6f)" % (value, log)
+        else:
+            text = "exp(%.6f)" % log
+        print("%-13s %s" % (name.replace("_", "-"), text))
     return 0
 
 

@@ -77,9 +77,6 @@ class GroupDesc:
     def identity(self) -> tuple:
         return (0,) * len(self.orders)
 
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
-
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple((x - y) % o for x, y, o in zip(a, b, self.orders))
 
@@ -172,13 +169,6 @@ class DifferenceSet:
     @property
     def params(self) -> tuple:
         return (self.v, self.k, self.lam)
-
-    def complement(self) -> "DifferenceSet":
-        inside = set(self.elements)
-        comp = tuple(g for g in self.group.elements() if g not in inside)
-        v, k = self.v, self.k
-        return make_difference_set(self.group, comp, v - 2 * k + self.lam,
-                                   source=self.source + " complement")
 
     def develop(self) -> "Sbibd":
         """Incidence matrix: row g, column h carries 1 iff h - g is in D."""

@@ -20,8 +20,10 @@ generator, the first code whose powers have period p^k - 1.  For k = 1
 the modulus is x, and the generator, the least primitive root mod p, is
 found by Python's pow on ints, so only its own power table is built.
 The exp table is kept as codes (`FieldSpec.codes`) with the digit array
-(`FieldSpec.digits`); element products, powers and Frobenius index the
-exp codes and a log table over codes, both as Python lists.  The trace
+(`FieldSpec.digits`); callers compute on codes with these arrays, as the
+residue, Paley and Singer constructions do.  `FieldElem` is only a handle
+on one code for the per-entry trace of `gh_from_field`: its product reads
+the exp and log tables over codes, kept as Python lists.  The trace
 table, also over codes, is built on the first trace_to_prime call for a
 field.  Sizes are capped at p^k <= 10^6.
 """
@@ -91,25 +93,9 @@ class FieldSpec:
     def order(self) -> int:
         return self.p ** self.k
 
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, 0)
-
-    def one(self) -> "FieldElem":
-        return FieldElem(self, 1)
-
-    def from_int(self, j: int) -> "FieldElem":
-        """Element whose coefficient vector is j written in base p."""
-        return FieldElem(self, j % self.order)
-
     def elements(self) -> list["FieldElem"]:
         """All p^k elements in base-p integer order, zero first."""
         return [FieldElem(self, c) for c in range(self.order)]
-
-    def gen(self) -> "FieldElem":
-        return self.exp(1)
-
-    def exp(self, i: int) -> "FieldElem":
-        return FieldElem(self, self._exp[i % (self.order - 1)])
 
     def log(self, x: "FieldElem") -> int:
         if not x.code:
@@ -131,38 +117,8 @@ class FieldElem:
         self.spec = spec
         self.code = code
 
-    @property
-    def coeffs(self) -> tuple:
-        p = self.spec.p
-        return tuple(self.code // p ** i % p for i in range(self.spec.k))
-
     def is_zero(self) -> bool:
         return not self.code
-
-    def to_int(self) -> int:
-        return self.code
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElem)
-                and self.spec is other.spec
-                and self.code == other.code)
-
-    def __hash__(self):
-        return hash(self.code)
-
-    def __add__(self, other):
-        p = self.spec.p
-        return FieldElem(self.spec, sum(
-            (a + b) % p * p ** i
-            for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs))))
-
-    def __neg__(self):
-        p = self.spec.p
-        return FieldElem(self.spec, sum(
-            -a % p * p ** i for i, a in enumerate(self.coeffs)))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         spec = self.spec
@@ -171,28 +127,6 @@ class FieldElem:
         log = spec._log
         return FieldElem(spec, spec._exp[
             (log[self.code] + log[other.code]) % len(spec._exp)])
-
-    def __pow__(self, e: int):
-        spec = self.spec
-        if not self.code:
-            if e == 0:
-                return spec.one()
-            if e < 0:
-                raise ZeroDivisionError("inverse of the zero element")
-            return spec.zero()
-        return spec.exp(spec._log[self.code] * e)
-
-    def inverse(self):
-        return self ** -1
-
-    def frobenius(self) -> "FieldElem":
-        """x -> x^p."""
-        return self ** self.spec.p
-
-    def __repr__(self):
-        return "FieldElem(GF(%d^%d), %s)" % (
-            self.spec.p, self.spec.k, list(self.coeffs))
-
 
 def _times_x(cs, digits, pw, p) -> np.ndarray:
     """Code of x a for every code a in GF(p)[x]/(x^k + cs): shift a's

@@ -101,8 +101,8 @@ def paley_conference(q: int) -> SignMatrix:
     base-p integer code (+1 at `codes[::2]`, the even powers of the
     generator) and read at the difference positions of the additive group
     Z_p^k, as in `DifferenceSet.develop`: position j of Z_p^k has the
-    base-p digits of j, highest degree first, so it is the element
-    `from_int(j)`.  Entry (i, j) is chi(x_j - x_i) = chi(x_i - x_j), since
+    base-p digits of j, highest degree first, so it is the element of
+    code j.  Entry (i, j) is chi(x_j - x_i) = chi(x_i - x_j), since
     -1 is a square.  The border is all ones and the diagonal zero.
     """
     if q % 4 != 1:

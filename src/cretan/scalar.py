@@ -300,9 +300,15 @@ class Scalar:
         try:
             return (self.p + self.q * math.sqrt(self.d)) / self.r
         except OverflowError:
-            # an int past float range; int / int overflows only when the
-            # quotient does
-            return self.p / self.r + self.q / self.r * math.sqrt(self.d)
+            # an int past float range.  With s = sqrt(d) 2^64 rounded down,
+            # int / int overflows only when the quotient does; when p and
+            # q have opposite signs, the conjugate form
+            # (p^2 - q^2 d) / (r (p - q sqrt d)) keeps them from cancelling
+            p, q, d, r = self.p, self.q, self.d, self.r
+            s = math.isqrt(d << 128)
+            if p * q >= 0:
+                return ((p << 64) + q * s) / (r << 64)
+            return ((p * p - q * q * d) << 64) / (r * ((p << 64) - q * s))
 
     def sign(self) -> int:
         """Exact sign (-1, 0, 1); floats fall back to IEEE comparison."""

@@ -409,7 +409,9 @@ class ByFactors:
         `constructions.kronecker_cretan` made of the two certified
         matrices, both certificates are gram_exact and relaxed, and each
         factor holds every one of its levels; None otherwise.  Reads no
-        grid; tau and units follow the census rule."""
+        grid; tau and units follow the census rule.  verify_cretan asks
+        only for an exact S, whose levels, and so the factors' omegas,
+        lie in one field."""
         factors = S.factors
         left, right = self.left, self.right
         if factors is None or factors[0] is not left.matrix \
@@ -418,11 +420,8 @@ class ByFactors:
         if not all(c.gram_exact and c.relaxed and c.tau == len(c.matrix.levels)
                    for c in (left, right)):
             return None
-        try:
-            omega = left.omega * right.omega
-        except IncompatibleRadicands:   # a float product of two fields
-            return None
-        return omega, len(S.levels), left.strict and right.strict
+        return (left.omega * right.omega, len(S.levels),
+                left.strict and right.strict)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +386,16 @@ def test_bounds_output(capsys):
     assert "19683" in out
     assert "16888.2" in out
     assert main(["bounds", "0"]) == 2
+
+
+def test_bounds_text_matches_golden(capsys):
+    # the whole text: odd orders print barba and brent-osborn, orders
+    # 2 (mod 4) wojtas; the bounds print as exact integers (hundreds of
+    # digits at 302) or, at 9 and 13, as floats
+    golden = Path(__file__).parent / "data" / "bounds-golden.txt"
+    for n in (1, 2, 9, 10, 13, 302):
+        assert main(["bounds", str(n)]) == 0
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_bounds_of_large_orders(capsys):

@@ -1,4 +1,7 @@
-"""Finite field construction: moduli, generators, traces, characters."""
+"""Finite field construction: moduli, generators, traces, characters.
+
+An element is its integer code; the tables are checked against
+polynomial arithmetic on coefficient tuples read from `spec.digits`."""
 
 import numpy as np
 import pytest
@@ -23,12 +26,23 @@ from cretan.fields import (
 from cretan.scalar import is_probable_prime
 
 
-def quadratic_character_elem(x: FieldElem) -> int:
-    """Oracle: square / nonsquare indicator in GF(q), q odd, by the parity
-    of the generator log.  The Paley oracle in test_hadamard uses it."""
-    if x.is_zero():
+def coeffs(f, c) -> tuple:
+    """Coefficient tuple of code c, constant term first."""
+    return tuple(f.digits[c].tolist())
+
+
+def code_of(f, a) -> int:
+    """Code of the coefficient tuple a."""
+    return sum(x * f.p ** i for i, x in enumerate(a))
+
+
+def quadratic_character_code(f, c) -> int:
+    """Oracle: square / nonsquare indicator of code c in GF(q), q odd, by
+    the parity of the generator log.  The Paley oracle in test_hadamard
+    uses it."""
+    if not c:
         return 0
-    return 1 if x.spec.log(x) % 2 == 0 else -1
+    return 1 if f._log[c] % 2 == 0 else -1
 
 
 def test_prime_helpers():
@@ -59,85 +73,84 @@ def test_gf9_modulus_and_generator():
     f = make_field(3, 2)
     assert f.modulus == (1, 0, 1)
     assert f.generator == (1, 1)
-    g = f.gen()
+    assert f.codes[1] == code_of(f, f.generator) == 4
     seen = set()
-    acc = f.one()
+    acc = one = (1, 0)
     for _ in range(8):
-        seen.add(acc.coeffs)
-        acc = acc * g
+        seen.add(acc)
+        acc = poly_mul(f, acc, f.generator)
     assert len(seen) == 8
-    assert acc == f.one()
+    assert acc == one
+    assert sorted(code_of(f, a) for a in seen) == sorted(f.codes.tolist())
 
 
 def test_prime_field_is_plain_modular_arithmetic():
+    # codes are the residues mod 7, so the log tables multiply mod 7
     f = make_field(7, 1)
-    a, b = f.from_int(3), f.from_int(6)
-    assert (a * b).to_int() == 4
-    assert (a + b).to_int() == 2
-    assert (a ** 6).to_int() == 1
-    assert a.inverse().to_int() == 5  # 3*5 = 15 = 1 mod 7
+    log = f._log
+    assert f.codes[(log[3] + log[6]) % 6] == 4
+    assert f.codes[6 * log[3] % 6] == 1
+    assert f.codes[-log[3] % 6] == 5  # 3*5 = 15 = 1 mod 7
+    assert all(f.codes[(log[a] + log[b]) % 6] == a * b % 7
+               for a in range(1, 7) for b in range(1, 7))
 
 
 def test_every_nonzero_element_invertible():
+    # the inverse of g^i is g^(-i): its polynomial product with x is 1
     f = make_field(2, 4)
-    for x in f.elements():
-        if x.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
-        else:
-            assert x * x.inverse() == f.one()
+    one = coeffs(f, 1)
+    for c in range(1, f.order):
+        inv = f.codes[-f._log[c] % (f.order - 1)]
+        assert poly_mul(f, coeffs(f, c), coeffs(f, inv)) == one
+    with pytest.raises(ZeroDivisionError):
+        f.log(FieldElem(f, 0))
 
 
-# GF(2) and GF(3) have exp tables of length 1 and 2, so an index that
-# is not reduced mod p^k - 1 falls off them
+# GF(2) and GF(3) have exp tables of length 1 and 2, so a sum of logs
+# must be reduced mod p^k - 1 before it indexes them
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 2)])
 def test_log_exp_round_trip(p, k):
     f = make_field(p, k)
-    g, one, m = f.gen(), f.one(), f.order - 1
-    assert g.coeffs == f.generator
-    acc = one
+    codes, log, m = f.codes.tolist(), f._log, f.order - 1
+    assert coeffs(f, codes[1 % m]) == f.generator
+    one = acc = coeffs(f, 1)
     for i in range(m):
-        assert f.exp(i) == f.exp(i + m) == f.exp(i - m) == acc
-        assert f.log(acc) == i
-        acc = poly_mul(acc, g)
+        assert coeffs(f, codes[i]) == acc
+        assert log[codes[i]] == f.log(FieldElem(f, codes[i])) == i
+        acc = poly_mul(f, acc, f.generator)
     assert acc == one
-    for x in f.elements():
-        assert x ** 0 == one
-        assert all(x * y == poly_mul(x, y) for y in f.elements())
-        if x.is_zero():
-            assert x ** 3 == x
-            for bad in (lambda: f.log(x), lambda: x ** -1, x.inverse):
-                with pytest.raises(ZeroDivisionError):
-                    bad()
-            continue
-        assert f.exp(f.log(x)) == x
-        assert x ** 5 == poly_pow(x, 5)
-        assert poly_mul(x, x.inverse()) == one
-        assert poly_mul(x ** -2, poly_mul(x, x)) == one
+    assert all(codes[log[c]] == c for c in range(1, f.order))
+    with pytest.raises(ZeroDivisionError):
+        f.log(FieldElem(f, 0))
+    for c in range(1, f.order):
+        x = coeffs(f, c)
+        assert coeffs(f, codes[5 * log[c] % m]) == poly_pow(f, x, 5)
+        assert poly_mul(f, x, coeffs(f, codes[-log[c] % m])) == one
 
 
 def test_absolute_trace_is_additive_and_balanced():
     f = make_field(2, 3)
-    elems = f.elements()
-    traces = [trace_to_prime(x) for x in elems]
+    traces = [trace_to_prime(x) for x in f.elements()]
     # trace is onto GF(p) and balanced: p^(k-1) preimages per value
     assert traces.count(0) == 4 and traces.count(1) == 4
-    for x in elems:
-        for y in elems:
-            assert trace_to_prime(x + y) == (trace_to_prime(x)
-                                             + trace_to_prime(y)) % 2
+    # codes add digitwise mod p
+    sums = (f.digits[:, None] + f.digits[None, :]) % 2 @ 2 ** np.arange(3)
+    for a in range(8):
+        for b in range(8):
+            assert trace_to_prime(FieldElem(f, int(sums[a, b]))) == \
+                (traces[a] + traces[b]) % 2
 
 
 def test_relative_trace_lands_in_subfield():
     f = make_field(2, 6)
     for j in range(0, f.order, 7):
-        y = relative_trace(f.from_int(j), 2)
+        y = relative_trace(FieldElem(f, j), 2)
         # members of GF(4) inside GF(64) satisfy y^4 = y
-        assert y ** 4 == y or y.is_zero()
+        assert y.is_zero() or 4 * f.log(y) % 63 == f.log(y)
     # j must be a positive divisor of k = 6
     for j in (4, 0, -1):
         with pytest.raises(ValueError, match="not a subfield"):
-            relative_trace(f.from_int(1), j)
+            relative_trace(FieldElem(f, 1), j)
         with pytest.raises(ValueError, match="not a subfield"):
             trace_of_powers(f, [1], j)
 
@@ -153,19 +166,17 @@ def test_quadratic_character_prime():
 
 def test_quadratic_character_elem_matches_prime_case():
     f = make_field(13, 1)
-    for a in range(1, 13):
-        assert quadratic_character_elem(f.from_int(a)) == \
-            quadratic_character(a, 13)
-    assert quadratic_character_elem(f.zero()) == 0
+    for a in range(13):
+        assert quadratic_character_code(f, a) == quadratic_character(a, 13)
 
 
 def test_character_multiplicative_in_gf9():
     f = make_field(3, 2)
-    xs = [x for x in f.elements() if not x.is_zero()]
-    for x in xs:
-        for y in xs:
-            assert quadratic_character_elem(x * y) == \
-                quadratic_character_elem(x) * quadratic_character_elem(y)
+    chi = [quadratic_character_code(f, c) for c in range(9)]
+    for a in range(1, 9):
+        for b in range(1, 9):
+            ab = code_of(f, poly_mul(f, coeffs(f, a), coeffs(f, b)))
+            assert chi[ab] == chi[a] * chi[b]
 
 
 def test_make_field_rejects_bad_input():
@@ -186,12 +197,12 @@ def test_determinism_and_cache():
 
 
 def test_frobenius_fixes_prime_subfield():
+    # x^3 is g^(3 log x): the constants are fixed, and the generator's
+    # image is its polynomial cube
     f = make_field(3, 4)
-    for c in range(3):
-        x = f.from_int(c)
-        assert x.frobenius() == x
-    g = f.gen()
-    assert g.frobenius() == g ** 3
+    for c in (1, 2):
+        assert f.codes[3 * f._log[c] % 80] == c
+    assert coeffs(f, f.codes[3]) == poly_frobenius(f, f.generator)
 
 
 # -- table kernels against polynomial arithmetic ------------------------------
@@ -199,61 +210,81 @@ def test_frobenius_fixes_prime_subfield():
 ORACLE_FIELDS = [(2, 4), (3, 3), (5, 2), (7, 2)]
 
 
-def poly_mul(x, y):
-    """Schoolbook product of coefficient tuples reduced by the (monic)
-    modulus: no exp/log table involved."""
-    spec = x.spec
-    p, k, m = spec.p, spec.k, spec.modulus
+def poly_mul(f, a, b) -> tuple:
+    """Schoolbook product of coefficient tuples a and b reduced by the
+    (monic) modulus of f: no exp/log table involved."""
+    p, k, m = f.p, f.k, f.modulus
     out = [0] * (2 * k - 1)
-    for i, a in enumerate(x.coeffs):
-        for j, b in enumerate(y.coeffs):
-            out[i + j] = (out[i + j] + a * b) % p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
     for top in range(2 * k - 2, k - 1, -1):
         c = out[top]
         for i, mi in enumerate(m):
             out[top - k + i] = (out[top - k + i] - c * mi) % p
-    return FieldElem(spec, sum(c * p ** i for i, c in enumerate(out[:k])))
+    return tuple(out[:k])
 
 
-def poly_frobenius(x):
-    acc = x.spec.one()
-    for _ in range(x.spec.p):
-        acc = poly_mul(acc, x)
-    return acc
+def poly_pow(f, a, e) -> tuple:
+    """a^e by squaring with polynomial products only."""
+    result = (1,) + (0,) * (f.k - 1)
+    while e:
+        if e & 1:
+            result = poly_mul(f, result, a)
+        a = poly_mul(f, a, a)
+        e >>= 1
+    return result
 
 
-def poly_trace(x):
-    total, acc = x, x
-    for _ in range(x.spec.k - 1):
-        acc = poly_frobenius(acc)
-        total = total + acc
-    assert not any(total.coeffs[1:])
-    return total.coeffs[0]
+def poly_frobenius(f, a) -> tuple:
+    return poly_pow(f, a, f.p)
+
+
+def poly_conjugates(f, a) -> list:
+    """a^(p^t) for t < k, by polynomial products."""
+    conj = [a]
+    for _ in range(f.k - 1):
+        conj.append(poly_frobenius(f, conj[-1]))
+    return conj
+
+
+def poly_trace(f, a) -> int:
+    total = [sum(col) % f.p for col in zip(*poly_conjugates(f, a))]
+    assert not any(total[1:])
+    return total[0]
 
 
 @pytest.mark.parametrize("p,k", ORACLE_FIELDS)
 def test_table_product_matches_polynomial_product(p, k):
-    elems = make_field(p, k).elements()
-    for x in elems:
-        for y in elems:
-            assert x * y == poly_mul(x, y)
+    # codes[(log a + log b) % (q - 1)] for every pair of nonzero codes,
+    # and the FieldElem product that gh_from_field takes, zero included
+    f = make_field(p, k)
+    n, log = f.order, f._log
+    for a in range(n):
+        for b in range(n):
+            want = code_of(f, poly_mul(f, coeffs(f, a), coeffs(f, b)))
+            if a and b:
+                assert f.codes[(log[a] + log[b]) % (n - 1)] == want
+            assert (FieldElem(f, a) * FieldElem(f, b)).code == want
 
 
 @pytest.mark.parametrize("p,k", ORACLE_FIELDS)
 def test_table_frobenius_and_trace_match_direct_sums(p, k):
-    for x in make_field(p, k).elements():
-        assert x.frobenius() == poly_frobenius(x)
-        assert trace_to_prime(x) == poly_trace(x)
-        # the conjugates x^(p^t), t < k, by polynomial products; the trace
-        # down to GF(p^j) sums every j-th one, digitwise mod p
-        conj = [x]
-        for _ in range(k - 1):
-            conj.append(poly_frobenius(conj[-1]))
+    f = make_field(p, k)
+    for c in range(f.order):
+        x = coeffs(f, c)
+        if c:
+            assert coeffs(f, f.codes[p * f._log[c] % (f.order - 1)]) == \
+                poly_frobenius(f, x)
+        assert trace_to_prime(FieldElem(f, c)) == poly_trace(f, x)
+        # the trace down to GF(p^j) sums every j-th conjugate, digitwise
+        # mod p
+        conj = poly_conjugates(f, x)
         for j in range(1, k + 1):
             if k % j == 0:
-                want = tuple(sum(col) % p
-                             for col in zip(*[c.coeffs for c in conj[::j]]))
-                assert relative_trace(x, j).coeffs == want, (x, j)
+                want = tuple(sum(col) % p for col in zip(*conj[::j]))
+                got = relative_trace(FieldElem(f, c), j).code
+                assert coeffs(f, got) == want, (c, j)
 
 
 def test_trace_table_is_built_on_first_use():
@@ -261,8 +292,7 @@ def test_trace_table_is_built_on_first_use():
     # trace, so make_field must not pay for a trace table
     f = make_field(2, 9)
     assert f._trace is None
-    x = f.from_int(300)
-    assert trace_to_prime(x) == poly_trace(x)
+    assert trace_to_prime(FieldElem(f, 300)) == poly_trace(f, coeffs(f, 300))
     assert len(f._trace) == f.order
 
 
@@ -280,33 +310,24 @@ def oracle_modulus(p, k):
             return tuple(cs)
 
 
-def poly_pow(g, e):
-    """g^e by squaring with polynomial products only."""
-    result, base = g.spec.one(), g
-    while e:
-        if e & 1:
-            result = poly_mul(result, base)
-        base = poly_mul(base, base)
-        e >>= 1
-    return result
-
-
 def poly_tables(p, k):
     """(modulus, generator, exp) as the polynomial builder makes them: the
     generator is the first code g with g^((n-1)/f) != 1 for every prime
-    f | n - 1, and the exp table is the walk 1, g, g g, ... of products."""
+    f | n - 1, and the exp table is the walk 1, g, g g, ... of products,
+    as coefficient tuples."""
     spec = FieldSpec(p, k, oracle_modulus(p, k))
     n = p ** k
-    one = spec.one()
+    one = (1,) + (0,) * (k - 1)
     factors = sympy.primefactors(n - 1)
-    g = next(x for x in map(spec.from_int, range(1, n))
-             if all(poly_pow(x, (n - 1) // f) != one for f in factors))
+    tuples = (tuple(j // p ** i % p for i in range(k)) for j in range(1, n))
+    g = next(x for x in tuples
+             if all(poly_pow(spec, x, (n - 1) // f) != one for f in factors))
     exp, acc = [], one
     for _ in range(n - 1):
-        exp.append(acc.coeffs)
-        acc = poly_mul(acc, g)
+        exp.append(acc)
+        acc = poly_mul(spec, acc, g)
     assert acc == one
-    return spec.modulus, g.coeffs, exp
+    return spec.modulus, g, exp
 
 
 FIELDS_TO_1024 = [(p, k) for p in sympy.primerange(2, 1025)
@@ -319,13 +340,12 @@ def test_make_field_matches_polynomial_builder():
         modulus, generator, exp = poly_tables(p, k)
         assert f.modulus == modulus, (p, k)
         assert f.generator == generator, (p, k)
-        powers = [f.exp(i) for i in range(len(exp))]
-        assert [x.coeffs for x in powers] == exp, (p, k)
-        assert [f.log(x) for x in powers] == list(range(len(exp))), (p, k)
-        assert f.codes.tolist() == [x.to_int() for x in powers], (p, k)
+        assert [coeffs(f, c) for c in f.codes] == exp, (p, k)
+        assert f._exp == f.codes.tolist(), (p, k)
+        assert [f._log[c] for c in f._exp] == list(range(len(exp))), (p, k)
         assert all(type(c) is int for c in f.generator), (p, k)
-        assert all(type(x.code) is int for x in powers), (p, k)
-        assert all(type(f.log(x)) is int for x in powers), (p, k)
+        assert all(type(c) is int for c in f._exp), (p, k)
+        assert all(type(f._log[c]) is int for c in f._exp), (p, k)
 
 
 def test_table_irreducibility_matches_sympy():
@@ -352,7 +372,8 @@ def test_trace_table_matches_direct_sums_up_to_1000():
         if is_prime_power(q):
             f = make_field(*factor_prime_power(q))
             for x in f.elements():
-                assert trace_to_prime(x) == poly_trace(x), (q, x)
+                assert trace_to_prime(x) == \
+                    poly_trace(f, coeffs(f, x.code)), (q, x.code)
 
 
 def test_prime_fields_to_20000_match_sympy(monkeypatch):

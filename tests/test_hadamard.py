@@ -21,7 +21,7 @@ from cretan.hadamard import (
     sign_matrix_from_fixture,
     sylvester,
 )
-from test_fields import poly_mul, quadratic_character_elem
+from test_fields import code_of, poly_mul, quadratic_character_code
 
 
 def test_sylvester_orders():
@@ -50,23 +50,22 @@ def test_paley_conference_prime_power():
 
 
 def paley_oracle(q: int) -> np.ndarray:
-    """The Paley conference matrix by a double loop over GF(q), with
-    chi(x_i - x_j) from pow at primes and from the generator log at
-    prime powers."""
+    """The Paley conference matrix by a double loop over the codes of
+    GF(q), with chi(x_i - x_j) from pow at primes and from the generator
+    log at prime powers; codes subtract digitwise mod p."""
     if is_prime(q):
         chi = lambda a: quadratic_character(a, q)
-        elems = list(range(q))
         sub = lambda a, b: (a - b) % q
     else:
-        chi = quadratic_character_elem
-        elems = make_field(*factor_prime_power(q)).elements()
-        sub = lambda a, b: a - b
+        f = make_field(*factor_prime_power(q))
+        chi = lambda c: quadratic_character_code(f, c)
+        sub = lambda a, b: code_of(f, (f.digits[a] - f.digits[b]) % f.p)
     C = np.zeros((q + 1, q + 1), dtype=np.int8)
     C[0, 1:] = C[1:, 0] = 1
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if i != j:
-                C[i + 1, j + 1] = chi(sub(a, b))
+    for a in range(q):
+        for b in range(q):
+            if a != b:
+                C[a + 1, b + 1] = chi(sub(a, b))
     return C
 
 
@@ -79,17 +78,17 @@ def test_paley_conference_matches_double_loop(q):
 
 def test_paley_conference_matches_squares_up_to_1000():
     """Every q = 1 (mod 4) below 1000: core entry (i, j) is chi(x_j - x_i)
-    with x_j = from_int(j) and chi read off the squares, found by
+    with x_j the element of code j and chi read off the squares, found by
     polynomial products."""
     qs = [q for q in range(5, 1000, 4) if is_prime_power(q)]
     for q in qs:
         p, k = factor_prime_power(q)
         f = make_field(p, k)
-        xs = [f.from_int(j) for j in range(q)]
+        D = f.digits
         chi = np.full(q, -1, dtype=np.int8)
         chi[0] = 0
-        chi[[poly_mul(x, x).to_int() for x in xs[1:]]] = 1
-        D = np.array([x.coeffs for x in xs])
+        squares = [poly_mul(f, x, x) for x in map(tuple, D[1:].tolist())]
+        chi[[code_of(f, x) for x in squares]] = 1
         diff = (D[None, :, :] - D[:, None, :]) % p @ p ** np.arange(k)
         E = paley_conference(q).entries
         assert np.array_equal(E[1:, 1:], chi[diff]), q

@@ -76,6 +76,19 @@ def test_to_float_past_float_range():
         Scalar(10 ** 400).to_float()
 
 
+def test_to_float_past_float_range_with_cancelling_terms():
+    # p and q sqrt(2) past float range with opposite signs: the value,
+    # about -0.604, is in range, and so is its conjugate form
+    q = 10 ** 400
+    p = math.isqrt(2 * q * q)
+    for x, want in [(Scalar(p, -q, 2, 1), p - q * sympy.sqrt(2)),
+                    (Scalar(-p, q, 2, 3), (q * sympy.sqrt(2) - p) / 3),
+                    (Scalar(1, -1, 2, q), (1 - sympy.sqrt(2)) / q)]:
+        assert x.to_float() == float(want.evalf(30, maxn=2000))
+        assert parse_scalar(format_scalar(x)) == x
+    assert math.isclose(Scalar(p, -q, 2, 1).to_float(), -0.60386899970699)
+
+
 def test_exact_dtype_at_its_bounds():
     assert exact_dtype(0) == exact_dtype(2 ** 24 - 1) == "float32"
     assert exact_dtype(2 ** 24) == exact_dtype(2 ** 53 - 1) == "float64"
