@@ -23,6 +23,7 @@ from cretan.catalog import (
     format_catalog_text,
 )
 from cretan.constructions import (
+    GH_MAX_ORDER,
     ComplexLevelMatrix,
     GroupMatrix,
     LevelMatrix,
@@ -113,9 +114,9 @@ def _construct_conference(n: int):
 def _construct_gh(n: int):
     if n == 6:
         return gh_z3_order6()
-    if n > 256 or not is_prime_power(n):
-        raise CliError("group route needs a prime power order up to 256"
-                       " (or 6); got %d" % n)
+    if n > GH_MAX_ORDER or not is_prime_power(n):
+        raise CliError("group route needs a prime power order up to %d"
+                       " (or 6); got %d" % (GH_MAX_ORDER, n))
     return gh_from_field(*factor_prime_power(n))
 
 

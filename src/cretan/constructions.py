@@ -86,9 +86,6 @@ class LevelMatrix:
             return "float"
         return "exact"
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.levels[self.grid[i, j]]
-
     def to_float_array(self) -> np.ndarray:
         vals = np.array([l.to_float() for l in self.levels])
         return vals[self.grid]
@@ -494,18 +491,24 @@ def _first_bad_pair_rows(E, star, g, want):
     return None
 
 
+# gh_from_field, and so `cretan construct --method gh`, builds no larger GH
+GH_MAX_ORDER = 256
+
+
 def gh_from_field(p: int, k: int) -> GroupMatrix:
     """Generalized Hadamard matrix GH(p^k, Z_p) with entries
-    Tr(x_i x_j) over GF(p^k), rows and columns in fixed field order; GH as
-    rows x != y differ by Tr((x - y) z), each value of GF(p) p^(k-1) times."""
-    if p ** k > 256:
-        raise ValueError("order cap exceeded: %d^%d > 256" % (p, k))
-    f = make_field(p, k)
-    xs = f.elements()
+    Tr(x_i x_j) over GF(p^k), rows and columns in code order; GH as
+    rows x != y differ by Tr((x - y) z), each value of GF(p) p^(k-1) times.
+    Every product code comes from the log tables in one array step."""
     n = p ** k
-    E = np.zeros((n, n), dtype=np.int16)
-    for i, x in enumerate(xs):
-        E[i] = [trace_to_prime(x * y) for y in xs]
+    if n > GH_MAX_ORDER:
+        raise ValueError("order cap exceeded: %d^%d > %d"
+                         % (p, k, GH_MAX_ORDER))
+    f = make_field(p, k)
+    prod = f.codes[(f.logs[:, None] + f.logs) % (n - 1)]
+    prod[0] = prod[:, 0] = 0
+    E = np.array([[trace_to_prime(f, c) for c in row]
+                  for row in prod.tolist()], dtype=np.int16)
     return GroupMatrix(n, p, E, "GH")
 
 

@@ -19,16 +19,21 @@ multiplies the codes by a permutation.  The winner's table then gives the
 generator, the first code whose powers have period p^k - 1.  For k = 1
 the modulus is x, and the generator, the least primitive root mod p, is
 found by Python's pow on ints, so only its own power table is built.
-The exp table is kept as codes (`FieldSpec.codes`) with the digit array
-(`FieldSpec.digits`); callers compute on codes with these arrays, as the
-residue, Paley and Singer constructions do.  `FieldElem` is only a handle
-on one code for the per-entry trace of `gh_from_field`: its product reads
-the exp and log tables over codes, kept as Python lists.  The trace
-table, also over codes, is built on the first trace_to_prime call for a
-field.  Sizes are capped at p^k <= 10^6.
+The field is these tables, each an int64 array over codes: `codes` (the
+exp table, codes[i] = g^i), `digits` (the coefficient vector of each
+code) and `logs` (logs[c] = i with g^i = c).  Callers compute on codes
+with them: a product of nonzero codes a and b is
+codes[(logs[a] + logs[b]) % (p^k - 1)], as `gh_from_field` forms it for
+every pair at once, and the residue, Paley and Singer constructions read
+powers and digits the same way.  The trace table, also over codes, is
+built on the first trace_to_prime call for a field.  Sizes are capped at
+p^k <= 10^6.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -71,62 +76,35 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, j
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class FieldSpec:
-    """GF(p^k) with a fixed modulus, generator, exp/log tables over
-    integer codes, and a trace table built on first use."""
+    """GF(p^k) with a fixed modulus and generator, and its exp, digit and
+    log tables over integer codes."""
 
-    __slots__ = ("p", "k", "modulus", "generator", "codes", "digits",
-                 "_exp", "_log", "_trace")
-
-    def __init__(self, p, k, modulus):
-        self.p = p
-        self.k = k
-        self.modulus = modulus   # monic, length k+1, constant term first
-        self.generator = None    # set by make_field
-        self.codes = None        # codes[i] = code of g^i, i < p^k - 1
-        self.digits = None       # digits[c] = coefficient vector of code c
-        self._exp = None         # codes as a list of ints, for lookups
-        self._log = None         # _log[c] = i with g^i = c, for c >= 1
-        self._trace = None       # _trace[c] = Tr(c), on first use
+    p: int
+    k: int
+    modulus: tuple        # monic, length k+1, constant term first
+    generator: tuple      # coefficient vector of g
+    codes: np.ndarray     # codes[i] = code of g^i, i < p^k - 1
+    digits: np.ndarray    # digits[c] = coefficient vector of code c
+    logs: np.ndarray      # logs[c] = i with g^i = c; logs[0] = 0
 
     @property
     def order(self) -> int:
         return self.p ** self.k
 
-    def elements(self) -> list["FieldElem"]:
-        """All p^k elements in base-p integer order, zero first."""
-        return [FieldElem(self, c) for c in range(self.order)]
-
-    def log(self, x: "FieldElem") -> int:
-        if not x.code:
-            raise ZeroDivisionError("log of the zero element")
-        return self._log[x.code]
+    @cached_property
+    def _traces(self) -> list:
+        """Tr(c) for every code c, as Python ints, built on first use."""
+        rows = trace_of_powers(self, np.arange(self.order - 1))
+        table = np.zeros(self.order, dtype=np.int64)
+        table[self.codes] = rows[:, 0]
+        return table.tolist()
 
     def __repr__(self):
         return "FieldSpec(GF(%d^%d), modulus=%s)" % (
             self.p, self.k, list(self.modulus))
 
-
-class FieldElem:
-    """An element of GF(p^k) as its code: the base-p integer whose digits
-    are the coefficients, constant term lowest."""
-
-    __slots__ = ("spec", "code")
-
-    def __init__(self, spec: FieldSpec, code: int):
-        self.spec = spec
-        self.code = code
-
-    def is_zero(self) -> bool:
-        return not self.code
-
-    def __mul__(self, other):
-        spec = self.spec
-        if not (self.code and other.code):
-            return FieldElem(spec, 0)
-        log = spec._log
-        return FieldElem(spec, spec._exp[
-            (log[self.code] + log[other.code]) % len(spec._exp)])
 
 def _times_x(cs, digits, pw, p) -> np.ndarray:
     """Code of x a for every code a in GF(p)[x]/(x^k + cs): shift a's
@@ -177,14 +155,9 @@ def _is_irreducible(times_x, powers, digits, pw, p) -> bool:
     return True
 
 
-_field_cache: dict = {}
-
-
+@cache
 def make_field(p: int, k: int) -> FieldSpec:
     """Build GF(p^k).  Requires p prime, 1 <= k <= 10 and p^k <= 10^6."""
-    key = (p, k)
-    if key in _field_cache:
-        return _field_cache[key]
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
     if not (1 <= k <= 10):
@@ -233,16 +206,10 @@ def make_field(p: int, k: int) -> FieldSpec:
                 break
             rejected[powers] = True
 
-    spec = FieldSpec(p, k, tuple(cs.tolist()) + (1,))
-    spec.generator = tuple(digits[c].tolist())
-    spec.codes = powers
-    spec.digits = digits
-    spec._exp = powers.tolist()
-    log = np.zeros(n, dtype=np.int64)
-    log[powers] = np.arange(n - 1)
-    spec._log = log.tolist()
-    _field_cache[key] = spec
-    return spec
+    logs = np.zeros(n, dtype=np.int64)
+    logs[powers] = np.arange(n - 1)
+    return FieldSpec(p, k, tuple(cs.tolist()) + (1,),
+                     tuple(digits[c].tolist()), powers, digits, logs)
 
 
 def _check_subfield(k: int, j: int) -> None:
@@ -263,26 +230,21 @@ def trace_of_powers(spec: FieldSpec, exponents, j: int = 1) -> np.ndarray:
     return rows % spec.p
 
 
-def trace_to_prime(x: FieldElem) -> int:
-    """Absolute trace Tr(x) = x + x^p + ... + x^(p^(k-1)) as an integer."""
-    spec = x.spec
-    if spec._trace is None:
-        rows = trace_of_powers(spec, np.arange(spec.order - 1))
-        table = np.zeros(spec.order, dtype=np.int64)
-        table[spec.codes] = rows[:, 0]
-        spec._trace = table.tolist()
-    return spec._trace[x.code]
+def trace_to_prime(spec: FieldSpec, c: int) -> int:
+    """Absolute trace Tr(c) = c + c^p + ... + c^(p^(k-1)) of code c, as an
+    integer in [0, p)."""
+    return spec._traces[c]
 
 
-def relative_trace(x: FieldElem, j: int) -> FieldElem:
-    """Trace from GF(p^k) down to the subfield GF(p^j), read off
-    `trace_of_powers` at log x; requires 1 <= j and j | k."""
-    spec = x.spec
+def relative_trace(spec: FieldSpec, c: int, j: int) -> int:
+    """Code of the trace of code c from GF(p^k) down to the subfield
+    GF(p^j), read off `trace_of_powers` at log c; requires 1 <= j and
+    j | k."""
     _check_subfield(spec.k, j)
-    if x.is_zero():
-        return x
-    digits = trace_of_powers(spec, [spec.log(x)], j)[0].tolist()
-    return FieldElem(spec, sum(d * spec.p ** i for i, d in enumerate(digits)))
+    if not c:
+        return 0
+    digits = trace_of_powers(spec, [spec.logs[c]], j)[0].tolist()
+    return sum(d * spec.p ** i for i, d in enumerate(digits))
 
 
 def quadratic_character(a: int, p: int) -> int:

@@ -121,17 +121,6 @@ from cretan.scalar import (
 )
 
 
-def _log_big(x: int) -> float:
-    """Natural log of a positive integer that may exceed float range."""
-    if x <= 0:
-        raise ValueError("log of non-positive integer")
-    bits = x.bit_length()
-    if bits <= 900:
-        return math.log(x)
-    shift = bits - 64
-    return math.log(x >> shift) + shift * math.log(2)
-
-
 def _lift(levels) -> tuple:
     """Integer coordinates of exact levels over one field Q(sqrt d).
 
@@ -191,21 +180,6 @@ def exact_abs_det(S) -> Fraction | None:
     return abs(Fraction(bareiss_det(rows), R ** S.order))
 
 
-def _log_abs_det(S, exact: Fraction | None) -> float:
-    if exact is None:
-        sign, ld = np.linalg.slogdet(S.to_float_array())
-        return float(ld)
-    if exact == 0:
-        return float("-inf")
-    return _log_big(exact.numerator) - _log_big(exact.denominator)
-
-
-def log_abs_det(S) -> float:
-    """log |det S|: exact elimination when the matrix is rational and
-    small, float partial-pivot elimination otherwise."""
-    return _log_abs_det(S, exact_abs_det(S))
-
-
 @dataclass
 class DetIdentity:
     residual: float          # relative gap between log|det| and (n/2)log w
@@ -215,13 +189,21 @@ class DetIdentity:
 
 
 def check_det_identity(S, omega: Scalar | None = None) -> DetIdentity:
-    """|det| = omega^(n/2), checked exactly when possible."""
+    """|det| = omega^(n/2), checked exactly when possible.  log |det S|
+    comes from exact elimination when the matrix is rational and small
+    (math.log takes ints of any size), from float partial-pivot
+    elimination otherwise."""
     n = S.order
     w = omega if omega is not None else S.omega
     wf = w.to_float()
     expected = 0.5 * n * math.log(wf) if wf > 0 else float("-inf")
     exact = exact_abs_det(S)
-    ld = _log_abs_det(S, exact)
+    if exact is None:
+        ld = float(np.linalg.slogdet(S.to_float_array())[1])
+    elif exact == 0:
+        ld = float("-inf")
+    else:
+        ld = math.log(exact.numerator) - math.log(exact.denominator)
     resid = abs(ld - expected) / max(1.0, abs(ld))
     if exact is not None and not w.is_float and w.is_rational:
         identical = exact * exact == w.as_fraction() ** n

@@ -40,13 +40,14 @@ from cretan.designs import (
     registered_designs,
     singer_difference_set,
 )
-from cretan.fields import factor_prime_power, is_prime_power
+from cretan.fields import factor_prime_power, is_prime_power, make_field
 from cretan.files import serialize_matrix
 from cretan.hadamard import paley_conference, regular_hadamard, sylvester
 from cretan import catalog
 from cretan.catalog import catalog_table, construct_best
 from cretan.scalar import IncompatibleRadicands, Scalar, parse_scalar
 from cretan.verify import verify_cretan
+from test_fields import poly_mul, poly_trace
 
 
 def sb321():
@@ -221,7 +222,7 @@ def test_bordered_gram_is_exact_against_sympy():
     assert len(mats) == 12
     for m in mats:
         assert m.mode == "exact"
-        values = [[m.entry(i, j) for j in range(m.order)]
+        values = [[m.levels[m.grid[i, j]] for j in range(m.order)]
                   for i in range(m.order)]
         S = sympy.Matrix([[_sym(x) for x in row] for row in values])
         G = (S * S.T).applyfunc(sympy.expand)
@@ -559,6 +560,32 @@ def test_gh_from_field_passes_the_census_at_every_field():
         G = gh_from_field(p, k)
         rep = group_orthogonality_check(G)
         assert rep.passed and rep.uniform_count == p ** (k - 1), (p, k)
+
+
+def test_gh_from_field_matches_the_polynomial_trace():
+    # entry (i, j) is Tr(x y) for the elements x, y whose coefficient
+    # tuples are the base-p digits of i and j, with the product and trace
+    # taken on polynomials (no field table); a matrix with its rows or
+    # columns permuted passes the census but not this.  Every pair up to
+    # 64 elements, 2000 seeded pairs in the four largest extension fields
+    rng = np.random.default_rng(25)
+    fields = [factor_prime_power(q) for q in range(2, 257)
+              if is_prime_power(q)]
+    for p, k in fields:
+        n = p ** k
+        if n <= 64:
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+        elif (p, k) in ((3, 4), (2, 7), (3, 5), (2, 8)):
+            pairs = rng.integers(n, size=(2000, 2)).tolist()
+        else:
+            continue
+        E = gh_from_field(p, k).entries
+        f = make_field(p, k)
+        tup = [tuple(c // p ** t % p for t in range(k)) for c in range(n)]
+        trace = {x: poly_trace(f, x) for x in tup}
+        for i, j in pairs:
+            want = trace[poly_mul(f, tup[i], tup[j])]
+            assert E[i, j] == want, (p, k, i, j)
 
 
 def test_gh_to_complex():

@@ -3,13 +3,13 @@
 An element is its integer code; the tables are checked against
 polynomial arithmetic on coefficient tuples read from `spec.digits`."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import sympy
 
 from cretan.fields import (
-    FieldElem,
-    FieldSpec,
     factor_prime_power,
     is_prime,
     is_prime_power,
@@ -42,7 +42,7 @@ def quadratic_character_code(f, c) -> int:
     uses it."""
     if not c:
         return 0
-    return 1 if f._log[c] % 2 == 0 else -1
+    return 1 if f.logs[c] % 2 == 0 else -1
 
 
 def test_prime_helpers():
@@ -87,7 +87,7 @@ def test_gf9_modulus_and_generator():
 def test_prime_field_is_plain_modular_arithmetic():
     # codes are the residues mod 7, so the log tables multiply mod 7
     f = make_field(7, 1)
-    log = f._log
+    log = f.logs
     assert f.codes[(log[3] + log[6]) % 6] == 4
     assert f.codes[6 * log[3] % 6] == 1
     assert f.codes[-log[3] % 6] == 5  # 3*5 = 15 = 1 mod 7
@@ -100,10 +100,8 @@ def test_every_nonzero_element_invertible():
     f = make_field(2, 4)
     one = coeffs(f, 1)
     for c in range(1, f.order):
-        inv = f.codes[-f._log[c] % (f.order - 1)]
+        inv = f.codes[-f.logs[c] % (f.order - 1)]
         assert poly_mul(f, coeffs(f, c), coeffs(f, inv)) == one
-    with pytest.raises(ZeroDivisionError):
-        f.log(FieldElem(f, 0))
 
 
 # GF(2) and GF(3) have exp tables of length 1 and 2, so a sum of logs
@@ -111,17 +109,15 @@ def test_every_nonzero_element_invertible():
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 2)])
 def test_log_exp_round_trip(p, k):
     f = make_field(p, k)
-    codes, log, m = f.codes.tolist(), f._log, f.order - 1
+    codes, log, m = f.codes.tolist(), f.logs.tolist(), f.order - 1
     assert coeffs(f, codes[1 % m]) == f.generator
     one = acc = coeffs(f, 1)
     for i in range(m):
         assert coeffs(f, codes[i]) == acc
-        assert log[codes[i]] == f.log(FieldElem(f, codes[i])) == i
+        assert log[codes[i]] == i
         acc = poly_mul(f, acc, f.generator)
     assert acc == one
     assert all(codes[log[c]] == c for c in range(1, f.order))
-    with pytest.raises(ZeroDivisionError):
-        f.log(FieldElem(f, 0))
     for c in range(1, f.order):
         x = coeffs(f, c)
         assert coeffs(f, codes[5 * log[c] % m]) == poly_pow(f, x, 5)
@@ -130,27 +126,29 @@ def test_log_exp_round_trip(p, k):
 
 def test_absolute_trace_is_additive_and_balanced():
     f = make_field(2, 3)
-    traces = [trace_to_prime(x) for x in f.elements()]
+    traces = [trace_to_prime(f, c) for c in range(f.order)]
     # trace is onto GF(p) and balanced: p^(k-1) preimages per value
     assert traces.count(0) == 4 and traces.count(1) == 4
     # codes add digitwise mod p
     sums = (f.digits[:, None] + f.digits[None, :]) % 2 @ 2 ** np.arange(3)
     for a in range(8):
         for b in range(8):
-            assert trace_to_prime(FieldElem(f, int(sums[a, b]))) == \
+            assert trace_to_prime(f, int(sums[a, b])) == \
                 (traces[a] + traces[b]) % 2
 
 
 def test_relative_trace_lands_in_subfield():
     f = make_field(2, 6)
-    for j in range(0, f.order, 7):
-        y = relative_trace(FieldElem(f, j), 2)
+    for c in range(0, f.order, 7):
+        y = relative_trace(f, c, 2)
         # members of GF(4) inside GF(64) satisfy y^4 = y
-        assert y.is_zero() or 4 * f.log(y) % 63 == f.log(y)
+        assert y == 0 or 4 * f.logs[y] % 63 == f.logs[y]
     # j must be a positive divisor of k = 6
     for j in (4, 0, -1):
         with pytest.raises(ValueError, match="not a subfield"):
-            relative_trace(FieldElem(f, 1), j)
+            relative_trace(f, 1, j)
+        with pytest.raises(ValueError, match="not a subfield"):
+            relative_trace(f, 0, j)
         with pytest.raises(ValueError, match="not a subfield"):
             trace_of_powers(f, [1], j)
 
@@ -201,7 +199,7 @@ def test_frobenius_fixes_prime_subfield():
     # image is its polynomial cube
     f = make_field(3, 4)
     for c in (1, 2):
-        assert f.codes[3 * f._log[c] % 80] == c
+        assert f.codes[3 * f.logs[c] % 80] == c
     assert coeffs(f, f.codes[3]) == poly_frobenius(f, f.generator)
 
 
@@ -256,16 +254,13 @@ def poly_trace(f, a) -> int:
 
 @pytest.mark.parametrize("p,k", ORACLE_FIELDS)
 def test_table_product_matches_polynomial_product(p, k):
-    # codes[(log a + log b) % (q - 1)] for every pair of nonzero codes,
-    # and the FieldElem product that gh_from_field takes, zero included
+    # codes[(log a + log b) % (q - 1)] for every pair of nonzero codes
     f = make_field(p, k)
-    n, log = f.order, f._log
-    for a in range(n):
-        for b in range(n):
+    n, log = f.order, f.logs
+    for a in range(1, n):
+        for b in range(1, n):
             want = code_of(f, poly_mul(f, coeffs(f, a), coeffs(f, b)))
-            if a and b:
-                assert f.codes[(log[a] + log[b]) % (n - 1)] == want
-            assert (FieldElem(f, a) * FieldElem(f, b)).code == want
+            assert f.codes[(log[a] + log[b]) % (n - 1)] == want
 
 
 @pytest.mark.parametrize("p,k", ORACLE_FIELDS)
@@ -274,16 +269,16 @@ def test_table_frobenius_and_trace_match_direct_sums(p, k):
     for c in range(f.order):
         x = coeffs(f, c)
         if c:
-            assert coeffs(f, f.codes[p * f._log[c] % (f.order - 1)]) == \
+            assert coeffs(f, f.codes[p * f.logs[c] % (f.order - 1)]) == \
                 poly_frobenius(f, x)
-        assert trace_to_prime(FieldElem(f, c)) == poly_trace(f, x)
+        assert trace_to_prime(f, c) == poly_trace(f, x)
         # the trace down to GF(p^j) sums every j-th conjugate, digitwise
         # mod p
         conj = poly_conjugates(f, x)
         for j in range(1, k + 1):
             if k % j == 0:
                 want = tuple(sum(col) % p for col in zip(*conj[::j]))
-                got = relative_trace(FieldElem(f, c), j).code
+                got = relative_trace(f, c, j)
                 assert coeffs(f, got) == want, (c, j)
 
 
@@ -291,9 +286,9 @@ def test_trace_table_is_built_on_first_use():
     # GF(2^9) serves the Singer designs, which never take an absolute
     # trace, so make_field must not pay for a trace table
     f = make_field(2, 9)
-    assert f._trace is None
-    assert trace_to_prime(FieldElem(f, 300)) == poly_trace(f, coeffs(f, 300))
-    assert len(f._trace) == f.order
+    assert "_traces" not in vars(f)
+    assert trace_to_prime(f, 300) == poly_trace(f, coeffs(f, 300))
+    assert len(vars(f)["_traces"]) == f.order
 
 
 # -- the polynomial table builder, kept as the oracle for make_field ----------
@@ -315,7 +310,7 @@ def poly_tables(p, k):
     generator is the first code g with g^((n-1)/f) != 1 for every prime
     f | n - 1, and the exp table is the walk 1, g, g g, ... of products,
     as coefficient tuples."""
-    spec = FieldSpec(p, k, oracle_modulus(p, k))
+    spec = SimpleNamespace(p=p, k=k, modulus=oracle_modulus(p, k))
     n = p ** k
     one = (1,) + (0,) * (k - 1)
     factors = sympy.primefactors(n - 1)
@@ -341,11 +336,10 @@ def test_make_field_matches_polynomial_builder():
         assert f.modulus == modulus, (p, k)
         assert f.generator == generator, (p, k)
         assert [coeffs(f, c) for c in f.codes] == exp, (p, k)
-        assert f._exp == f.codes.tolist(), (p, k)
-        assert [f._log[c] for c in f._exp] == list(range(len(exp))), (p, k)
+        assert f.logs.dtype == np.int64 and len(f.logs) == f.order, (p, k)
+        assert f.logs[0] == 0, (p, k)
+        assert f.logs[f.codes].tolist() == list(range(len(exp))), (p, k)
         assert all(type(c) is int for c in f.generator), (p, k)
-        assert all(type(c) is int for c in f._exp), (p, k)
-        assert all(type(f._log[c]) is int for c in f._exp), (p, k)
 
 
 def test_table_irreducibility_matches_sympy():
@@ -371,22 +365,18 @@ def test_trace_table_matches_direct_sums_up_to_1000():
     for q in range(2, 1001):
         if is_prime_power(q):
             f = make_field(*factor_prime_power(q))
-            for x in f.elements():
-                assert trace_to_prime(x) == \
-                    poly_trace(f, coeffs(f, x.code)), (q, x.code)
+            for c in range(q):
+                assert trace_to_prime(f, c) == \
+                    poly_trace(f, coeffs(f, c)), (q, c)
 
 
-def test_prime_fields_to_20000_match_sympy(monkeypatch):
+def test_prime_fields_to_20000_match_sympy():
     # GF(p): modulus x, generator the least primitive root and exp table
-    # its powers mod p, for every p to 20000; below 2000 also the lists
-    # made from the table (exp, log) and the trace, which is the identity.
-    # A private cache, emptied per field, keeps memory flat.
-    import cretan.fields as fields
-
-    monkeypatch.setattr(fields, "_field_cache", {})
+    # its powers mod p, for every p to 20000; below 2000 also the log
+    # table and the trace, which is the identity.  The uncached builder
+    # keeps memory flat.
     for p in sympy.primerange(2, 20001):
-        fields._field_cache.clear()
-        f = make_field(p, 1)
+        f = make_field.__wrapped__(p, 1)
         # sympy's primitive_root(p) is the least one
         g = sympy.primitive_root(p) if p > 2 else 1
         assert f.modulus == (0, 1) and f.generator == (g,), p
@@ -395,8 +385,7 @@ def test_prime_fields_to_20000_match_sympy(monkeypatch):
         assert codes.dtype == np.int64 and len(codes) == p - 1, p
         assert codes[0] == 1 and (codes[1:] == codes[:-1] * g % p).all(), p
         if p < 2000:
-            assert f._exp == codes.tolist(), p
-            assert f._log[0] == 0 and all(
-                f._log[c] == i for i, c in enumerate(f._exp)), p
-            assert [trace_to_prime(x) for x in f.elements()] \
+            assert f.logs[0] == 0 and (
+                f.logs[codes] == np.arange(p - 1)).all(), p
+            assert [trace_to_prime(f, c) for c in range(p)] \
                 == list(range(p)), p

@@ -38,7 +38,6 @@ from cretan.verify import (
     check_det_identity,
     det_bounds,
     exact_abs_det,
-    log_abs_det,
     verify_complex,
     verify_cretan,
 )
@@ -125,7 +124,9 @@ def _sympy_abs_det(values):
 
 
 def test_exact_abs_det_large_numerators():
-    # lifted numerators past 2^31 (a large denominator) and past 2^63
+    # lifted numerators past 2^31 (a large denominator) and past 2^63;
+    # at n = 12 the determinant's numerator (1158 bits) is past float
+    # range, and its log is still read exactly off the ints
     rng = np.random.default_rng(8)
     big = (Scalar(1, 0, 0, 2 ** 31 + 11), Scalar(3, 0, 0, 7),
            Scalar(2 ** 64 + 13), Scalar(-(2 ** 70), 0, 0, 3), Scalar(-1))
@@ -135,7 +136,10 @@ def test_exact_abs_det_large_numerators():
         values = [[big[i] for i in row] for row in codes]
         M = from_values(values, Scalar(1), "random")
         assert max(map(abs, _lift(M.levels)[0])) > 2 ** 63
-        assert exact_abs_det(M) == _sympy_abs_det(values)
+        want = _sympy_abs_det(values)
+        assert exact_abs_det(M) == want
+        assert math.isclose(check_det_identity(M).log_abs_det,
+                            float(sympy.log(want)), rel_tol=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -188,14 +192,14 @@ def test_log_abs_det_exact_vs_float():
     sb = singer_difference_set(2, 3).develop()
     vals = [[Scalar(int(x)) for x in row] for row in sb.incidence]
     M = from_values(vals, Scalar(1), "incidence")
-    assert abs(log_abs_det(M) - math.log(2916)) < 1e-12
+    assert abs(check_det_identity(M).log_abs_det - math.log(2916)) < 1e-12
     assert exact_abs_det(M) == 2916
 
 
 def test_log_abs_det_singular():
     vals = [[Scalar(1), Scalar(1)], [Scalar(1), Scalar(1)]]
     M = from_values(vals, Scalar(2), "ones")
-    assert log_abs_det(M) == float("-inf")
+    assert check_det_identity(M).log_abs_det == float("-inf")
 
 
 def test_det_identity_exact_for_hadamard():
@@ -299,7 +303,7 @@ def test_strict_needs_a_unit_in_every_row_and_every_column():
 def test_verify_recomputes_omega():
     M = basic_family(5)
     assert verify_cretan(M).omega == Scalar(25, 0, 0, 9)
-    lying = from_values([[M.entry(i, j) for j in range(5)]
+    lying = from_values([[M.levels[M.grid[i, j]] for j in range(5)]
                          for i in range(5)], Scalar(3), "basic")
     cert = verify_cretan(lying)
     assert not cert.omega_claim_ok and not cert.relaxed
@@ -445,7 +449,7 @@ def _level_matrices(draw):
         if shape == "hadamard":
             return [[u, u], [u, -u]]
         m = basic_family(draw(st.integers(4, 8)))
-        return [[u * m.entry(i, j) for j in range(m.order)]
+        return [[u * m.levels[m.grid[i, j]] for j in range(m.order)]
                 for i in range(m.order)]
 
     if kind == "sqrt":
@@ -845,7 +849,7 @@ def test_by_factors_omega_matches_sympy(a, b):
     S, proof = _product(a, b)
     cert = verify_cretan(S, gram=proof)
     assert cert.gram_path == "by-factors"
-    values = [[S.entry(i, j) for j in range(S.order)]
+    values = [[S.levels[S.grid[i, j]] for j in range(S.order)]
               for i in range(S.order)]
     assert sympy.expand(_sym(cert.omega) - _oracle_omega(values)) == 0
 
