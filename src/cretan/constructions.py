@@ -23,6 +23,7 @@ from cretan.designs import Sbibd
 from cretan.fields import make_field, trace_to_prime
 from cretan.hadamard import SignMatrix
 from cretan.scalar import (
+    FloatLevel,
     IncompatibleRadicands,
     Scalar,
     VERIFY_TOL,
@@ -270,10 +271,11 @@ def kronecker_cretan(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
     try:
         prods = [a * b for a in A.levels for b in B.levels]
         omega = A.omega * B.omega
-    except IncompatibleRadicands:
-        prods = [Scalar.from_float(a.to_float() * b.to_float())
+    except (IncompatibleRadicands, TypeError):
+        # two fields, or a float-mode factor: FloatLevel takes no arithmetic
+        prods = [FloatLevel(a.to_float() * b.to_float())
                  for a in A.levels for b in B.levels]
-        omega = Scalar.from_float(A.omega.to_float() * B.omega.to_float())
+        omega = FloatLevel(A.omega.to_float() * B.omega.to_float())
     levels, table = _merged(prods)
     return LevelMatrix(A.order * B.order, levels, None, omega, "kronecker",
                        {"left": (A.method, A.order),
@@ -282,11 +284,21 @@ def kronecker_cretan(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
                        factors=(A, B, table))
 
 
-def _rescaled(levels: tuple, ratio: Scalar) -> tuple:
-    """levels times sqrt(ratio), exact for an exact rational ratio."""
-    scale = (Scalar.sqrt_fraction(ratio.as_fraction()) if ratio.is_rational
-             else Scalar.from_float(math.sqrt(ratio.to_float())))
-    return tuple(l * scale for l in levels)
+def _rescaled(levels: tuple, lo, hi) -> tuple:
+    """levels times sqrt(lo/hi): exact for a rational lo/hi whose root lies
+    in the levels' field, else l.to_float() * sqrt(ratio), ratio the float
+    of lo/hi if that is exact in one field, else of lo and hi apart."""
+    ratio = lo.to_float() / hi.to_float()
+    try:
+        exact = lo / hi
+        ratio = exact.to_float()
+        if exact.is_rational:
+            scale = Scalar.sqrt_fraction(exact.as_fraction())
+            return tuple(l * scale for l in levels)
+    except (IncompatibleRadicands, TypeError):
+        pass    # two fields, or a FloatLevel
+    scale = math.sqrt(ratio)
+    return tuple(FloatLevel(l.to_float() * scale) for l in levels)
 
 
 def direct_sum(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
@@ -299,18 +311,14 @@ def direct_sum(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
     """
     try:
         a_is_lo = (A.omega - B.omega).sign() <= 0
-    except IncompatibleRadicands:
+    except (IncompatibleRadicands, TypeError):
         a_is_lo = A.omega.to_float() <= B.omega.to_float()
     lo, hi = (A, B) if a_is_lo else (B, A)
     notes = set(lo.notes) | set(hi.notes)
     if lo.omega == hi.omega:
         scaled_hi_levels = hi.levels
     else:
-        try:
-            scaled_hi_levels = _rescaled(hi.levels, lo.omega / hi.omega)
-        except IncompatibleRadicands:
-            scaled_hi_levels = _rescaled(
-                hi.levels, Scalar.from_float(lo.omega.to_float()) / hi.omega)
+        scaled_hi_levels = _rescaled(hi.levels, lo.omega, hi.omega)
         notes.add("not one 1 per row and column")
         notes.add("rescaled-block")
     # code 0 is the zero off the blocks, then lo's levels, then hi's

@@ -245,11 +245,3 @@ def relative_trace(spec: FieldSpec, c: int, j: int) -> int:
         return 0
     digits = trace_of_powers(spec, [spec.logs[c]], j)[0].tolist()
     return sum(d * spec.p ** i for i, d in enumerate(digits))
-
-
-def quadratic_character(a: int, p: int) -> int:
-    """Legendre symbol of a mod an odd prime p, in {-1, 0, 1}."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1

@@ -10,6 +10,7 @@ group-matrix entries are exponents with a star for the empty cell.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -219,9 +220,9 @@ def _parse_level(header, params, notes, rows, body_at, order):
         omega = parse_scalar(header["omega"])
     except (KeyError, ValueError):
         raise ParseError("missing or bad omega header", header.line("omega"))
-    # f1.0 compares and hashes equal to 1, so from_codes would merge a
-    # float token into an exact level: exact rows must hold no float token
-    # ('f' occurs in no exact token), and a float file must stay float
+    # the mode check below refuses a float token in an exact file too (a
+    # FloatLevel equals no Scalar); this names its row ('f' is in no
+    # exact token)
     def no_float(row, line):
         if "f" in row:
             raise ParseError("float entry in a mode exact file", line)
@@ -321,4 +322,9 @@ def serialize_certificate(cert) -> str:
                   "log_abs_det": cert.det.log_abs_det}
     doc["bounds"] = {k: getattr(cert.bounds, k) for k in (
         "hadamard_log", "barba_log", "wojtas_log", "brent_osborn_log")}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # JSON has no nan or inf (log |det| of a singular matrix is -inf)
+    for part in (doc, doc["det"], doc["bounds"]):
+        for k, v in part.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                part[k] = None
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

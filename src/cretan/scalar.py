@@ -1,4 +1,4 @@
-"""Exact scalars in Q and in real quadratic fields Q(sqrt(d)).
+"""Exact scalars in Q and in real quadratic fields Q(sqrt(d)); float levels.
 
 An exact scalar is stored as (p + q*sqrt(d)) / r with plain Python ints
 p, q, r and a squarefree radicand d.  Canonical form: r > 0,
@@ -16,11 +16,11 @@ differ in sign.  `==` compares the canonical integers, and a rational
 hashes like the `Fraction` p/r (by the same numeric rule, without
 building one), so equal numbers hash alike whatever their type.
 
-Mixed-radicand sums (sqrt(2) + sqrt(3)) are refused rather than modelled:
-no construction in this package needs a field tower.  A float fallback
-mode exists for matrices whose levels are only known numerically; any
-arithmetic touching a float scalar yields a float scalar, computed from
-the operands' `to_float` values.
+Mixed-radicand sums (sqrt(2) + sqrt(3)) raise IncompatibleRadicands;
+there is no field tower.  A construction that meets two fields computes
+floats from `to_float` itself and holds them, like `f` tokens in a file,
+as `FloatLevel`s.  A FloatLevel has no arithmetic and equals no Scalar,
+so no float enters exact arithmetic or merges into an exact level.
 
 Tolerances used across the package are defined once, here.
 """
@@ -31,6 +31,7 @@ import itertools
 import math
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import index as _index
 
@@ -227,13 +228,12 @@ def _radicand(x: "Scalar", y: "Scalar") -> int:
 
 
 class Scalar:
-    """A number that is either exact ((p + q*sqrt(d))/r) or a float.
+    """An exact number (p + q*sqrt(d))/r.  Field operations need agreeing
+    radicands; a float or FloatLevel operand is a TypeError."""
 
-    Exact scalars support field operations as long as radicands agree;
-    floats poison every operation they take part in.
-    """
-
-    __slots__ = ("p", "q", "r", "d", "f")
+    __slots__ = ("p", "q", "r", "d")
+    f = None            # read alike on every level: never a float
+    is_float = False
 
     def __init__(self, p: int, q: int = 0, d: int = 0, r: int = 1):
         # stored as plain ints: a bool would print as True
@@ -257,10 +257,6 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_float(cls, x: float) -> "Scalar":
-        return _make(0, 0, 0, 1, float(x))
-
-    @classmethod
     def from_fraction(cls, fr: Fraction) -> "Scalar":
         return cls(fr.numerator, 0, 0, fr.denominator)
 
@@ -277,16 +273,10 @@ class Scalar:
     # -- predicates --------------------------------------------------------
 
     @property
-    def is_float(self) -> bool:
-        return self.f is not None
-
-    @property
     def is_rational(self) -> bool:
-        return self.f is None and self.q == 0
+        return self.q == 0
 
     def is_zero(self) -> bool:
-        if self.f is not None:
-            return self.f == 0.0
         return not self.p and not self.q
 
     def as_fraction(self) -> Fraction:
@@ -295,8 +285,6 @@ class Scalar:
         return Fraction(self.p, self.r)
 
     def to_float(self) -> float:
-        if self.f is not None:
-            return self.f
         try:
             return (self.p + self.q * math.sqrt(self.d)) / self.r
         except OverflowError:
@@ -311,33 +299,25 @@ class Scalar:
             return ((p * p - q * q * d) << 64) / (r * ((p << 64) - q * s))
 
     def sign(self) -> int:
-        """Exact sign (-1, 0, 1); floats fall back to IEEE comparison."""
-        if self.f is not None:
-            return (self.f > 0) - (self.f < 0)
+        """Exact sign (-1, 0, 1)."""
         return _sign(self.p, self.q, self.d)
 
     def abs_le_one(self) -> bool:
-        """Whether |x| <= 1, exactly when possible: for x = (p + q sqrt d)/r
-        with r > 0, whether r - p - q sqrt d and r + p + q sqrt d are both
+        """Whether |x| <= 1, exactly: for x = (p + q sqrt d)/r with r > 0,
+        whether r - p - q sqrt d and r + p + q sqrt d are both
         non-negative."""
-        if self.f is not None:
-            return abs(self.f) <= 1.0 + REFINE_TOL
         p, q, d, r = self.p, self.q, self.d, self.r
         return _sign(r - p, -q, d) >= 0 and _sign(r + p, q, d) >= 0
 
     def conjugate(self) -> "Scalar":
-        """Galois conjugate: sqrt(d) -> -sqrt(d).  Floats are unchanged."""
-        if self.f is not None:
-            return self
+        """Galois conjugate: sqrt(d) -> -sqrt(d)."""
         return _make(self.p, -self.q, self.d, self.r)
 
     # -- arithmetic --------------------------------------------------------
     #
     # An exact operand meets an int operand without coercion.  Adding or
     # subtracting o leaves gcd(p, q, r) = 1, so (p + o r, q, d, r) is
-    # canonical as it stands; so are negation and the conjugate.  With a
-    # float operand both sides go through to_float; a - b is a + (-b)
-    # there, and o / x is o * (1 / x).
+    # canonical as it stands; so are negation and the conjugate.
 
     @staticmethod
     def _coerce(x) -> "Scalar":
@@ -347,18 +327,14 @@ class Scalar:
             return Scalar(x)
         if isinstance(x, Fraction):
             return Scalar.from_fraction(x)
-        if isinstance(x, float):
-            return Scalar.from_float(x)
         return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, int) and self.f is None:
+        if isinstance(other, int):
             return _make(self.p + other * self.r, self.q, self.d, self.r)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.f is not None or other.f is not None:
-            return Scalar.from_float(self.to_float() + other.to_float())
         r, s = self.r, other.r
         return _exact(self.p * s + other.p * r, self.q * s + other.q * r,
                       _radicand(self, other), r * s)
@@ -366,24 +342,20 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.f is not None:
-            return Scalar.from_float(-self.f)
         return _make(-self.p, -self.q, self.d, self.r)
 
     def __sub__(self, other):
-        if isinstance(other, int) and self.f is None:
+        if isinstance(other, int):
             return _make(self.p - other * self.r, self.q, self.d, self.r)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.f is not None or other.f is not None:
-            return Scalar.from_float(self.to_float() + (-other).to_float())
         r, s = self.r, other.r
         return _exact(self.p * s - other.p * r, self.q * s - other.q * r,
                       _radicand(self, other), r * s)
 
     def __rsub__(self, other):
-        if isinstance(other, int) and self.f is None:
+        if isinstance(other, int):
             return _make(other * self.r - self.p, -self.q, self.d, self.r)
         other = self._coerce(other)
         if other is NotImplemented:
@@ -391,7 +363,7 @@ class Scalar:
         return other - self
 
     def __mul__(self, other):
-        if isinstance(other, int) and self.f is None:
+        if isinstance(other, int):
             if not other:
                 return _make(0, 0, 0, 1)
             # gcd(p, q, r) = 1, so gcd(o p, o q, r) = gcd(o, r)
@@ -401,8 +373,6 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.f is not None or other.f is not None:
-            return Scalar.from_float(self.to_float() * other.to_float())
         d = _radicand(self, other)
         p, q, s, t = self.p, self.q, other.p, other.q
         return _exact(p * s + q * t * d, p * t + q * s, d, self.r * other.r)
@@ -410,8 +380,6 @@ class Scalar:
     __rmul__ = __mul__
 
     def _inverse(self) -> "Scalar":
-        if self.f is not None:
-            return Scalar.from_float(1.0 / self.f)
         if self.is_zero():
             raise ZeroDivisionError("division by zero scalar")
         # 1/((p+q sqrt d)/r) = r (p - q sqrt d) / (p^2 - q^2 d)
@@ -419,15 +387,13 @@ class Scalar:
         return _exact(p * r, -q * r, d, p * p - q * q * d)
 
     def __truediv__(self, other):
-        if isinstance(other, int) and self.f is None:
+        if isinstance(other, int):
             if not other:
                 raise ZeroDivisionError("division by zero scalar")
             return _exact(self.p, self.q, self.d, self.r * other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.f is not None or self.f is not None:
-            return Scalar.from_float(self.to_float() / other.to_float())
         s, t = other.p, other.q
         if not s and not t:
             raise ZeroDivisionError("division by zero scalar")
@@ -451,19 +417,15 @@ class Scalar:
     # -- comparison and hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int) and self.f is None:
+        if isinstance(other, int):
             return self.p == other and self.r == 1 and not self.q
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.f is not None or other.f is not None:
-            return self.to_float() == other.to_float()
         return (self.p == other.p and self.q == other.q
                 and self.d == other.d and self.r == other.r)
 
     def __hash__(self):
-        if self.f is not None:
-            return hash(self.f)
         p, r = self.p, self.r
         if self.q:
             return hash((p, self.q, self.d, r))
@@ -507,14 +469,13 @@ class Scalar:
 
 
 _new = object.__new__
-_set_p, _set_q, _set_d, _set_r, _set_f = (
-    Scalar.__dict__[name].__set__ for name in ("p", "q", "d", "r", "f"))
+_set_p, _set_q, _set_d, _set_r = (
+    Scalar.__dict__[name].__set__ for name in ("p", "q", "d", "r"))
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
 
-def _make(p: int, q: int, d: int, r: int, f: float | None = None,
-          x: Scalar | None = None) -> Scalar:
+def _make(p: int, q: int, d: int, r: int, x: Scalar | None = None) -> Scalar:
     """Store fields that are already canonical into x, or into a new
     Scalar, past the immutability guard."""
     if x is None:
@@ -523,7 +484,6 @@ def _make(p: int, q: int, d: int, r: int, f: float | None = None,
     _set_q(x, q)
     _set_d(x, d)
     _set_r(x, r)
-    _set_f(x, f)
     return x
 
 
@@ -538,7 +498,23 @@ def _exact(p: int, q: int, d: int, r: int, x: Scalar | None = None) -> Scalar:
     g = math.gcd(p, q, r)
     if g != 1:
         p, q, r = p // g, q // g, r // g
-    return _make(p, q, d, r, None, x)
+    return _make(p, q, d, r, x)
+
+
+@dataclass(frozen=True)
+class FloatLevel:
+    """A level known only as a float: it has no arithmetic and equals no
+    Scalar."""
+
+    f: float
+    is_float = True
+    is_rational = False
+
+    def to_float(self) -> float:
+        return self.f
+
+    def abs_le_one(self) -> bool:
+        return abs(self.f) <= 1.0 + REFINE_TOL
 
 
 # -- text grammar -----------------------------------------------------------
@@ -573,7 +549,7 @@ def parse_float(text: str) -> float:
     return float(text)
 
 
-def format_scalar(x: Scalar) -> str:
+def format_scalar(x: Scalar | FloatLevel) -> str:
     """Render a scalar in the one-token text grammar used by matrix files."""
     if x.is_float:
         return "f" + repr(x.f)
@@ -583,7 +559,7 @@ def format_scalar(x: Scalar) -> str:
     return "(%d%s%d*sqrt(%d))/%d" % (x.p, sgn, abs(x.q), x.d, x.r)
 
 
-def parse_scalar(text: str) -> Scalar:
+def parse_scalar(text: str) -> Scalar | FloatLevel:
     """Inverse of format_scalar.  Raises ValueError on malformed tokens
     and on exact tokens whose value is beyond float range."""
     text = text.strip()
@@ -591,7 +567,7 @@ def parse_scalar(text: str) -> Scalar:
         x = parse_float(text[1:])
         if not math.isfinite(x):
             raise ValueError("non-finite float token: %r" % text)
-        return Scalar.from_float(x)
+        return FloatLevel(x)
     m = _QUAD_RE.fullmatch(text)
     if m:
         p, sgn, q, d, r = m.groups()

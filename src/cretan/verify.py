@@ -112,6 +112,7 @@ from fractions import Fraction
 import numpy as np
 
 from cretan.scalar import (
+    FloatLevel,
     IncompatibleRadicands,
     REFINE_TOL,
     Scalar,
@@ -204,8 +205,10 @@ def check_det_identity(S, omega: Scalar | None = None) -> DetIdentity:
         ld = float("-inf")
     else:
         ld = math.log(exact.numerator) - math.log(exact.denominator)
-    resid = abs(ld - expected) / max(1.0, abs(ld))
-    if exact is not None and not w.is_float and w.is_rational:
+    # a singular side is -inf: the gap is 0 when both sides are, else inf
+    resid = (0.0 if ld == expected else math.inf if math.isinf(ld)
+             else abs(ld - expected) / max(1.0, abs(ld)))
+    if exact is not None and w.is_rational:
         identical = exact * exact == w.as_fraction() ** n
         return DetIdentity(0.0 if identical else resid, identical,
                            ld, expected)
@@ -291,7 +294,7 @@ def det_bounds(n: int) -> BoundReport:
 @dataclass
 class Certificate:
     order: int
-    omega: Scalar                 # recomputed radius
+    omega: Scalar | FloatLevel    # recomputed radius
     tau: int
     mode: str                     # exact | float (how Gram was checked)
     gram_exact: bool              # off-diagonals exactly zero
@@ -477,7 +480,7 @@ def verify_cretan(S, mode: str = "strict", tolerance: float = VERIFY_TOL,
         G = A @ A.T
         G.flat[::n + 1] -= G.diagonal().mean()
         max_offdiag = float(np.abs(G).max())
-        omega = Scalar.from_float(float((A * A).sum() / n))
+        omega = FloatLevel(float((A * A).sum() / n))
         # a failed exact check is final: the tolerance cannot overrule it
         gram_ok = not checked_exactly and max_offdiag <= tolerance
 

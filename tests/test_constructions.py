@@ -45,7 +45,12 @@ from cretan.files import serialize_matrix
 from cretan.hadamard import paley_conference, regular_hadamard, sylvester
 from cretan import catalog
 from cretan.catalog import catalog_table, construct_best
-from cretan.scalar import IncompatibleRadicands, Scalar, parse_scalar
+from cretan.scalar import (
+    FloatLevel,
+    IncompatibleRadicands,
+    Scalar,
+    parse_scalar,
+)
 from cretan.verify import verify_cretan
 from test_fields import poly_mul, poly_trace
 
@@ -285,16 +290,73 @@ def test_kronecker_mixed_radicands_degrades_to_float():
     assert verify_cretan(m, mode="relaxed").max_offdiag < 1e-9
 
 
+def _hexes(levels) -> set:
+    return {l.to_float().hex() for l in levels}
+
+
+def test_float_products_follow_to_float():
+    # a product that leaves exact arithmetic is the float product of the
+    # factors' to_float values, levels and radius alike
+    s3 = sbibd_two_level(singer_difference_set(2, 3).develop())[0]
+    s2 = sbibd_two_level(qr_difference_set(7).develop())[0]
+    cross = kronecker_cretan(s3, s2)
+    # a float-mode factor makes every product a float, exact ones too
+    for A, B in ((s3, s2), (s2, s3), (cross, basic_family(5)),
+                 (basic_family(4), cross)):
+        m = kronecker_cretan(A, B)
+        assert m.mode == "float" and all(l.is_float for l in m.levels)
+        assert _hexes(m.levels) == {(a.to_float() * b.to_float()).hex()
+                                    for a in A.levels for b in B.levels}
+        assert m.omega.f.hex() == \
+            (A.omega.to_float() * B.omega.to_float()).hex()
+
+
+def test_direct_sum_floats_follow_to_float():
+    s13 = sbibd_two_level(singer_difference_set(2, 3).develop())[0]
+    s11 = sbibd_two_level(qr_difference_set(11).develop())[0]
+    s7 = sbibd_two_level(qr_difference_set(7).develop())[0]
+    cross = kronecker_cretan(s13, s7)       # a float radius
+
+    def scaled(lo, hi, ratio):
+        return _hexes(FloatLevel(l.to_float() * math.sqrt(ratio))
+                      for l in hi.levels)
+
+    # omega_11 / omega_13 = (436 - 190 sqrt 3)/169 is exact in Q(sqrt 3),
+    # and its float differs in the last bit from the quotient of floats
+    ratio = (s11.omega / s13.omega).to_float()
+    assert ratio != s11.omega.to_float() / s13.omega.to_float()
+    cases = [(s11, s13, ratio)]
+    # radii in two fields, or a float radius: the quotient of floats
+    for lo, hi in ((s7, s13), (s11, cross), (s7, s11)):
+        cases.append((lo, hi, lo.omega.to_float() / hi.omega.to_float()))
+    for lo, hi, ratio in cases:
+        m = direct_sum(hi, lo)
+        assert m.omega is lo.omega and m.mode == "float"
+        assert _hexes(l for l in m.levels if l.is_float) == \
+            scaled(lo, hi, ratio)
+        # lo's levels and the zero off the blocks stay as they were
+        assert set(lo.levels) | {Scalar(0)} <= set(m.levels)
+
+
+def test_float_level_never_merges_into_an_exact_level():
+    m = from_codes((Scalar(1), FloatLevel(1.0), Scalar(0), FloatLevel(0.0)),
+                   np.array([[0, 2], [3, 1]]), FloatLevel(1.0), "split")
+    assert m.tau == 4 and m.mode == "float"
+    assert Scalar(1) in m.levels and FloatLevel(1.0) in m.levels
+
+
 def eager_kronecker(A, B):
     """The oracle: the product as kronecker_cretan built it before it kept
     its factors, with the grid gathered at once from the factor grids."""
     try:
         prods = [a * b for a in A.levels for b in B.levels]
         omega = A.omega * B.omega
-    except IncompatibleRadicands:
-        prods = [Scalar.from_float(a.to_float() * b.to_float())
+    except (IncompatibleRadicands, TypeError):
+        # two fields, or a float-mode factor (a FloatLevel takes no
+        # arithmetic)
+        prods = [FloatLevel(a.to_float() * b.to_float())
                  for a in A.levels for b in B.levels]
-        omega = Scalar.from_float(A.omega.to_float() * B.omega.to_float())
+        omega = FloatLevel(A.omega.to_float() * B.omega.to_float())
     return from_codes(prods, kron_pair_codes(A.grid, B.grid, B.tau), omega,
                       "kronecker",
                       {"left": (A.method, A.order),

@@ -30,10 +30,9 @@ from cretan.fields import (
     factor_prime_power,
     is_prime_power,
     make_field,
-    quadratic_character,
     relative_trace,
 )
-from test_fields import poly_mul
+from test_fields import poly_mul, quadratic_character
 
 
 def complement(ds):

@@ -15,7 +15,6 @@ from cretan.fields import (
     is_prime_power,
     make_field,
     prime_factors,
-    quadratic_character,
     relative_trace,
     trace_of_powers,
     trace_to_prime,
@@ -34,6 +33,15 @@ def coeffs(f, c) -> tuple:
 def code_of(f, a) -> int:
     """Code of the coefficient tuple a."""
     return sum(x * f.p ** i for i, x in enumerate(a))
+
+
+def quadratic_character(a: int, p: int) -> int:
+    """Oracle: the Legendre symbol of a mod an odd prime p, in
+    {-1, 0, 1}, by Euler's criterion."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def quadratic_character_code(f, c) -> int:

@@ -9,7 +9,6 @@ from cretan.fields import (
     is_prime,
     is_prime_power,
     make_field,
-    quadratic_character,
 )
 from cretan.hadamard import (
     NoConstructionAvailable,
@@ -21,7 +20,12 @@ from cretan.hadamard import (
     sign_matrix_from_fixture,
     sylvester,
 )
-from test_fields import code_of, poly_mul, quadratic_character_code
+from test_fields import (
+    code_of,
+    poly_mul,
+    quadratic_character,
+    quadratic_character_code,
+)
 
 
 def test_sylvester_orders():

@@ -35,7 +35,13 @@ from cretan.files import (
 )
 from cretan.hadamard import paley_conference
 from cretan.render import render, render_pgm, render_svg, shade_grid
-from cretan.scalar import Scalar, format_scalar, parse_int, parse_scalar
+from cretan.scalar import (
+    FloatLevel,
+    Scalar,
+    format_scalar,
+    parse_int,
+    parse_scalar,
+)
 
 
 def identity2():
@@ -311,15 +317,43 @@ def test_certificate_report():
     assert doc["bounds"]["hadamard_log"] > doc["det"]["log_abs_det"] / 1e9
 
 
+def test_singular_matrix_certificate_is_strict_json(tmp_path, capsys):
+    import json
+
+    from cretan.files import serialize_certificate
+    from cretan.verify import verify_cretan
+
+    def refuse(token):
+        raise ValueError("not JSON: %s" % token)
+
+    ones = from_values([[Scalar(1)] * 2] * 2, Scalar(2), "ones")
+    zero = from_values([[Scalar(0)] * 2] * 2, Scalar(0), "zero")
+    for m, exact, residual in ((ones, False, None), (zero, True, 0.0)):
+        doc = json.loads(serialize_certificate(verify_cretan(m)),
+                         parse_constant=refuse)
+        # log |det| is -inf, written as null
+        assert doc["det"] == {"exact": exact, "residual": residual,
+                              "log_abs_det": None}
+        path = tmp_path / ("%s.txt" % m.method)
+        save_matrix(m, path)
+        assert main(["verify", str(path)]) == (1 if m is ones else 0)
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert re.search(r"^det identity +%s$" % (
+            "exact" if exact else "residual inf"), out, re.M)
+
+
 def test_float_token_never_merges_into_exact_level():
-    # 1 and f1.0 compare equal; merged, they would pass as one exact level
+    # the row that holds a float token in an exact file is named
     text = serialize_matrix(identity2()).replace("0 1\n", "0 f1.0\n")
     with pytest.raises(ParseError) as err:
         parse_matrix(text)
     assert err.value.line == 9 and "float entry" in str(err.value)
+    # f1.0 equals no exact level, so a float file reads three levels: 0,
+    # 1 and f1.0, against the tau 2 header
     with pytest.raises(ParseError) as err:
         parse_matrix(text.replace("mode exact", "mode float"))
-    assert "header says mode float" in str(err.value)
+    assert "header says tau 2, but the entries take 3" in str(err.value)
     with pytest.raises(ParseError):
         parse_matrix(serialize_matrix(identity2())
                      .replace("omega 1", "omega f1.0"))
@@ -494,13 +528,13 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def float_matrices(draw):
-    levels = draw(st.lists(st.one_of(_finite.map(Scalar.from_float),
+    levels = draw(st.lists(st.one_of(_finite.map(FloatLevel),
                                      st.builds(Scalar, _ints)),
                            min_size=1, max_size=4))
     n = draw(st.integers(1, 6))
     grid = draw(st.lists(st.lists(st.sampled_from(levels), min_size=n,
                                   max_size=n), min_size=n, max_size=n))
-    omega = Scalar.from_float(draw(_finite))
+    omega = FloatLevel(draw(_finite))
     return from_values(grid, omega, "random")
 
 
@@ -712,7 +746,7 @@ def codec_level_matrices(draw):
     kind = draw(st.sampled_from(("rational", "quadratic", "float")))
     d = draw(st.sampled_from((2, 3, 5)))
     if kind == "float":
-        level = st.one_of(_finite.map(Scalar.from_float),
+        level = st.one_of(_finite.map(FloatLevel),
                           st.builds(Scalar, _ints))
     elif kind == "quadratic":
         level = st.builds(Scalar, _ints, _ints, st.just(d), _dens)
@@ -737,7 +771,7 @@ def codec_level_matrices(draw):
     notes = tuple(draw(st.lists(st.sampled_from(("x", "y z")),
                                 max_size=2)))
     if kind == "float" and not omega.is_float:
-        omega = Scalar.from_float(0.5)
+        omega = FloatLevel(0.5)
     return from_codes(values, codes, omega, "random", params, notes)
 
 

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: canonical form, field ops, quadratics, grammar."""
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from cretan.scalar import (
+    FloatLevel,
     IncompatibleRadicands,
     Scalar,
     exact_dtype,
@@ -133,14 +135,6 @@ def test_incompatible_radicands():
         a * b
     # rationals mix with anything
     assert (Scalar(2) + a) == quad(2, 1, 2, 1)
-
-
-def test_float_mode_poisons():
-    a = Scalar.from_float(0.5)
-    b = Scalar(1, 0, 0, 3)
-    assert (a + b).is_float
-    assert (b * a).is_float
-    assert not b.is_float
 
 
 #roots of 1 + 6b + 6b^2: b = -(3 +- sqrt 3)/6
@@ -329,7 +323,7 @@ def test_grammar_forms():
     assert format_scalar(Scalar(5)) == "5"
     assert format_scalar(Scalar(-1, 0, 0, 2)) == "-1/2"
     assert format_scalar(quad(-3, -1, 3, 6)) == "(-3-1*sqrt(3))/6"
-    assert format_scalar(Scalar.from_float(0.25)) == "f0.25"
+    assert format_scalar(FloatLevel(0.25)) == "f0.25"
     assert parse_scalar("(14+3*sqrt(3))/2") == quad(14, 3, 3, 2)
     assert parse_scalar("f1.5").is_float
     for bad in ["fnan", "finf", "f-inf", "f1e999"]:
@@ -565,45 +559,31 @@ def test_mixed_radicands_raise(ds, p1, q1, p2, q2, r1, r2):
     assert (Scalar(3) * y).d == y.d
 
 
-def _float_of(y):
-    return Scalar._coerce(y).to_float()
+def test_float_level_equals_no_scalar():
+    assert FloatLevel(1.0) != Scalar(1) and Scalar(1) != FloatLevel(1.0)
+    assert FloatLevel(0.0) != Scalar(0)
+    assert FloatLevel(0.5) == FloatLevel(0.5)
+    assert len({FloatLevel(1.0), Scalar(1), 1}) == 2
+    assert Scalar.f is None and not Scalar(1).is_float
+    x = FloatLevel(-0.75)
+    assert x.is_float and not x.is_rational and x.to_float() == -0.75
+    assert x.abs_le_one() and not FloatLevel(1.5).abs_le_one()
+    assert format_scalar(x) == "f-0.75"
+    assert parse_scalar("f-0.75") == x
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(-4, 4, allow_nan=False) | st.sampled_from([0.0, -0.0]),
-       st.one_of(field_scalars(3), st.integers(-9, 9),
-                 st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
-                 st.floats(-4, 4, allow_nan=False)))
-# y / f and y * (1 / f) differ in the last bit
-@example(-0.4, -0.04)
-@example(3.21, -6)
-def test_float_results_follow_to_float(f, y):
-    # the float path is the one from before the integer kernel: operands
-    # go through to_float, a - b is a + (-b), and y / x is y * (1 / x)
-    x = Scalar.from_float(f)
-    wants = [(lambda: x + y, lambda: f + _float_of(y)),
-             (lambda: y + x, lambda: f + _float_of(y)),
-             (lambda: x - y, lambda: f + Scalar._coerce(-y).to_float()),
-             (lambda: x * y, lambda: f * _float_of(y)),
-             (lambda: y * x, lambda: f * _float_of(y)),
-             (lambda: x / y, lambda: f / _float_of(y)),
-             (lambda: -x, lambda: -f)]
-    if isinstance(y, Scalar):
-        wants += [(lambda: y - x, lambda: y.to_float() + -f),
-                  (lambda: y / x, lambda: y.to_float() / f)]
-    else:
-        wants += [(lambda: y - x, lambda: _float_of(y) + -f),
-                  (lambda: y / x, lambda: _float_of(y) * (1.0 / f))]
-    for got, want in wants:
-        try:
-            expected = want()
-        except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
-                got()
-            continue
-        result = got()
-        assert result.is_float and result.f.hex() == expected.hex()
-    assert x.sign() == (f > 0) - (f < 0)
-    assert x.abs_le_one() == (abs(f) <= 1.0 + 1e-12)
-    assert (x == y) == (f == _float_of(y))
-    assert hash(x) == hash(f)
+@pytest.mark.parametrize("other", [Scalar(2), Scalar(-3, 1, 3, 6), 2,
+                                   Fraction(1, 3), 0.5, FloatLevel(0.5)],
+                         ids=repr)
+def test_float_level_takes_no_arithmetic(other):
+    # a float operand never turns exact arithmetic into float
+    x = FloatLevel(0.25)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
+        if isinstance(other, Scalar):
+            with pytest.raises(TypeError):
+                op(other, 0.5)
+            with pytest.raises(TypeError):
+                op(0.5, other)

@@ -27,7 +27,7 @@ from cretan.designs import (
     singer_difference_set,
 )
 from cretan.hadamard import paley_conference, regular_hadamard, sylvester
-from cretan.scalar import REFINE_TOL, VERIFY_TOL, Scalar
+from cretan.scalar import REFINE_TOL, VERIFY_TOL, FloatLevel, Scalar
 from cretan.catalog import catalog_table, construct_best
 from cretan.verify import (
     ByDesign,
@@ -199,7 +199,20 @@ def test_log_abs_det_exact_vs_float():
 def test_log_abs_det_singular():
     vals = [[Scalar(1), Scalar(1)], [Scalar(1), Scalar(1)]]
     M = from_values(vals, Scalar(2), "ones")
-    assert check_det_identity(M).log_abs_det == float("-inf")
+    rep = check_det_identity(M)
+    assert rep.log_abs_det == float("-inf")
+    # one side of the identity is -inf: the gap is inf, not inf/inf
+    assert rep.residual == math.inf and not rep.exact_zero
+    floats = from_values([[FloatLevel(1.0)] * 2] * 2, FloatLevel(2.0), "f")
+    assert check_det_identity(floats).residual == math.inf
+    # omega 0 claims |det| = 0: a nonsingular matrix misses it by inf
+    unit = from_values([[Scalar(1)]], Scalar(1), "unit")
+    assert check_det_identity(unit, Scalar(0)).residual == math.inf
+    # both sides -inf: the all-zero matrix with omega 0 is exact
+    Z = from_values([[Scalar(0)] * 2] * 2, Scalar(0), "zero")
+    rep = check_det_identity(Z)
+    assert rep.exact_zero and rep.residual == 0.0
+    assert rep.log_abs_det == rep.expected_log == float("-inf")
 
 
 def test_det_identity_exact_for_hadamard():
@@ -326,8 +339,8 @@ def test_verify_non_orthogonal_fails():
 def test_verify_float_tolerance():
     base = basic_family(5).to_float_array()
     base[2, 3] += 1e-6
-    vals = [[Scalar.from_float(float(x)) for x in row] for row in base]
-    M = from_values(vals, Scalar.from_float(25 / 9), "perturbed")
+    vals = [[FloatLevel(float(x)) for x in row] for row in base]
+    M = from_values(vals, FloatLevel(25 / 9), "perturbed")
     assert not verify_cretan(M, mode="relaxed").relaxed
     loose = verify_cretan(M, mode="relaxed", tolerance=1e-3)
     assert loose.relaxed and loose.max_offdiag > 0
@@ -711,7 +724,7 @@ def test_failed_exact_gram_fails_both_verdicts():
     cert = verify_cretan(M)
     assert cert.mode == "float" and not cert.gram_exact
     assert 0 < cert.max_offdiag <= VERIFY_TOL
-    assert cert.omega == Scalar.from_float(1.999999999999)
+    assert cert.omega == FloatLevel(1.999999999999)
     assert cert.moduli_ok and cert.omega_claim_ok
     assert not cert.relaxed and not cert.strict and not cert.passed
 
@@ -859,15 +872,15 @@ def test_gram_path_names_the_float_reason():
     M = from_values([[a, b], [b, -a]], Scalar(1), "mixed")
     assert verify_cretan(M).gram_path == \
         "float: levels span sqrt(10) and sqrt(15)"
-    F = from_values([[Scalar.from_float(0.6), Scalar(1)],
-                     [Scalar(1), Scalar.from_float(-0.6)]],
-                    Scalar.from_float(1.36), "float")
+    F = from_values([[FloatLevel(0.6), Scalar(1)],
+                     [Scalar(1), FloatLevel(-0.6)]],
+                    FloatLevel(1.36), "float")
     assert verify_cretan(F).gram_path == "float: float levels"
     # a proof is not tried on a float matrix
     assert verify_cretan(F, gram=ByDesign(np.eye(2), 1, 0)).gram_path == \
         "float: float levels"
     I = from_values([[Scalar(1), Scalar(0)], [Scalar(0), Scalar(1)]],
-                    Scalar.from_float(1.0), "float omega")
+                    FloatLevel(1.0), "float omega")
     assert verify_cretan(I).gram_path == "float: float omega"
     big = verify_cretan(from_values(_rotation_square(2 ** 14), Scalar(1),
                                     "rotation"))
