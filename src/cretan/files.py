@@ -1,10 +1,31 @@
 """Line-based text format for matrices.
 
 One file holds one matrix.  The first line is a magic-plus-version
-marker, then `key value` header lines, then an `entries` marker and the
-grid, one row per line.  Exact scalars use the scalar grammar, so exact
-matrices round-trip bit-for-bit; complex entries are `re,im` pairs and
-group-matrix entries are exponents with a star for the empty cell.
+marker, `cretan-matrix 2`, then `key value` header lines, then an
+`entries` marker and the grid, one row per line.  The last header line,
+`levels`, lists each distinct entry token once, separated by spaces; the
+position of a token is its code.  Each entry row is its entries' codes
+as fixed-width decimal digits with no separators, the width being the
+number of digits of (number of tokens - 1):
+
+    cretan-matrix 2
+    mode exact
+    order 2
+    tau 2
+    omega 1
+    method identity
+    levels 0 1
+    entries
+    10
+    01
+
+Exact scalars use the scalar grammar, so exact matrices round-trip
+bit-for-bit; complex tokens are `re,im` pairs, one per bit pattern, and
+group-matrix tokens are exponents with a star for the empty cell.  Every
+token on the `levels` line is used by some entry.
+
+`cretan-matrix 1` files, which have no `levels` line and write each
+entry as its token, space separated, are still read.
 """
 
 from __future__ import annotations
@@ -23,7 +44,8 @@ from cretan.constructions import (
 )
 from cretan.scalar import format_scalar, parse_float, parse_int, parse_scalar
 
-MATRIX_MAGIC = "cretan-matrix 1"
+MATRIX_MAGIC = "cretan-matrix 2"
+V1_MAGIC = "cretan-matrix 1"
 STAR_TOKEN = "⋆"
 
 
@@ -46,8 +68,8 @@ def serialize_matrix(m) -> str:
 
 
 def _header(pairs) -> list:
-    """The magic line, the header lines and the entries marker."""
-    return [MATRIX_MAGIC] + ["%s %s" % (k, v) for k, v in pairs] + ["entries"]
+    """The magic line and the header lines."""
+    return [MATRIX_MAGIC] + ["%s %s" % (k, v) for k, v in pairs]
 
 
 def _serialize_level(m: LevelMatrix) -> str:
@@ -73,19 +95,22 @@ def _serialize_complex(m: ComplexLevelMatrix) -> str:
 def _serialize_group(m: GroupMatrix) -> str:
     pairs = [("mode", "group"), ("order", m.order), ("kind", m.kind),
              ("group-order", m.group_order), ("weight", m.weight)]
-    # code x - lo is entry x; the offset keeps a negative entry from
-    # indexing the table from its end
-    lo, hi = int(m.entries.min()), int(m.entries.max())
-    toks = (STAR_TOKEN if x == STAR else str(x) for x in range(lo, hi + 1))
-    return _with_rows(_header(pairs), toks, m.entries.astype(np.intp) - lo)
+    distinct, codes = np.unique(m.entries, return_inverse=True)
+    toks = (STAR_TOKEN if x == STAR else str(x) for x in distinct.tolist())
+    return _with_rows(_header(pairs), toks, codes.reshape(m.order, m.order))
 
 
 def _with_rows(lines: list, tokens, m) -> str:
-    """The header lines and one line per row of m, a grid of codes or a
-    LevelMatrix, whose code c is written as the c-th of tokens, each
-    line ended by a newline and joined once; each token is formatted
-    once."""
-    lines += _rows(np.array(list(tokens), dtype=object), m)
+    """The header lines, the levels line of tokens, the entries marker
+    and one line per row of m, a grid of codes or a LevelMatrix, whose
+    code c is written as c in fixed-width digits; each line is ended by
+    a newline and joined once."""
+    tokens = list(tokens)
+    width = len(str(len(tokens) - 1))
+    lines += ["levels " + " ".join(tokens), "entries"]
+    table = np.array(["%0*d" % (width, c) for c in range(len(tokens))],
+                     dtype=object)
+    lines += _rows(table, m)
     lines.append("")
     return "\n".join(lines)
 
@@ -94,7 +119,7 @@ def _rows(table: np.ndarray, m) -> list:
     """The rows of m, code c written as table[c].  A factored product
     A (x) B is written from its factors and its grid is not built: row
     (i, k) joins, for each level u of row i of A, row k of B written with
-    the tokens of the level pairs (u, w), which are made once per u."""
+    the codes of the level pairs (u, w), which are made once per u."""
     if isinstance(m, LevelMatrix):
         if m.factors is None:
             return _rows(table, m.grid)
@@ -102,20 +127,21 @@ def _rows(table: np.ndarray, m) -> list:
         tb = B.tau
         right = [_rows(table[pairs[u * tb:(u + 1) * tb]], B)
                  for u in range(A.tau)]
-        return [" ".join([right[u][k] for u in row])
+        return ["".join([right[u][k] for u in row])
                 for row in A.grid.tolist() for k in range(B.order)]
-    return [" ".join(table[row].tolist()) for row in m]
+    return ["".join(table[row].tolist()) for row in m]
 
 
 def parse_matrix(text: str):
-    """Inverse of serialize_matrix.  Raises ParseError with the offending
-    line number; the magic line is checked first."""
+    """Inverse of serialize_matrix; reads `cretan-matrix 1` files too.
+    Raises ParseError with the offending line number; the magic line is
+    checked first."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", 1)
-    if lines[0] != MATRIX_MAGIC:
+    if lines[0] not in (MATRIX_MAGIC, V1_MAGIC):
         raise ParseError("unsupported format marker %r" % lines[0][:40], 1)
-    header = _Header()
+    header = _Header(lines[0] == V1_MAGIC)
     params: dict = {}
     notes: list = []
     body_at = None
@@ -162,10 +188,11 @@ def parse_matrix(text: str):
 class _Header(dict):
     """Header values by key, with the line each came from."""
 
-    def __init__(self):
+    def __init__(self, v1: bool = False):
         super().__init__()
         self.lines: dict = {}
         self.end = 0             # the entries marker's line
+        self.v1 = v1             # a cretan-matrix 1 file
 
     def line(self, key: str) -> int:
         """The key's own line; a missing key is reported at the entries
@@ -180,6 +207,64 @@ class _Header(dict):
                              self.line(key))
 
 
+def _read(header, rows, body_at, order, decode, check=None) -> tuple:
+    """(values, codes) of the entry rows of a matrix file, with
+    entry (i, j) = values[codes[i, j]] and each distinct token decoded
+    once.  check(text, line) sees each text that holds tokens before
+    they are decoded: the levels line, or each row of a v1 file."""
+    if header.v1:
+        return _read_rows(rows, body_at, order, decode, check)
+    return _read_table(header, rows, body_at, order, decode, check)
+
+
+def _read_table(header, rows, body_at, order, decode, check) -> tuple:
+    """_read for a v2 file: the levels line decoded token by token, the
+    digit rows turned into codes in one array step."""
+    if "levels" not in header:
+        raise ParseError("missing levels line", header.line("levels"))
+    at = header.line("levels")
+    toks = header["levels"].split()
+    if not toks:
+        raise ParseError("empty levels line", at)
+    if check:
+        check(header["levels"], at)
+    values = []
+    for t in toks:
+        try:
+            values.append(decode(t))
+        except ValueError as exc:
+            raise ParseError(str(exc), at)
+    width = len(str(len(toks) - 1))
+    size = order * width
+    body = "".join(rows)
+    digits = None
+    if body.isascii() and set(map(len, rows)) == {size}:
+        digits = np.frombuffer(body.encode("ascii"), dtype=np.uint8) \
+            - np.uint8(ord("0"))
+    if digits is None or (digits > 9).any():
+        # name the first bad row; isdigit alone takes other scripts' digits
+        bad = next(i for i, row in enumerate(rows) if not (
+            len(row) == size and row.isascii() and row.isdigit()))
+        raise ParseError("expected %d codes of %d ASCII digits each"
+                         % (order, width), body_at + 1 + bad)
+    digits = digits.reshape(order, order, width)
+    # fewer than 10^9 tokens fit in memory, so codes fit in int32
+    codes = digits[:, :, 0].astype(np.int32)
+    for k in range(1, width):
+        codes *= 10
+        codes += digits[:, :, k]
+    past = np.flatnonzero((codes >= len(toks)).any(axis=1))
+    if past.size:
+        raise ParseError("code past the %d-entry levels table" % len(toks),
+                         body_at + 1 + int(past[0]))
+    unused = np.flatnonzero(np.bincount(codes.ravel(),
+                                        minlength=len(toks)) == 0)
+    if unused.size:
+        raise ParseError("levels token %r is used by no entry"
+                         % toks[unused[0]], at)
+    return values, codes
+
+
 def _tokens(row: str, order: int, line: int) -> list:
     toks = row.split()
     if len(toks) != order:
@@ -189,9 +274,8 @@ def _tokens(row: str, order: int, line: int) -> list:
 
 
 def _read_rows(rows, body_at, order, decode, check_row=None) -> tuple:
-    """(values, codes) of the entry rows of a matrix file, with
-    entry (i, j) = values[codes[i, j]].  Each distinct token is decoded
-    once, on its first line; check_row(row, line) sees each row first."""
+    """_read for a v1 file: each distinct token is decoded once, on its
+    first line; check_row(row, line) sees each row first."""
     ids: dict = {}
     values = []
     codes = np.empty((order, order), dtype=np.int32)
@@ -221,14 +305,14 @@ def _parse_level(header, params, notes, rows, body_at, order):
     except (KeyError, ValueError):
         raise ParseError("missing or bad omega header", header.line("omega"))
     # the mode check below refuses a float token in an exact file too (a
-    # FloatLevel equals no Scalar); this names its row ('f' is in no
+    # FloatLevel equals no Scalar); this names its line ('f' is in no
     # exact token)
-    def no_float(row, line):
-        if "f" in row:
+    def no_float(text, line):
+        if "f" in text:
             raise ParseError("float entry in a mode exact file", line)
 
-    values, codes = _read_rows(rows, body_at, order, parse_scalar,
-                               no_float if header["mode"] == "exact" else None)
+    values, codes = _read(header, rows, body_at, order, parse_scalar,
+                          no_float if header["mode"] == "exact" else None)
     try:
         m = from_codes(values, codes, omega, header.get("method", ""),
                        params, tuple(notes))
@@ -255,7 +339,7 @@ def _parse_complex(header, params, rows, body_at, order):
         except ValueError:
             raise ValueError("bad complex entry %r" % t) from None
 
-    values, codes = _read_rows(rows, body_at, order, decode)
+    values, codes = _read(header, rows, body_at, order, decode)
     entries = np.array(values, dtype=np.complex128)[codes]
     try:
         omega = parse_float(header["omega"])
@@ -287,7 +371,7 @@ def _parse_group(header, rows, body_at, order):
             raise ValueError("entry %d outside group of order %d" % (val, g))
         return val
 
-    values, codes = _read_rows(rows, body_at, order, decode)
+    values, codes = _read(header, rows, body_at, order, decode)
     return GroupMatrix(order, g, np.array(values, dtype=np.int16)[codes],
                        kind, weight)
 

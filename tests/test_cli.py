@@ -22,7 +22,7 @@ def test_construct_basic_stdout(capsys):
     assert main(["construct", "--order", "9", "--method", "basic"]) == 0
     out = capsys.readouterr().out
     assert "omega 81/49" in out
-    assert out.startswith("cretan-matrix 1")
+    assert out.startswith("cretan-matrix 2")
 
 
 def test_parser_is_built_once():
@@ -169,7 +169,7 @@ def test_construct_writes_all_files_or_none(tmp_path, capsys):
     assert main(["construct", "--order", "9", "--out", str(ok),
                  "--render", str(svg)]) == 0
     assert capsys.readouterr().out == "wrote %s\nrendered %s\n" % (ok, svg)
-    assert ok.read_text().startswith("cretan-matrix 1")
+    assert ok.read_text().startswith("cretan-matrix 2")
     assert svg.read_text().startswith("<svg")
 
 
@@ -206,9 +206,14 @@ def test_verify_tampered_file(tmp_path, capsys):
     main(["construct", "--order", "9", "--method", "basic",
           "--out", str(f)])
     capsys.readouterr()
-    text = f.read_text()
-    # a consistent edit: the entry and the level count in the header
-    f.write_text(text.replace("-2/7", "0", 1).replace("tau 2", "tau 3"))
+    lines = f.read_text().splitlines(keepends=True)
+    # levels -2/7 1: flipping one code digit of the first row turns an
+    # off-diagonal -2/7 into a 1, and the file still parses
+    assert "levels -2/7 1\n" in lines
+    row = lines.index("entries\n") + 1
+    assert lines[row] == "100000000\n"
+    lines[row] = "110000000\n"
+    f.write_text("".join(lines))
     assert main(["verify", str(f)]) == 1
     out = capsys.readouterr().out
     assert "fail" in out

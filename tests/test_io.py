@@ -1,6 +1,7 @@
 """Serialization round trips, parse failures, and rendering."""
 
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from cretan.constructions import (
     STAR,
     ComplexLevelMatrix,
     GroupMatrix,
+    LevelMatrix,
     basic_family,
     conference_complex,
     from_codes,
@@ -22,6 +24,7 @@ from cretan.constructions import (
     kronecker_cretan,
     sbibd_two_level,
 )
+from cretan import cli
 from cretan.cli import main
 from cretan.designs import qr_difference_set, singer_difference_set
 from cretan.files import (
@@ -55,6 +58,30 @@ def float_product():
     return kronecker_cretan(
         sbibd_two_level(qr_difference_set(7).develop())[0],
         sbibd_two_level(qr_difference_set(11).develop())[0])
+
+
+def v1_text(m) -> str:
+    """The `cretan-matrix 1` text of m, as the v1 writer made it: the
+    same header lines with no levels line, then each entry written as
+    its token, the tokens of a row separated by spaces."""
+    head = serialize_matrix(m).split("\nlevels ")[0]
+    if isinstance(m, GroupMatrix):
+        rows = [[STAR_TOKEN if x == STAR else str(x) for x in row]
+                for row in m.entries.tolist()]
+    elif isinstance(m, ComplexLevelMatrix):
+        rows = [["%r,%r" % (z.real, z.imag) for z in row]
+                for row in m.entries.tolist()]
+    else:
+        toks = [format_scalar(l) for l in m.levels]
+        rows = [[toks[u] for u in row] for row in m.grid.tolist()]
+    head = head.replace("cretan-matrix 2", "cretan-matrix 1", 1)
+    return head + "\nentries\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+
+def _bits(entries) -> np.ndarray:
+    """Complex entries as their bit patterns: -0.0 and the sign of a nan
+    count."""
+    return np.ascontiguousarray(entries, dtype=np.complex128).view("V16")
 
 
 def test_exact_round_trip_rational():
@@ -93,15 +120,6 @@ def test_complex_round_trip():
     assert serialize_matrix(again) == text
 
 
-def _complex_text_per_entry(m) -> str:
-    """Oracle for the complex writer: every entry formatted on its own,
-    row by row, after the same header lines."""
-    head = serialize_matrix(m).split("\nentries\n")[0]
-    rows = [" ".join("%r,%r" % (float(z.real), float(z.imag)) for z in row)
-            for row in m.entries]
-    return head + "\nentries\n" + "".join(r + "\n" for r in rows)
-
-
 def _odd_complex():
     """Entries holding -0.0, nan with either sign bit, and +-inf."""
     nan, inf = float("nan"), float("inf")
@@ -120,9 +138,24 @@ _COMPLEX = ([conference_complex(paley_conference(q))
 @pytest.mark.parametrize("m", _COMPLEX + [_odd_complex()],
                          ids=lambda m: "%s-%d" % (m.method, m.order))
 def test_complex_writer_matches_the_per_entry_text(m):
+    # the levels line holds one token per bit pattern, and the file reads
+    # back as the per-entry v1 text does, bit for bit
     text = serialize_matrix(m)
-    assert text == _complex_text_per_entry(m)
-    assert serialize_matrix(parse_matrix(text)) == text
+    levels = re.search(r"^levels (.*)$", text, re.M).group(1).split()
+    assert len(levels) == len(np.unique(_bits(m.entries)))
+    again, old = parse_matrix(text), parse_matrix(v1_text(m))
+    assert (_bits(again.entries) == _bits(old.entries)).all()
+    assert serialize_matrix(again) == serialize_matrix(old)
+    assert serialize_matrix(parse_matrix(serialize_matrix(again))) == \
+        serialize_matrix(again)
+    if not np.isnan(m.entries).any():
+        assert serialize_matrix(again) == text
+    # equal to m, -0.0 included, but for the sign of a nan, which repr
+    # does not write (so two nan patterns can share a token)
+    assert np.array_equal(again.entries, m.entries, equal_nan=True)
+    for part in (np.real, np.imag):
+        a, b = part(again.entries), part(m.entries)
+        assert (np.signbit(a) == np.signbit(b))[~np.isnan(b)].all()
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -132,8 +165,7 @@ def test_complex_writer_matches_the_per_entry_text(m):
     ("1_0.0,0.0", "bad complex entry '1_0.0,0.0'"),
 ])
 def test_bad_complex_token_keeps_its_message_and_line(bad, message):
-    lines = serialize_matrix(conference_complex(paley_conference(5))) \
-        .splitlines()
+    lines = v1_text(conference_complex(paley_conference(5))).splitlines()
     body = lines.index("entries") + 1
     # a token first seen on the fourth entry row, after good ones
     row = lines[body + 3].split()
@@ -157,15 +189,16 @@ def test_group_round_trip():
 
 def test_golden_file_shape():
     want = (
-        "cretan-matrix 1\n"
+        "cretan-matrix 2\n"
         "mode exact\n"
         "order 2\n"
         "tau 2\n"
         "omega 1\n"
         "method identity\n"
+        "levels 0 1\n"
         "entries\n"
-        "1 0\n"
-        "0 1\n"
+        "10\n"
+        "01\n"
     )
     assert serialize_matrix(identity2()) == want
 
@@ -201,7 +234,7 @@ def test_parse_truncated_grid():
 
 
 def test_parse_bad_token_reports_line():
-    text = serialize_matrix(identity2())
+    text = v1_text(identity2())
     broken = text.replace("0 1", "0 wat")
     with pytest.raises(ParseError) as err:
         parse_matrix(broken)
@@ -345,7 +378,7 @@ def test_singular_matrix_certificate_is_strict_json(tmp_path, capsys):
 
 def test_float_token_never_merges_into_exact_level():
     # the row that holds a float token in an exact file is named
-    text = serialize_matrix(identity2()).replace("0 1\n", "0 f1.0\n")
+    text = v1_text(identity2()).replace("0 1\n", "0 f1.0\n")
     with pytest.raises(ParseError) as err:
         parse_matrix(text)
     assert err.value.line == 9 and "float entry" in str(err.value)
@@ -360,7 +393,7 @@ def test_float_token_never_merges_into_exact_level():
 
 
 def test_parse_rejects_zero_denominator_and_order():
-    text = serialize_matrix(identity2())
+    text = v1_text(identity2())
     for token in ("1/0", "(1+1*sqrt(2))/0"):
         with pytest.raises(ParseError) as err:
             parse_matrix(text.replace("0 1\n", "0 %s\n" % token))
@@ -377,7 +410,7 @@ def test_parse_rejects_zero_denominator_and_order():
 def test_parse_large_radicand_tokens():
     p = 100000000000031
     # the replaced token adds a third value
-    text = serialize_matrix(identity2()).replace("tau 2", "tau 3")
+    text = v1_text(identity2()).replace("tau 2", "tau 3")
     m = parse_matrix(text.replace("0 1\n", "0 (0+1*sqrt(%d))/1\n"
                                   % (3 * p * p)))
     assert Scalar(0, p, 3) in m.levels
@@ -393,7 +426,7 @@ def test_parse_large_radicand_tokens():
 
 
 def test_parse_rejects_non_finite_floats():
-    text = serialize_matrix(float_product())
+    text = v1_text(float_product())
     head, body = text.split("entries\n")
     first_row = head.count("\n") + 2
     for token in ("fnan", "finf", "f-inf"):
@@ -406,8 +439,9 @@ def test_parse_rejects_non_finite_floats():
 def test_parse_group_header_errors():
     text = serialize_matrix(gw_z3_order5())
     # a bad header is reported at its own line (5), a missing one at the
-    # entries marker (line 6 once the header is gone)
-    for old, new, line in (("group-order 3\n", "", 6),
+    # entries marker (line 7 once the header is gone: the levels line
+    # comes before it)
+    for old, new, line in (("group-order 3\n", "", 7),
                            ("group-order 3", "group-order 0", 5),
                            ("group-order 3", "group-order 40000", 5),
                            ("kind GW", "kind GX", 4)):
@@ -417,9 +451,9 @@ def test_parse_group_header_errors():
 
 
 def test_parse_takes_ascii_digits_only():
-    exact = serialize_matrix(identity2())
-    group = serialize_matrix(gw_z3_order5())
-    cmplx = serialize_matrix(conference_complex(paley_conference(5)))
+    exact = v1_text(identity2())
+    group = v1_text(gw_z3_order5())
+    cmplx = v1_text(conference_complex(paley_conference(5)))
     cases = [(exact, "0 1\n", "0 \u0661\n", 9),
              (exact, "order 2", "order \u0662", 3),
              (exact, "order 2", "order 0_2", 3),
@@ -576,10 +610,15 @@ def test_group_rows_write_each_int16_entry(values):
     # a negative entry must not pick another entry's token
     n = int(round(len(values) ** 0.5))
     m = GroupMatrix(n, 3, np.array(values).reshape(n, n), "GH")
-    body = serialize_matrix(m).splitlines()[-n:]
-    assert body == [" ".join("\u22c6" if x == STAR else str(x)
-                             for x in values[i * n:(i + 1) * n])
-                    for i in range(n)]
+    lines = serialize_matrix(m).splitlines()
+    levels = lines[-n - 2].split(" ")
+    assert levels[0] == "levels" and len(levels) == len(set(values)) + 1
+    width = len(str(len(levels) - 2))
+    for i, row in enumerate(lines[-n:]):
+        codes = [int(row[k:k + width]) for k in range(0, len(row), width)]
+        assert [levels[1 + c] for c in codes] == [
+            "\u22c6" if x == STAR else str(x)
+            for x in values[i * n:(i + 1) * n]]
 
 
 _token_alphabet = "0123456789-+/*().,fsqrtina \u22c6\n"
@@ -596,7 +635,9 @@ _replacements = st.one_of(
                  st.just(conference_complex(paley_conference(5)))),
        st.data())
 def test_one_token_mutation_raises_only_parse_error(m, data):
-    text = serialize_matrix(m)
+    # v1 rows are tokens; the v2 rows are mutated a character at a time
+    # below
+    text = v1_text(m)
     body = text.index("\nentries\n")
     spans = [t.span() for t in re.finditer(r"\S+", text)]
     # header and body tokens are picked equally often
@@ -610,35 +651,7 @@ def test_one_token_mutation_raises_only_parse_error(m, data):
         pass
 
 
-# -- the row codec against the per-entry code it replaced ---------------------
-
-def _oracle_header(pairs) -> list:
-    return [MATRIX_MAGIC] + ["%s %s" % (k, v) for k, v in pairs] + ["entries"]
-
-
-def _oracle_serialize_level(m) -> str:
-    pairs = [("mode", m.mode), ("order", m.order), ("tau", m.tau),
-             ("omega", format_scalar(m.omega)), ("method", m.method)]
-    pairs += [("param %s" % k, v) for k, v in sorted(m.params.items(),
-                                                     key=lambda kv: kv[0])]
-    pairs += [("note", n) for n in m.notes]
-    lines = _oracle_header(pairs)
-    toks = [format_scalar(l) for l in m.levels]
-    for row in m.grid.tolist():
-        lines.append(" ".join([toks[u] for u in row]))
-    return "\n".join(lines) + "\n"
-
-
-def _oracle_serialize_group(m) -> str:
-    pairs = [("mode", "group"), ("order", m.order), ("kind", m.kind),
-             ("group-order", m.group_order), ("weight", m.weight)]
-    lines = _oracle_header(pairs)
-    lo, hi = int(m.entries.min()), int(m.entries.max())
-    toks = [STAR_TOKEN if x == STAR else str(x) for x in range(lo, hi + 1)]
-    for row in m.entries.tolist():
-        lines.append(" ".join([toks[x - lo] for x in row]))
-    return "\n".join(lines) + "\n"
-
+# -- the v1 row codec against the per-entry code it replaced ------------------
 
 def _oracle_parse_level(header, params, notes, rows, body_at, order):
     try:
@@ -705,12 +718,6 @@ def _oracle_parse_group(header, rows, body_at, order):
             values[t] = val
         entries[i] = [values[t] for t in toks]
     return GroupMatrix(order, g, entries, kind, weight)
-
-
-def _oracle_serialize(m) -> str:
-    if isinstance(m, GroupMatrix):
-        return _oracle_serialize_group(m)
-    return _oracle_serialize_level(m)
 
 
 def _oracle_parse(text: str):
@@ -789,11 +796,11 @@ def codec_group_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(codec_level_matrices(), codec_group_matrices()))
 def test_row_codec_matches_the_per_entry_oracle(m):
-    text = serialize_matrix(m)
-    assert text == _oracle_serialize(m)
+    text = v1_text(m)
     got, want = _outcome(parse_matrix, text), _outcome(_oracle_parse, text)
     assert got[1] is None and want[1] is None
     assert _same_matrix(got[0], want[0]) and _same_matrix(got[0], m)
+    assert serialize_matrix(got[0]) == serialize_matrix(m)
 
 
 def _bad_tokens(m):
@@ -814,7 +821,7 @@ def test_row_codec_errors_match_the_oracle(m, data):
     """One to three rows broken, each by a bad token, a float token in a
     mode exact file, a group entry out of range, or a wrong count: the
     codec raises the oracle's message on the oracle's line."""
-    lines = serialize_matrix(m).splitlines()
+    lines = v1_text(m).splitlines()
     body = lines.index("entries") + 1
     for _ in range(data.draw(st.integers(1, 3))):
         i = body + data.draw(st.integers(0, m.order - 1))
@@ -844,7 +851,7 @@ def test_row_codec_errors_match_the_oracle(m, data):
     ([(4, 0, "x"), (4, 2, "1/0")], "line 13: malformed scalar token: 'x'"),
 ])
 def test_row_codec_names_the_first_bad_row(faults, message):
-    lines = serialize_matrix(basic_family(6)).splitlines()
+    lines = v1_text(basic_family(6)).splitlines()
     body = lines.index("entries") + 1
     for row, j, tok in faults:
         toks = lines[body + row].split()
@@ -856,3 +863,214 @@ def test_row_codec_names_the_first_bad_row(faults, message):
     text = "\n".join(lines) + "\n"
     got, want = _outcome(parse_matrix, text), _outcome(_oracle_parse, text)
     assert got[1] == want[1] and got[1][0].startswith(message)
+
+
+# -- v2 files: the levels line and the fixed-width code rows ------------------
+
+_IDENTITY_V2 = serialize_matrix(identity2())    # levels on line 7, rows 9-10
+_GROUP_V2 = serialize_matrix(gw_z3_order5())     # levels on line 7
+_COMPLEX_V2 = serialize_matrix(conference_complex(paley_conference(5)))
+
+
+@pytest.mark.parametrize("text, old, new, line, message", [
+    (_IDENTITY_V2, "levels 0 1\n", "", 7, "missing levels line"),
+    (_IDENTITY_V2, "levels 0 1", "levels", 7, "empty levels line"),
+    (_IDENTITY_V2, "levels 0 1", "levels  ", 7, "empty levels line"),
+    (_IDENTITY_V2, "levels 0 1", "levels 0 wat", 7,
+     "malformed scalar token: 'wat'"),
+    (_IDENTITY_V2, "levels 0 1", "levels 0 1/0", 7,
+     "malformed scalar token: '1/0'"),
+    (_IDENTITY_V2, "levels 0 1", "levels 0 f1.0", 7,
+     "float entry in a mode exact file"),
+    (_GROUP_V2, "levels ⋆ 0 1 2", "levels ⋆ 0 1 7", 7,
+     "entry 7 outside group of order 3"),
+    (_COMPLEX_V2, "levels ", "levels 1.0;0.0 ", 7,
+     "expected re,im pair, got '1.0;0.0'"),
+    # the rows: exactly order codes of width digits, ASCII only
+    (_IDENTITY_V2, "10\n01\n", "10\n0\n", 10, "2 codes of 1 ASCII digits"),
+    (_IDENTITY_V2, "10\n01\n", "100\n01\n", 9, "2 codes of 1 ASCII digits"),
+    (_IDENTITY_V2, "10\n01\n", "1 0\n01\n", 9, "ASCII digits"),
+    (_IDENTITY_V2, "10\n01\n", "10\n+1\n", 10, "ASCII digits"),
+    # str.isdigit alone takes digits of other scripts
+    (_IDENTITY_V2, "10\n01\n", "10\n0٣\n", 10, "ASCII digits"),
+    (_IDENTITY_V2, "10\n01\n", "10\n0١\n", 10, "ASCII digits"),
+    (_IDENTITY_V2, "levels 0 1\n", "levels 0 1 2 3 4 5 6 7 8 9 10\n", 9,
+     "2 codes of 2 ASCII digits"),
+    # a code at or past the table: the first such row is named
+    (_IDENTITY_V2, "10\n01\n", "10\n02\n", 10, "code past the 2-entry"),
+    (_IDENTITY_V2, "10\n01\n", "19\n92\n", 9, "code past the 2-entry"),
+    # a token no entry uses: named on the levels line
+    (_IDENTITY_V2, "levels 0 1", "levels 0 1 1/2", 7,
+     "levels token '1/2' is used by no entry"),
+    (_GROUP_V2, "levels ⋆ 0 1 2", "levels ⋆ 0 1 2 ⋆", 7,
+     "levels token '⋆' is used by no entry"),
+])
+def test_v2_parse_errors_name_their_line(text, old, new, line, message):
+    assert text.count(old) == 1
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text.replace(old, new))
+    assert err.value.line == line
+    assert message in str(err.value), str(err.value)
+
+
+def test_v2_mode_and_tau_checks_still_run():
+    # a float token in a float file reads as a third level against tau 2
+    text = _IDENTITY_V2.replace("mode exact", "mode float").replace(
+        "levels 0 1", "levels 0 1 f1.0").replace("01\n", "02\n")
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    assert err.value.line == 4 and "header says tau 2" in str(err.value)
+    # equal tokens merge after the table is read: 1 and 2/2 are one
+    merged = _IDENTITY_V2.replace("levels 0 1", "levels 0 1 2/2").replace(
+        "01\n", "02\n")
+    assert parse_matrix(merged) == identity2()
+
+
+def _wide(kind: str, tau: int):
+    """An order-11 matrix of the kind with tau distinct entries."""
+    n = 11
+    codes = np.arange(n * n).reshape(n, n) % tau
+    if kind == "level":
+        return from_codes([Scalar(k, 0, 0, 101) for k in range(tau)], codes,
+                          Scalar(1), "wide", {"tau": str(tau)}, ("wide",))
+    if kind == "group":
+        return GroupMatrix(n, tau, codes - 1, "GW", 3)
+    return ComplexLevelMatrix(n, np.exp(2j * np.pi * codes / tau), 1.0,
+                              "wide", {})
+
+
+@pytest.mark.parametrize("kind", ["level", "group", "complex"])
+@pytest.mark.parametrize("tau, width", [(2, 1), (10, 1), (11, 2), (100, 2),
+                                        (101, 3)])
+def test_v2_round_trip_at_each_code_width(kind, tau, width):
+    m = _wide(kind, tau)
+    text = serialize_matrix(m)
+    lines = text.splitlines()
+    assert len(lines[-13].split()) == tau + 1 and lines[-12] == "entries"
+    assert all(len(row) == 11 * width for row in lines[-11:])
+    again = parse_matrix(text)
+    assert serialize_matrix(again) == text
+    if kind == "complex":
+        assert (_bits(again.entries) == _bits(m.entries)).all()
+    else:
+        assert _same_matrix(again, m)
+
+
+_complex_cells = st.complex_numbers(allow_nan=False)
+
+
+@st.composite
+def complex_matrices(draw):
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(_complex_cells, min_size=1, max_size=14))
+    cells = draw(st.lists(st.sampled_from(values), min_size=n * n,
+                          max_size=n * n))
+    return ComplexLevelMatrix(n, np.array(cells).reshape(n, n),
+                              draw(_finite), "random", {})
+
+
+def _same_written_matrix(a, b) -> bool:
+    """a and b equal in all a file keeps: level matrices in levels, grid,
+    omega, method, params (as text) and notes; complex entries bit for
+    bit."""
+    if isinstance(a, ComplexLevelMatrix):
+        return (a.order, a.omega, a.method, a.params) == \
+            (b.order, b.omega, b.method, b.params) \
+            and (_bits(a.entries) == _bits(b.entries)).all()
+    if isinstance(a, GroupMatrix):
+        return _same_matrix(a, b)
+    return _same_matrix(a, b) and (a.method, a.notes) == (b.method, b.notes) \
+        and {k: str(v) for k, v in a.params.items()} == \
+        {k: str(v) for k, v in b.params.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(exact_matrices(), float_matrices(), group_matrices(),
+                 codec_level_matrices(), codec_group_matrices(),
+                 complex_matrices()))
+def test_v2_round_trip_is_the_identity(m):
+    text = serialize_matrix(m)
+    again = parse_matrix(text)
+    assert _same_written_matrix(again, m)
+    assert serialize_matrix(again) == text
+
+
+_char_alphabet = "0123456789 \n\t-+/*().,fsqrtinaelv⋆٣ x"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(exact_matrices(), float_matrices(), group_matrices(),
+                 complex_matrices(),
+                 st.just(conference_complex(paley_conference(5)))),
+       st.data())
+def test_v2_one_character_mutation_raises_only_parse_error(m, data):
+    text = serialize_matrix(m)
+    # the body and the header are picked equally often
+    body = text.index("\nentries\n") + 9
+    i = data.draw(st.one_of(st.integers(0, body - 1),
+                            st.integers(body, len(text) - 1)))
+    how = data.draw(st.sampled_from(("replace", "delete", "insert")))
+    c = data.draw(st.sampled_from(_char_alphabet))
+    mutated = {"replace": text[:i] + c + text[i + 1:],
+               "delete": text[:i] + text[i + 1:],
+               "insert": text[:i] + c + text[i:]}[how]
+    try:
+        parse_matrix(mutated)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(exact_matrices(), float_matrices()),
+                min_size=2, max_size=3),
+       st.booleans())
+def test_factored_writer_matches_the_writer_on_the_built_grid(ms, right):
+    """A factored product, nested on the right or on the left when there
+    are three factors, is written as its built grid is."""
+    if len(ms) == 2:
+        S = kronecker_cretan(*ms)
+    elif right:
+        S = kronecker_cretan(ms[0], kronecker_cretan(ms[1], ms[2]))
+    else:
+        S = kronecker_cretan(kronecker_cretan(ms[0], ms[1]), ms[2])
+    built = LevelMatrix(S.order, S.levels, S.factors and
+                        kronecker_cretan(*S.factors[:2]).grid,
+                        S.omega, S.method, S.params, S.notes)
+    text = serialize_matrix(S)
+    assert S._grid is None
+    assert text == serialize_matrix(built)
+
+
+# -- v1 files written before the v2 format still read -------------------------
+
+_V1_DIR = Path(__file__).parent / "data" / "v1"
+# each committed v1 file and what wrote it: `cretan construct` with
+# (method, order), or gw_z3_order5
+_V1_FILES = {
+    "exact-13.txt": ("auto", 13),
+    "direct-sum-12.txt": ("direct-sum", 12),
+    "conference-6.txt": ("conference", 6),
+    "gh-4.txt": ("gh", 4),
+    "gw-z3-5.txt": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_V1_FILES))
+def test_v1_file_reads_as_its_v2_rewrite(name, tmp_path, capsys):
+    v1 = _V1_DIR / name
+    assert v1.read_text(encoding="utf-8").startswith("cretan-matrix 1\n")
+    m = load_matrix(v1)
+    # the same matrix the v1 writer was given
+    how = _V1_FILES[name]
+    made = gw_z3_order5() if how is None else cli._CONSTRUCTORS[how[0]](how[1])
+    assert _same_written_matrix(m, made)
+    v2 = tmp_path / name
+    save_matrix(m, v2)
+    assert v2.read_text(encoding="utf-8").startswith("cretan-matrix 2\n")
+    assert _same_written_matrix(load_matrix(v2), m)
+    # cretan verify prints the same report for both
+    reports = []
+    for path in (v1, v2):
+        code = main(["verify", str(path)])
+        reports.append((code, capsys.readouterr()))
+    assert reports[0] == reports[1] and reports[0][0] == 0
