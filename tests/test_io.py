@@ -985,10 +985,11 @@ def _same_written_matrix(a, b) -> bool:
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(exact_matrices(), float_matrices(), group_matrices(),
-                 codec_level_matrices(), codec_group_matrices(),
+@given(st.one_of(codec_level_matrices(), codec_group_matrices(),
                  complex_matrices()))
 def test_v2_round_trip_is_the_identity(m):
+    # with params, notes, up to 41 levels, and complex entries; the
+    # level and group properties above draw the plain cases
     text = serialize_matrix(m)
     again = parse_matrix(text)
     assert _same_written_matrix(again, m)
