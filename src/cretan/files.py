@@ -188,7 +188,7 @@ def parse_matrix(text: str):
 class _Header(dict):
     """Header values by key, with the line each came from."""
 
-    def __init__(self, v1: bool = False):
+    def __init__(self, v1: bool):
         super().__init__()
         self.lines: dict = {}
         self.end = 0             # the entries marker's line
@@ -220,9 +220,9 @@ def _read(header, rows, body_at, order, decode, check=None) -> tuple:
 def _read_table(header, rows, body_at, order, decode, check) -> tuple:
     """_read for a v2 file: the levels line decoded token by token, the
     digit rows turned into codes in one array step."""
-    if "levels" not in header:
-        raise ParseError("missing levels line", header.line("levels"))
     at = header.line("levels")
+    if "levels" not in header:
+        raise ParseError("missing levels line", at)
     toks = header["levels"].split()
     if not toks:
         raise ParseError("empty levels line", at)
