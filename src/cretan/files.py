@@ -20,9 +20,10 @@ number of digits of (number of tokens - 1):
     01
 
 Exact scalars use the scalar grammar, so exact matrices round-trip
-bit-for-bit; complex tokens are `re,im` pairs, one per bit pattern, and
-group-matrix tokens are exponents with a star for the empty cell.  Every
-token on the `levels` line is used by some entry.
+bit-for-bit; complex tokens are `re,im` pairs, one per bit pattern with
+every nan taken as one (`repr` writes no nan sign), and group-matrix
+tokens are exponents with a star for the empty cell.  Every token on the
+`levels` line is used by some entry.
 
 `cretan-matrix 1` files, which have no `levels` line and write each
 entry as its token, space separated, are still read.
@@ -84,9 +85,12 @@ def _serialize_complex(m: ComplexLevelMatrix) -> str:
     pairs = [("mode", "complex"), ("order", m.order),
              ("omega", repr(float(m.omega))), ("method", m.method)]
     pairs += [("param %s" % k, m.params[k]) for k in sorted(m.params)]
-    # one token per bit pattern: by value, -0.0 would merge into 0.0
-    bits = np.ascontiguousarray(m.entries, dtype=np.complex128).view("V16")
-    distinct, codes = np.unique(bits, return_inverse=True)
+    # one token per bit pattern: by value, -0.0 would merge into 0.0;
+    # repr writes every nan as `nan`, so each nan is made the same one
+    e = np.array(m.entries, dtype=np.complex128, order="C")
+    e.real[np.isnan(e.real)] = np.nan
+    e.imag[np.isnan(e.imag)] = np.nan
+    distinct, codes = np.unique(e.view("V16"), return_inverse=True)
     toks = ("%r,%r" % (float(z.real), float(z.imag))
             for z in distinct.view(np.complex128))
     return _with_rows(_header(pairs), toks, codes.reshape(m.order, m.order))
@@ -236,17 +240,16 @@ def _read_table(header, rows, body_at, order, decode, check) -> tuple:
             raise ParseError(str(exc), at)
     width = len(str(len(toks) - 1))
     size = order * width
-    body = "".join(rows)
-    digits = None
-    if body.isascii() and set(map(len, rows)) == {size}:
-        digits = np.frombuffer(body.encode("ascii"), dtype=np.uint8) \
-            - np.uint8(ord("0"))
-    if digits is None or (digits > 9).any():
-        # name the first bad row; isdigit alone takes other scripts' digits
-        bad = next(i for i, row in enumerate(rows) if not (
-            len(row) == size and row.isascii() and row.isdigit()))
-        raise ParseError("expected %d codes of %d ASCII digits each"
-                         % (order, width), body_at + 1 + bad)
+    for i, row in enumerate(rows):
+        # str.isdigit takes other scripts' digits and is slower than
+        # bytes.isdigit, which takes ASCII digits only; isascii first,
+        # since a lone surrogate has no encoding
+        if not (len(row) == size and row.isascii()
+                and row.encode().isdigit()):
+            raise ParseError("expected %d codes of %d ASCII digits each"
+                             % (order, width), body_at + 1 + i)
+    digits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) \
+        - np.uint8(ord("0"))
     digits = digits.reshape(order, order, width)
     # fewer than 10^9 tokens fit in memory, so codes fit in int32
     codes = digits[:, :, 0].astype(np.int32)
