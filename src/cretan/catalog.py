@@ -33,6 +33,7 @@ from cretan.designs import (
     MissingFixture,
     build_family,
     fixture_search_dirs,
+    QR_MAX_Q,
     qr_difference_set,
     registered_designs,
 )
@@ -104,11 +105,12 @@ def _odd_factor_pairs(v: int) -> list:
 def design_sources(v: int) -> list:
     """Symmetric designs at order v as (route, note, develop) triples: the
     registered rows first, then the quadratic residues at a prime power
-    3 mod 4.  Listing them builds nothing; develop() builds the design."""
+    3 mod 4 up to QR_MAX_Q.  Listing them builds nothing; develop()
+    builds the design."""
     out = [("sbibd-ds", "(%d,%d,%d)" % (v, k, lam),
             lambda fam=fam, kw=kw: build_family(fam, **kw).develop())
            for _, k, lam, fam, kw in registered_designs(v)]
-    if v % 4 == 3 and is_prime_power(v):
+    if v % 4 == 3 and v <= QR_MAX_Q and is_prime_power(v):
         out.append(("paley-sbibd", "t=%d" % ((v + 1) // 4),
                     lambda: qr_difference_set(v).develop()))
     return out

@@ -252,10 +252,10 @@ def _cmd_designs(args) -> int:
                 raise CliError("qr takes one parameter: q")
             ds = qr_difference_set(p[0])
         elif args.family == "biquadratic":
-            if len(p) not in (1, 2):
-                raise CliError("biquadratic takes p [with_zero]")
-            ds = biquadratic_difference_set(p[0], bool(p[1])
-                                            if len(p) == 2 else False)
+            if len(p) not in (1, 2) or p[1:] not in ([], [0], [1]):
+                raise CliError("biquadratic takes p [with_zero], "
+                               "with_zero 0 or 1")
+            ds = biquadratic_difference_set(p[0], p[1:] == [1])
         else:  # singer, the last of the parser's choices
             if len(p) != 2:
                 raise CliError("singer takes n q")

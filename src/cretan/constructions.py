@@ -9,6 +9,8 @@ Real matrices are held as a level list plus an index grid so that exact
 scalars are stored once per level.  Exact mode survives any construction
 whose levels stay inside one quadratic field; everything else degrades to
 float mode, which the verifier checks at `scalar.VERIFY_TOL`.
+Builders check their arguments, not output their theorem gives: the
+verifier, which this module does not import, checks each matrix once.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from cretan.scalar import (
     FloatLevel,
     IncompatibleRadicands,
     Scalar,
-    VERIFY_TOL,
     exact_dtype,
     format_scalar,
     solve_quadratic,
 )
-from cretan.verify import verify_complex
 
 
 class ModulusViolation(ValueError):
@@ -229,7 +229,7 @@ def bordered_solver(sb: Sbibd) -> list:
     s^2 = -(lam + 2(k-lam) b + (v-2k+lam) b^2).  Matching the corner row
     norm x^2 + v s^2 to a core row norm s^2 + k + (v-k) b^2 leaves
     (k(k-1) - lam(v-1)) (1-b)^2 = 0, which holds for every b because
-    validate() enforces lam(v-1) = k(k-1).  So the solutions form a
+    Sbibd.validate enforces lam(v-1) = k(k-1).  So the solutions form a
     one-parameter family; we return the canonical members (corner
     saturated at x = +-1, corner zero, border maximized, interval
     endpoints) that satisfy every modulus constraint.  Each b is rational,
@@ -357,13 +357,6 @@ class ComplexLevelMatrix:
     method: str
     params: dict = field(default_factory=dict)
 
-    def validate(self, tol: float = VERIFY_TOL) -> None:
-        if self.entries.shape != (self.order, self.order):
-            raise ValueError("entries are not square")
-        if not verify_complex(self, tol):
-            raise ValueError("Gram residual above tolerance or entry "
-                             "modulus above 1")
-
     def __repr__(self):
         return "ComplexLevelMatrix(CM(%d;..;%s), method=%s)" % (
             self.order, self.omega, self.method)
@@ -374,6 +367,8 @@ def conference_complex(W: SignMatrix) -> ComplexLevelMatrix:
 
     Rows then have norm 1 + (n-1) = n and distinct rows stay orthogonal
     because i W_ba - i W_ab vanishes exactly when W is symmetric.
+    `cretan construct` checks the output by `verify_complex`, exact here:
+    every partial sum of M M* is a small Gaussian integer.
     """
     if W.kind != "conference":
         raise ValueError("input must be a conference matrix")
@@ -381,10 +376,8 @@ def conference_complex(W: SignMatrix) -> ComplexLevelMatrix:
         raise ValueError("conference core must be symmetric")
     n = W.order
     entries = W.entries.astype(np.complex128) + 1j * np.eye(n)
-    M = ComplexLevelMatrix(n, entries, float(n), "conference-complex",
-                           {"core": W.source})
-    M.validate()
-    return M
+    return ComplexLevelMatrix(n, entries, float(n), "conference-complex",
+                              {"core": W.source})
 
 
 # -- group matrices -----------------------------------------------------------

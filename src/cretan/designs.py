@@ -107,6 +107,12 @@ class GroupDesc:
             out += C[:, f]
         return out
 
+    def develop(self, table: np.ndarray) -> np.ndarray:
+        """out[i, j] = table[position of g_j - g_i], g in `elements()`
+        order."""
+        C = self.all_coords()
+        return table[self.diff_positions(C, C)]
+
     def diff_positions(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """out[i, j] = position of A[j] - B[i], one factor at a time."""
         out = np.zeros((len(B), len(A)), dtype=np.int32)
@@ -175,9 +181,8 @@ class DifferenceSet:
         group = self.group
         inside = np.zeros(self.v, dtype=np.int8)
         inside[group.positions(self.coords)] = 1
-        C = group.all_coords()
-        B = inside[group.diff_positions(C, C)]
-        return Sbibd(self.v, self.k, self.lam, B, source=self.source)
+        return Sbibd(self.v, self.k, self.lam, group.develop(inside),
+                     source=self.source)
 
 
 def make_difference_set(group: GroupDesc, elements, lam: int,
@@ -242,14 +247,18 @@ class Sbibd:
 
 # -- constructive families ----------------------------------------------------
 
+# the largest q that qr_difference_set builds and design_sources lists
+QR_MAX_Q = 1000
+
+
 def qr_difference_set(q: int) -> DifferenceSet:
-    """Nonzero squares in GF(q) for a prime power q = 3 (mod 4), q <= 1000.
+    """Nonzero squares in GF(q), q a prime power 3 mod 4, q <= QR_MAX_Q.
 
     Parameters (q, (q-1)/2, (q-3)/4).  The set is the even powers of the
     generator (`codes[::2]`) in the additive group (Z_p)^k of GF(p^k),
     which for prime q = p is Z_q.
     """
-    if q > 1000 or q < 3:
+    if q > QR_MAX_Q or q < 3:
         raise ValueError("q out of range: %d" % q)
     if q % 4 != 3:
         raise ValueError("q must be 3 mod 4, got %d" % q)
@@ -294,7 +303,8 @@ def singer_difference_set(n: int, q: int) -> DifferenceSet:
     relative trace zero down to GF(q), all v traces taken in one array
     step by `trace_of_powers`.  Parameters (v, (q^n-1)/(q-1),
     (q^(n-1)-1)/(q-1)).  A field above the 10^6 cap is refused before q
-    is factored.
+    is factored.  The census rejects a set of any other size than k, as
+    k(k-1) = lam (v-1) has one positive root.
     """
     if n < 2:
         raise ValueError("projective dimension must be >= 2")
@@ -305,13 +315,9 @@ def singer_difference_set(n: int, q: int) -> DifferenceSet:
     p, j = factor_prime_power(q)
     f = make_field(p, j * (n + 1))
     v = (q ** (n + 1) - 1) // (q - 1)
-    k = (q ** n - 1) // (q - 1)
     lam = (q ** (n - 1) - 1) // (q - 1)
     traces = trace_of_powers(f, np.arange(v), j)
     els = [(i,) for i in np.flatnonzero(~traces.any(axis=1)).tolist()]
-    if len(els) != k:
-        raise NotADifferenceSet(
-            "trace-zero index count %d differs from k=%d" % (len(els), k))
     return make_difference_set(cyclic(v), els, lam,
                                source="singer(n=%d, q=%d)" % (n, q))
 

@@ -99,28 +99,27 @@ def paley_conference(q: int) -> SignMatrix:
 
     The core is the quadratic character chi of GF(q), tabulated once by
     base-p integer code (+1 at `codes[::2]`, the even powers of the
-    generator) and read at the difference positions of the additive group
-    Z_p^k, as in `DifferenceSet.develop`: position j of Z_p^k has the
-    base-p digits of j, highest degree first, so it is the element of
+    generator) and developed over the additive group Z_p^k by
+    `GroupDesc.develop`, as a difference set is: position j of Z_p^k has
+    the base-p digits of j, highest degree first, so it is the element of
     code j.  Entry (i, j) is chi(x_j - x_i) = chi(x_i - x_j), since
     -1 is a square.  The border is all ones and the diagonal zero.
+    Paley's theorem (Q Q^T = q I - J, Q J = 0) makes it a conference
+    matrix, checked by `cretan construct`'s `verify_complex`.
     """
     if q % 4 != 1:
         raise ValueError("q must be 1 mod 4, got %d" % q)
     p, k = factor_prime_power(q)
     f = make_field(p, k)
-    group = GroupDesc((p,) * k)
     chi = np.full(q, -1, dtype=np.int8)
     chi[0] = 0
     chi[f.codes[::2]] = 1
-    C = group.all_coords()
     n = q + 1
     E = np.zeros((n, n), dtype=np.int8)
     E[0, 1:] = E[1:, 0] = 1
-    E[1:, 1:] = chi[group.diff_positions(C, C)]
-    M = SignMatrix(n, E, "conference", q, source="paley-conference(%d)" % q)
-    M.validate()
-    return M
+    E[1:, 1:] = GroupDesc((p,) * k).develop(chi)
+    return SignMatrix(n, E, "conference", q,
+                      source="paley-conference(%d)" % q)
 
 
 def kronecker_sign(A: SignMatrix, B: SignMatrix) -> SignMatrix:
@@ -137,7 +136,10 @@ def kronecker_sign(A: SignMatrix, B: SignMatrix) -> SignMatrix:
 
 def menon_hadamard_from_design(sb: Sbibd) -> SignMatrix:
     """Regular Hadamard matrix of order 4 m^2 from a (4m^2, 2m^2-m, m^2-m)
-    design, mapping incidence 1 -> -1 and 0 -> +1."""
+    design, mapping incidence 1 -> -1 and 0 -> +1.  Menon's theorem gives
+    H H^T = v I with row sums 2m, checked by the exact lift of
+    `regular_hadamard_border`'s matrix in the catalog and `construct`.
+    """
     v = sb.v
     s = square_side(v)
     if s is None:
@@ -147,10 +149,8 @@ def menon_hadamard_from_design(sb: Sbibd) -> SignMatrix:
     H = (1 - 2 * sb.incidence).astype(np.int8)
     if H[0].sum() < 0:
         H = -H
-    M = SignMatrix(v, H, "hadamard", v, excess=int(H[0].sum()),
-                   source="menon(%s)" % (sb.params,))
-    M.validate()
-    return M
+    return SignMatrix(v, H, "hadamard", v, excess=int(H[0].sum()),
+                      source="menon(%s)" % (sb.params,))
 
 
 def _regular_seed4() -> SignMatrix:

@@ -8,8 +8,9 @@ they were produced.
 
 The exact operations work on the four integers directly.  Sums,
 differences, products and quotients are formed in p, q, d, r and reduced
-by one gcd; an int operand takes no coercion, and adding or subtracting
-it, negation and the conjugate need no gcd at all (they keep
+by one gcd.  Only `+`, `*` and `==` take an int operand without
+coercion; `-` and `/` coerce it, as they do a Fraction.  Adding an
+int, negation and the conjugate need no gcd at all (they keep
 gcd(p, q, r) = 1).  `sign` and `abs_le_one` share one integer test, the
 sign of a + b sqrt(d), which compares a^2 with b^2 d when the two terms
 differ in sign.  `==` compares the canonical integers, and a rational
@@ -315,9 +316,9 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
     #
-    # An exact operand meets an int operand without coercion.  Adding or
-    # subtracting o leaves gcd(p, q, r) = 1, so (p + o r, q, d, r) is
-    # canonical as it stands; so are negation and the conjugate.
+    # +, * and == meet an int operand without coercion.  Adding o leaves
+    # gcd(p, q, r) = 1, so (p + o r, q, d, r) is canonical as it stands;
+    # so are negation and the conjugate.
 
     @staticmethod
     def _coerce(x) -> "Scalar":
@@ -345,8 +346,6 @@ class Scalar:
         return _make(-self.p, -self.q, self.d, self.r)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return _make(self.p - other * self.r, self.q, self.d, self.r)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -355,8 +354,6 @@ class Scalar:
                       _radicand(self, other), r * s)
 
     def __rsub__(self, other):
-        if isinstance(other, int):
-            return _make(other * self.r - self.p, -self.q, self.d, self.r)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -379,18 +376,7 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
-        # 1/((p+q sqrt d)/r) = r (p - q sqrt d) / (p^2 - q^2 d)
-        p, q, d, r = self.p, self.q, self.d, self.r
-        return _exact(p * r, -q * r, d, p * p - q * q * d)
-
     def __truediv__(self, other):
-        if isinstance(other, int):
-            if not other:
-                raise ZeroDivisionError("division by zero scalar")
-            return _exact(self.p, self.q, self.d, self.r * other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -404,12 +390,10 @@ class Scalar:
                       self.r * (s * s - t * t * d))
 
     def __rtruediv__(self, other):
-        if isinstance(other, int):
-            return self._inverse() * other
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self._inverse()
+        return other / self
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

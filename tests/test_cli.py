@@ -93,6 +93,53 @@ def test_construct_conference(capsys):
                  "--method", "conference"]) == 2
 
 
+def test_construct_checks_a_broken_conference_core(capsys, monkeypatch):
+    # the builders do not re-check their output; construct's check does
+    from cretan import hadamard
+
+    def flipped(q):
+        W = hadamard.paley_conference(q)
+        W.entries[1, 2] *= -1
+        W.entries[2, 1] *= -1    # still symmetric, no longer orthogonal
+        return W
+
+    monkeypatch.setattr(cli, "paley_conference", flipped)
+    assert main(["construct", "--order", "14",
+                 "--method", "conference"]) == 1
+    assert "failed verification" in capsys.readouterr().err
+
+
+def test_broken_menon_core_fails_its_consumers(capsys, monkeypatch):
+    from cretan import catalog, hadamard
+
+    def flipped(sb):
+        M = menon(sb)
+        M.entries[1, 0] *= -1    # off row 0, which sets the row sums
+        return M
+
+    menon = hadamard.menon_hadamard_from_design
+    monkeypatch.setattr(hadamard, "menon_hadamard_from_design", flipped)
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    entry = catalog.construct_best(37)
+    [cand] = [c for c in entry.candidates if c.method == "regular-hadamard"]
+    # built, then refused by the verifier
+    assert cand.certificate is not None and cand.verdict == "failed"
+    assert main(["construct", "--order", "37",
+                 "--method", "regular-hadamard"]) == 1
+    assert "failed verification" in capsys.readouterr().err
+
+
+def test_design_routes_above_the_qr_cap(capsys):
+    # 1019 is a prime 3 mod 4 above designs.QR_MAX_Q: no source is listed
+    assert main(["construct", "--order", "1019", "--method", "sbibd"]) == 2
+    assert capsys.readouterr().err == \
+        "no sbibd-ds or paley-sbibd construction at order 1019\n"
+    assert main(["construct", "--order", "1020",
+                 "--method", "bordered"]) == 2
+    assert capsys.readouterr().err == \
+        "no symmetric design available at order 1019\n"
+
+
 def test_construct_gh(capsys):
     assert main(["construct", "--order", "9", "--method", "gh"]) == 0
     out = capsys.readouterr().out
@@ -471,6 +518,20 @@ def test_designs_usage(capsys):
     assert main(["designs", "make", "--family", "hadamard"]) == 2
     assert main(["designs", "make", "--family", "qr", "--params",
                  "5", "6"]) == 2
+
+
+def test_designs_make_with_zero_is_0_or_1(capsys):
+    # 5 is not read as true
+    assert main(["designs", "make", "--family", "biquadratic",
+                 "--params", "13", "5"]) == 2
+    assert capsys.readouterr().err == \
+        "biquadratic takes p [with_zero], with_zero 0 or 1\n"
+    assert main(["designs", "make", "--family", "biquadratic",
+                 "--params", "109", "1"]) == 0
+    assert "params (109, 28, 7)" in capsys.readouterr().out
+    assert main(["designs", "make", "--family", "biquadratic",
+                 "--params", "37", "0"]) == 0
+    assert "params (37, 9, 2)" in capsys.readouterr().out
 
 
 @contextlib.contextmanager

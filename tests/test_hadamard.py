@@ -98,6 +98,15 @@ def test_paley_conference_matches_squares_up_to_1000():
         assert np.array_equal(E[1:, 1:], chi[diff]), q
 
 
+def test_paley_conference_validates_below_1000():
+    # paley_conference does not check its own output; Paley's theorem
+    # says it is a conference matrix, and this checks it at every q
+    qs = [q for q in range(5, 1000, 4) if is_prime_power(q)]
+    assert len(qs) == 94
+    for q in qs:
+        paley_conference(q).validate()
+
+
 def test_paley_conference_rejects_3_mod_4():
     with pytest.raises(ValueError):
         paley_conference(7)
@@ -152,6 +161,7 @@ def test_menon_mapping_direct():
     M = menon_hadamard_from_design(sb)
     assert M.excess == 6
     assert np.isin(M.entries, (-1, 1)).all()
+    M.validate()
 
 
 def test_kronecker_sign_weights():
