@@ -4,11 +4,11 @@ Every odd order from 3 up is covered by at least one route of the ROUTES
 table (two-level matrices over quadratic-residue or registry designs,
 bordered regular Hadamard cores, Kronecker products of smaller orders,
 and the basic two-level family); the command line builds from the same
-table.  construct_best verifies every candidate and keeps the one with
-the largest radius.  catalog_table reproduces the published
-construction tables for odd orders up to 199 and reports agreements,
-orders we fill that the tables leave blank, claims we cannot realize,
-and outright conflicts.
+table.  construct_best verifies every candidate and keeps the one that
+rank puts first; the command line ranks what it builds by the same rule.
+catalog_table reproduces the published construction tables for odd
+orders up to 199 and reports agreements, orders we fill that the tables
+leave blank, claims we cannot realize, and outright conflicts.
 """
 
 from __future__ import annotations
@@ -78,13 +78,11 @@ class CatalogEntry:
     order: int
     methods: list
     candidates: list
-    best: Candidate | None
+    best: Candidate
     expected: tuple = ()
 
     @property
     def best_summary(self) -> tuple:
-        if self.best is None:
-            return ()
         return (self.best.method, self.best.matrix.tau,
                 self.best.omega_float, self.best.verdict)
 
@@ -210,8 +208,9 @@ def _candidates_for(v: int) -> tuple:
     return methods, cands
 
 
-def _rank(c: Candidate) -> tuple:
-    # larger omega first; ties: fewer levels, then method-name order
+def rank(c: Candidate) -> tuple:
+    """Sort key of a built candidate: larger omega first; ties go to fewer
+    levels, then to the earlier route."""
     return (-c.omega_float, c.matrix.tau, METHOD_ORDER.index(c.method))
 
 
@@ -221,14 +220,16 @@ _MEMO: dict = {}
 
 
 def construct_best(v: int) -> CatalogEntry:
-    """Verified construction with the largest radius for an odd order."""
+    """Every candidate at an odd order, verified, and the verified one that
+    rank puts first as best.  best is always set: basic is a strict
+    candidate at every order from 5 on, and at 3 the complement of the
+    (3, 2, 1) quadratic-residue design is one."""
     _check_range(v)
     key = (v, tuple(fixture_search_dirs()))
     if key in _MEMO:
         return _MEMO[key]
     methods, cands = _candidates_for(v)
-    viable = sorted((c for c in cands if c.ok), key=_rank)
-    best = viable[0] if viable else None
+    best = min((c for c in cands if c.ok), key=rank)
     entry = CatalogEntry(v, methods, cands, best,
                          TABLE2_EXPECTED.get(v, ()))
     _MEMO[key] = entry
@@ -370,7 +371,7 @@ def _diff_rows(entries: list, with_table1: bool):
     order; kind names the DiffReport list the row belongs to."""
     for e in entries:
         v = e.order
-        if not e.expected and e.best is not None:
+        if not e.expected:
             yield "our_extra", (v, e.best.method)
         for label in e.expected:
             kind, note = _judge(e, _table2_claim(label, v))
@@ -404,9 +405,6 @@ def catalog_table(v_max: int = 199) -> CatalogReport:
 def format_catalog_text(report: CatalogReport, show_diff: bool = False) -> str:
     lines = ["order  best-method        tau  radius       verdict  routes"]
     for e in report.entries:
-        if e.best is None:
-            lines.append("%5d  %-17s" % (e.order, "(none)"))
-            continue
         lines.append("%5d  %-17s  %3d  %-11.6g  %-7s  %s"
                      % (e.order, e.best.method, e.best.matrix.tau,
                         e.best.omega_float, e.best.verdict,

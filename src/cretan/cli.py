@@ -15,19 +15,19 @@ from functools import cache, partial
 
 from cretan.catalog import (
     MAX_ORDER,
+    ROUTE_FAILURES,
     ROUTES,
+    Candidate,
     catalog_structured,
     catalog_table,
-    construct_best,
     design_sources,
     format_catalog_text,
+    rank,
 )
 from cretan.constructions import (
     GH_MAX_ORDER,
     ComplexLevelMatrix,
-    GroupMatrix,
     LevelMatrix,
-    basic_family,
     bordered_solver,
     conference_complex,
     direct_sum,
@@ -62,23 +62,32 @@ MAX_CONSTRUCT_ORDER = 2 * MAX_ORDER
 
 
 def _best_of(routes: tuple, n: int):
-    """The largest-radius matrix the catalog routes build at order n."""
-    mats = [m for name in routes for _, build in ROUTES[name].parts(n)
-            for m, _ in build()]
-    if not mats:
+    """The matrix that the catalog's rank puts first among every part the
+    named routes build at order n.  Nothing here is verified: the caller
+    checks the one matrix it writes.  A part that fails with one of
+    ROUTE_FAILURES is skipped, and the first such failure is raised only
+    when no part built anything."""
+    cands, failures = [], []
+    for name in routes:
+        for _, build in ROUTES[name].parts(n):
+            try:
+                cands += [Candidate(name, m, None) for m, _ in build()]
+            except ROUTE_FAILURES as exc:
+                failures.append(exc)
+    if not cands:
+        if failures:
+            raise failures[0]
         raise CliError("no %s construction at order %d"
                        % (" or ".join(routes), n))
-    return max(mats, key=lambda m: m.omega.to_float())
+    return min(cands, key=rank).matrix
 
 
 def _construct_auto(n: int):
     if n == 1:
         return from_values([[Scalar(1)]], Scalar(1), "unit")
-    if n % 2 == 1:
-        return construct_best(n).best.matrix
-    if n >= 4:
-        return basic_family(n)
-    raise CliError("no construction for order %d" % n)
+    if n == 2:
+        raise CliError("no construction for order %d" % n)
+    return _best_of(tuple(ROUTES), n)
 
 
 def _construct_direct_sum(n: int):
@@ -122,7 +131,7 @@ def _construct_gh(n: int):
 
 _CONSTRUCTORS = {
     "auto": _construct_auto,
-    "basic": basic_family,
+    "basic": partial(_best_of, ("basic",)),
     "sbibd": partial(_best_of, ("sbibd-ds", "paley-sbibd")),
     "regular-hadamard": partial(_best_of, ("regular-hadamard",)),
     "bordered": _construct_bordered,
@@ -144,12 +153,11 @@ def _verify_any(m, strict: bool, tolerance: float):
         ok = verify_complex(m, tolerance=tolerance)
         return ok, ["order %d complex, radius %s: %s"
                     % (m.order, m.omega, "pass" if ok else "FAIL")]
-    if isinstance(m, GroupMatrix):
-        rep = group_orthogonality_check(m)
-        return rep.passed, ["%s census over %d rows: %s"
-                            % (m.kind, m.order,
-                               "pass" if rep.passed else rep.message)]
-    raise CliError("cannot verify %r" % type(m).__name__)
+    # a GroupMatrix, the third kind builders and load_matrix return
+    rep = group_orthogonality_check(m)
+    return rep.passed, ["%s census over %d rows: %s"
+                        % (m.kind, m.order,
+                           "pass" if rep.passed else rep.message)]
 
 
 def _write_all(files) -> None:

@@ -334,16 +334,12 @@ def direct_sum(A: LevelMatrix, B: LevelMatrix) -> LevelMatrix:
 
 def sign_to_level(M: SignMatrix) -> LevelMatrix:
     """View a sign matrix as a level matrix with omega = weight."""
-    values = {-1: Scalar(-1), 0: Scalar(0), 1: Scalar(1)}
-    counts = np.bincount(M.entries.ravel() + 1, minlength=3)
-    present = [v for v in (-1, 0, 1) if counts[v + 1]]
-    levels = tuple(values[v] for v in present)
-    remap = {v: i for i, v in enumerate(present)}
-    lut = np.zeros(3, dtype=np.int16)
-    for v, i in remap.items():
-        lut[v + 1] = i
-    grid = lut[M.entries.astype(np.int16) + 1]
-    return LevelMatrix(M.order, levels, grid, Scalar(M.weight),
+    codes = M.entries.astype(np.int16) + 1        # -1, 0, 1 -> 0, 1, 2
+    present = np.bincount(codes.ravel(), minlength=3) > 0
+    # renumber the values present as 0, 1, ... in ascending order
+    lut = (np.cumsum(present) - 1).astype(np.int16)
+    levels = tuple(Scalar(int(v) - 1) for v in np.flatnonzero(present))
+    return LevelMatrix(M.order, levels, lut[codes], Scalar(M.weight),
                        "sign-matrix", {"kind": M.kind, "core": M.source})
 
 

@@ -101,11 +101,8 @@ class GroupDesc:
 
     def positions(self, C: np.ndarray) -> np.ndarray:
         """Index in `elements()` of each coordinate row of C."""
-        out = np.zeros(len(C), dtype=np.int32)
-        for f, o in enumerate(self.orders):
-            out *= o
-            out += C[:, f]
-        return out
+        origin = np.zeros((1, len(self.orders)), dtype=np.int32)
+        return self.diff_positions(C, origin)[0]
 
     def develop(self, table: np.ndarray) -> np.ndarray:
         """out[i, j] = table[position of g_j - g_i], g in `elements()`

@@ -34,6 +34,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from operator import index as _index
 
 # Absolute tolerance for float-mode verification (Gram residuals, radius).
@@ -228,6 +229,7 @@ def _radicand(x: "Scalar", y: "Scalar") -> int:
     return d or e
 
 
+@total_ordering
 class Scalar:
     """An exact number (p + q*sqrt(d))/r.  Field operations need agreeing
     radicands; a float or FloatLevel operand is a TypeError."""
@@ -433,17 +435,9 @@ class Scalar:
             raise TypeError("cannot compare Scalar with that type")
         return diff.sign()
 
+    # <=, > and >= come from functools.total_ordering
     def __lt__(self, other):
         return self._cmp_sign(other) < 0
-
-    def __le__(self, other):
-        return self._cmp_sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_sign(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp_sign(other) >= 0
 
     def __repr__(self):
         return "Scalar(%s)" % format_scalar(self)

@@ -308,7 +308,6 @@ class Certificate:
     strict: bool
     relaxed: bool
     method: str
-    params: dict
     requested_mode: str
     matrix: object = field(repr=False, compare=False)   # the checked S
 
@@ -500,8 +499,7 @@ def verify_cretan(S, mode: str = "strict", tolerance: float = VERIFY_TOL,
     return Certificate(n, omega, tau, "exact" if gram_exact else "float",
                        gram_exact, path, max_offdiag, moduli_ok,
                        omega_claim_ok, strict, relaxed,
-                       getattr(S, "method", ""),
-                       dict(getattr(S, "params", {})), mode, S)
+                       getattr(S, "method", ""), mode, S)
 
 
 def _units_everywhere(S) -> bool:

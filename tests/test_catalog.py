@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cretan.catalog import (
+    ROUTES,
     TABLE2_EXPECTED,
     _table1_claims,
     catalog_structured,
@@ -113,6 +114,19 @@ def test_cli_and_catalog_agree(method, routes, capsys):
         assert capsys.readouterr().out == serialize_matrix(best.matrix), v
         checked += 1
     assert checked >= 3
+
+
+@pytest.mark.parametrize("v", [*range(3, 200, 2), 225, 441, 675, 945, 999])
+def test_cli_chooser_picks_the_catalog_best(v):
+    # the CLI ranks what it builds, the catalog what it verifies: at every
+    # catalog order the two pick the same matrix
+    from cretan.cli import _best_of
+
+    best = construct_best(v).best.matrix
+    m = _best_of(tuple(ROUTES), v)
+    assert (m.method, m.levels, m.omega) == \
+        (best.method, best.levels, best.omega)
+    assert np.array_equal(m.grid, best.grid)
 
 
 def test_best_small_orders():

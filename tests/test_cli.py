@@ -157,6 +157,17 @@ def test_construct_auto_small_orders(capsys):
     assert main(["construct", "--order", "2"]) == 2
 
 
+@pytest.mark.parametrize("n, method", [
+    (1001, "kronecker"), (1157, "kronecker"), (1997, "basic")])
+def test_construct_auto_above_the_catalog(n, method, tmp_path, capsys):
+    # odd orders past the catalog's 999 come from the same route table: a
+    # Kronecker product of catalog orders, or the basic family at a prime
+    target = tmp_path / ("a%d.txt" % n)
+    assert main(["construct", "--order", str(n), "--out", str(target)]) == 0
+    assert load_matrix(target).method == method
+    assert main(["verify", str(target)]) == 0
+
+
 def test_render_outputs(tmp_path, capsys, monkeypatch):
     svg = tmp_path / "m.svg"
     pgm = tmp_path / "m.pgm"
