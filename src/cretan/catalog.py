@@ -4,11 +4,13 @@ Every odd order from 3 up is covered by at least one route of the ROUTES
 table (two-level matrices over quadratic-residue or registry designs,
 bordered regular Hadamard cores, Kronecker products of smaller orders,
 and the basic two-level family); the command line builds from the same
-table.  construct_best verifies every candidate and keeps the one that
-rank puts first; the command line ranks what it builds by the same rule.
-catalog_table reproduces the published construction tables for odd
-orders up to 199 and reports agreements, orders we fill that the tables
-leave blank, claims we cannot realize, and outright conflicts.
+table, whose last route, bordered, applies only at even orders, so no
+catalog entry lists it.  construct_best verifies every candidate and
+keeps the one that rank puts first; the command line ranks what it
+builds by the same rule.  catalog_table reproduces the published
+construction tables for odd orders up to 199 and reports agreements,
+orders we fill that the tables leave blank, claims we cannot realize,
+and outright conflicts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from cretan.constructions import (
     LevelMatrix,
     ModulusViolation,
     basic_family,
+    bordered_solver,
     kronecker_cretan,
     regular_hadamard_border,
     sbibd_two_level,
@@ -156,6 +159,10 @@ def _basic(v: int) -> list:
     return [(basic_family(v), ByDesign(np.eye(v, dtype=np.int8), 1, 0))]
 
 
+def _bordered(develop) -> list:
+    return [(m, None) for m in bordered_solver(develop())]
+
+
 @dataclass(frozen=True)
 class Route:
     """One construction route.  parts(v) lists (note, build) pairs and
@@ -169,7 +176,8 @@ class Route:
 
 
 # the one table of routes, in scan order; ties in radius and tau go to the
-# earlier route
+# earlier route.  bordered applies only at even orders (every design source
+# has odd order), so no catalog entry lists it
 ROUTES = {
     "regular-hadamard": Route(_regular_hadamard_parts, _missing_core),
     "sbibd-ds": Route(_design_parts("sbibd-ds")),
@@ -177,6 +185,8 @@ ROUTES = {
     "kronecker": Route(lambda v: [("%d x %d" % ab, partial(_kronecker, *ab))
                                   for ab in _odd_factor_pairs(v)]),
     "basic": Route(lambda v: [("", partial(_basic, v))]),
+    "bordered": Route(lambda v: [(note, partial(_bordered, dev))
+                                 for _, note, dev in design_sources(v - 1)]),
 }
 METHOD_ORDER = tuple(ROUTES)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import cache, partial
@@ -20,7 +21,6 @@ from cretan.catalog import (
     Candidate,
     catalog_structured,
     catalog_table,
-    design_sources,
     format_catalog_text,
     rank,
 )
@@ -28,7 +28,6 @@ from cretan.constructions import (
     GH_MAX_ORDER,
     ComplexLevelMatrix,
     LevelMatrix,
-    bordered_solver,
     conference_complex,
     direct_sum,
     from_values,
@@ -56,8 +55,9 @@ class CliError(Exception):
     """Request that cannot be satisfied: reported on stderr, exit 2."""
 
 
-# the largest order the catalog-backed methods reach: a direct sum of two
-# catalog orders; construct rejects larger orders before building anything
+# construct rejects larger orders before building anything: the Kronecker
+# route builds catalog factors up to n/3, and at 3003 = 3 x 1001 its
+# factor is past the catalog's MAX_ORDER
 MAX_CONSTRUCT_ORDER = 2 * MAX_ORDER
 
 
@@ -100,18 +100,6 @@ def _construct_direct_sum(n: int):
     return direct_sum(_construct_auto(a), _construct_auto(n - a))
 
 
-def _construct_bordered(n: int):
-    sources = design_sources(n - 1)
-    if not sources:
-        raise CliError("no symmetric design available at order %d"
-                       % (n - 1))
-    _, _, develop = sources[0]
-    mats = bordered_solver(develop())
-    if not mats:
-        raise CliError("no bordered solution at order %d" % n)
-    return max(mats, key=lambda m: m.omega.to_float())
-
-
 def _construct_conference(n: int):
     q = n - 1
     if q < 5 or q % 4 != 1 or not is_prime_power(q):
@@ -134,7 +122,7 @@ _CONSTRUCTORS = {
     "basic": partial(_best_of, ("basic",)),
     "sbibd": partial(_best_of, ("sbibd-ds", "paley-sbibd")),
     "regular-hadamard": partial(_best_of, ("regular-hadamard",)),
-    "bordered": _construct_bordered,
+    "bordered": partial(_best_of, ("bordered",)),
     "kronecker": partial(_best_of, ("kronecker",)),
     "direct-sum": _construct_direct_sum,
     "conference": _construct_conference,
@@ -177,6 +165,14 @@ def _write_all(files) -> None:
     for _, path, text in files:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError("must be finite and >= 0, got %s"
+                                         % text)
+    return tol
 
 
 def _cmd_construct(args) -> int:
@@ -299,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
     v.add_argument("--strict", action="store_true",
                    help="require a unit entry in every row and column")
-    v.add_argument("--tolerance", type=float, default=VERIFY_TOL)
+    v.add_argument("--tolerance", type=_tolerance, default=VERIFY_TOL)
     v.set_defaults(func=_cmd_verify)
 
     k = sub.add_parser("catalog", help="best known constructions per order")

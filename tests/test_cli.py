@@ -137,7 +137,35 @@ def test_design_routes_above_the_qr_cap(capsys):
     assert main(["construct", "--order", "1020",
                  "--method", "bordered"]) == 2
     assert capsys.readouterr().err == \
-        "no symmetric design available at order 1019\n"
+        "no bordered construction at order 1020\n"
+
+
+@pytest.mark.parametrize("n", [20, 14])
+def test_construct_auto_takes_bordered_at_even_orders(n, tmp_path, capsys):
+    # the bordered route is in the route table, so auto ranks its members
+    # against basic: at 20 a strict Hadamard matrix, radius 20 against 100/81
+    target = tmp_path / ("a%d.txt" % n)
+    assert main(["construct", "--order", str(n), "--out", str(target)]) == 0
+    assert load_matrix(target).method == "bordered"
+    assert main(["verify", "--strict", str(target)]) == 0
+
+
+def test_bordered_rank_picks_the_largest_radius():
+    # every even order up to 1002 with a design at n - 1 has one source,
+    # and rank picks the member of largest radius among its solutions
+    from cretan.catalog import design_sources
+    from cretan.cli import _best_of
+    from cretan.constructions import bordered_solver
+    from cretan.files import serialize_matrix
+
+    orders = [n for n in range(4, 1003, 2) if design_sources(n - 1)]
+    assert len(orders) == 102
+    for n in orders:
+        (_, _, develop), = design_sources(n - 1)
+        widest = max(bordered_solver(develop()),
+                     key=lambda m: m.omega.to_float())
+        assert serialize_matrix(_best_of(("bordered",), n)) == \
+            serialize_matrix(widest), n
 
 
 def test_construct_gh(capsys):
@@ -315,6 +343,21 @@ def test_verify_non_finite_float(tmp_path, capsys):
     assert main(["verify", str(f)]) == 2
     err = capsys.readouterr().err
     assert "line 8" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_tolerance_is_finite_and_not_negative(tol, tmp_path, capsys):
+    # the largest off-diagonal Gram entry is 1.5: an infinite tolerance
+    # would pass it, and nan or a negative one would fail every float check
+    f = tmp_path / "gram.cm"
+    f.write_text(_exact_file(2, ["f1.0 f1.0", "f1.0 f0.5"])
+                 .replace("mode exact", "mode float"))
+    assert main(["verify", str(f), "--tolerance", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tolerance: must be finite and >= 0" in captured.err
+    assert main(["verify", str(f), "--tolerance", "0"]) == 1
+    assert "max off-diagonal 1.5" in capsys.readouterr().out
 
 
 def test_verify_level_with_integers_past_float_range(tmp_path, capsys):
