@@ -119,9 +119,6 @@ def design_sources(v: int) -> list:
 
 def _two_level(develop) -> list:
     design = develop()
-    # the proofs cite the design's identity, checked here once; the
-    # complement's follows from it (see verify.ByDesign)
-    design.validate()
     return [(m, ByDesign(sb.incidence, sb.k, sb.lam))
             for sb in (design, design.complement())
             for m in sbibd_two_level(sb)]

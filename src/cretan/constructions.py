@@ -173,8 +173,9 @@ def sbibd_two_level(sb: Sbibd) -> list:
 
     Roots with |b| > 1 are dropped; the empty list means the design
     yields nothing (typical for complement designs).  The design is not
-    checked here: the caller passes one that `Sbibd.validate` accepts, or
-    the complement of one (see `verify.ByDesign`).
+    checked here: the caller passes the development of a difference set
+    that passed its census, or the complement of one (see
+    `verify.ByDesign`).
     """
     v, k, lam = sb.params
     out = []
@@ -228,15 +229,16 @@ def bordered_solver(sb: Sbibd) -> list:
     b (zeros), subject to x + k + (v-k) b = 0 and
     s^2 = -(lam + 2(k-lam) b + (v-2k+lam) b^2).  Matching the corner row
     norm x^2 + v s^2 to a core row norm s^2 + k + (v-k) b^2 leaves
-    (k(k-1) - lam(v-1)) (1-b)^2 = 0, which holds for every b because
-    Sbibd.validate enforces lam(v-1) = k(k-1).  So the solutions form a
+    (k(k-1) - lam(v-1)) (1-b)^2 = 0, which holds for every b because a
+    symmetric design has lam(v-1) = k(k-1).  So the solutions form a
     one-parameter family; we return the canonical members (corner
     saturated at x = +-1, corner zero, border maximized, interval
     endpoints) that satisfy every modulus constraint.  Each b is rational,
     so x and s^2 are too and s lies in one quadratic field: the output is
-    exact, sorted by b.
+    exact, sorted by b.  Nothing is checked here: the outputs carry no
+    proof, so the lift certifies each one, and a broken design gives
+    matrices that fail it.
     """
-    sb.validate()
     v, k, lam = sb.params
     c2 = v - 2 * k + lam
     cands = {Fraction(1 - k, v - k), Fraction(-1 - k, v - k),

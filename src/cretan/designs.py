@@ -221,6 +221,8 @@ class Sbibd:
         return (self.v, self.k, self.lam)
 
     def validate(self) -> None:
+        """The identity by an O(v^3) Gram product: the tests' oracle for
+        develop().  The program relies on the census alone."""
         v, k, lam = self.v, self.k, self.lam
         if lam * (v - 1) != k * (k - 1):
             raise ValueError("parameter identity fails for %s" % (self.params,))

@@ -56,8 +56,12 @@ smaller one that was checked before:
   gram_exact and relaxed.  It reads no grid and takes O(1) time after
   the O(tau_A tau_B) level products that built S.
 - ByDesign, for S = bJ + (1-b)X with X a 0/1 matrix and X X^T =
-  (k-lam) I + lam J (checked by `Sbibd.validate`, or X = I with k = 1,
-  lam = 0, or X = J - Y for a design Y that `Sbibd.validate` passed).
+  (k-lam) I + lam J.  X is the development of a difference set D,
+  whose census (`designs.make_difference_set`) is the one check of that
+  identity; or X = I with k = 1, lam = 0; or X = J - Y for such a Y.
+  For X_gh = [h - g in D], (X X^T)_gh counts the d in D with
+  d + g - h in D: k at g = h, and elsewhere the number of ways g - h is
+  a difference of two elements of D, which the census found to be lam.
   The row sums of X are the diagonal of X X^T, so XJ = JX^T = kJ, and
   with J J^T = vJ
       S S^T = (b^2 v + 2kb(1-b) + lam(1-b)^2) J + (k-lam)(1-b)^2 I.
@@ -83,12 +87,12 @@ modulus 1, which for a real exact level means +-1).
   exactly when row i of A and row k of B do, and likewise for columns:
   S has a unit in every row and column exactly when both factors are
   strict.
-- ByDesign: every row and column sum of X is k (`Sbibd.validate` checks
-  both; I and J - Y inherit them), so X holds a 1 in every row and column
-  when k >= 1 and a 0 somewhere when k < v.  The level 1 is the unit, so
-  tau = 1 + (0 < k < v), and every row and column holds a unit when
-  k >= 1.  With k = 0 the coefficient of J is v b^2, so a proof that
-  holds has b = 0 and no unit.
+- ByDesign: every row and column sum of X is k (a developed row or
+  column holds one 1 per element of D; I and J - Y inherit them), so X
+  holds a 1 in every row and column when k >= 1 and a 0 somewhere when
+  k < v.  The level 1 is the unit, so tau = 1 + (0 < k < v), and every
+  row and column holds a unit when k >= 1.  With k = 0 the coefficient
+  of J is v b^2, so a proof that holds has b = 0 and no unit.
 
 A proof returns (omega, tau, units) only when every check holds;
 otherwise the lift and the census run, so a verdict is always the one
@@ -411,10 +415,11 @@ class ByFactors:
 @dataclass
 class ByDesign:
     """Proof that S = bJ + (1-b)X for a 0/1 matrix X with X X^T =
-    (k-lam) I + lam J and every row and column sum k.  Whoever makes the
-    proof has checked X: by `Sbibd.validate`, as X = I with k = 1 and
-    lam = 0, or as J - Y for a design Y that `Sbibd.validate` passed,
-    whose identity gives that of J - Y (see the module docstring)."""
+    (k-lam) I + lam J and every row and column sum k.  The premise is
+    checked once, before the proof is made: X develops from a difference
+    set that passed its census (`designs.make_difference_set`), or X = I
+    with k = 1 and lam = 0, or X = J - Y for such a Y, whose identity
+    gives that of J - Y (see the module docstring)."""
     incidence: np.ndarray
     k: int
     lam: int

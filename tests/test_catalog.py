@@ -16,7 +16,8 @@ from cretan.catalog import (
     construct_best,
     format_catalog_text,
 )
-from cretan.scalar import REFINE_TOL, Scalar
+from cretan.scalar import (IncompatibleRadicands, REFINE_TOL, Scalar,
+                           parse_scalar)
 from cretan.verify import verify_cretan
 
 
@@ -312,8 +313,10 @@ def test_gram_path_counts_119():
 
 
 def test_complements_of_source_designs_validate():
-    # the two-level route validates each design once and cites its
-    # identity for the complement too: (J-X)(J-X)^T follows from X X^T
+    # Sbibd.validate is the oracle that develop() is right for every
+    # shipped source: the design routes rely on each source's census alone.
+    # The complement's identity holds exactly when the design's does, so
+    # this checks both
     from cretan.catalog import design_sources
 
     count = 0
@@ -324,17 +327,51 @@ def test_complements_of_source_designs_validate():
     assert count == 102
 
 
-def test_flipped_design_is_rejected_by_its_route(monkeypatch):
+def test_moved_fixture_element_fails_its_census(tmp_path, monkeypatch):
+    # a design's one check is the census of its difference set, run when
+    # the fixture loads: one moved element fails the route's one
+    # candidate, and the other routes still give a certified best
     import cretan.catalog as catalog
-    from cretan.designs import qr_difference_set
+    from cretan.designs import FIXTURE_DIR_ENV, fixture_path
 
-    sb = qr_difference_set(7).develop()
-    sb.incidence[0, 0] ^= 1
-    monkeypatch.setattr(catalog, "design_sources",
-                        lambda v: [("paley-sbibd", "", lambda: sb)])
-    [(_, build)] = catalog.ROUTES["paley-sbibd"].parts(7)
-    with pytest.raises(ValueError, match="row or column sums"):
-        build()
+    src = fixture_path("45-12-3").read_text()
+    moved = src.replace("elements\n0,0,1 ", "elements\n0,0,0 ")
+    assert moved != src
+    (tmp_path / "45-12-3.txt").write_text(moved)
+    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    e = construct_best(45)
+    [failed] = [c for c in e.candidates if c.method == "sbibd-ds"]
+    assert failed.certificate is None and failed.verdict == "failed"
+    assert "census mismatch" in failed.note
+    assert e.best.method != "sbibd-ds" and e.best.certificate.strict
+
+
+def _below(omega, floor) -> bool:
+    """omega < floor: exactly when both are exact in one field, otherwise
+    in floats with a relative slack of REFINE_TOL."""
+    try:
+        return omega < floor
+    except (IncompatibleRadicands, TypeError):
+        return omega.to_float() < floor.to_float() * (1 - REFINE_TOL)
+
+
+def test_no_best_falls_below_its_radius_floor():
+    # the golden files stop at 199; this pins every odd order to 999.  A
+    # best may rise above its floor (the change that raises it raises the
+    # line), never fall below it
+    from pathlib import Path
+
+    path = Path(__file__).parent / "data" / "catalog-999-radii.txt"
+    rows = [line.split() for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+    assert [int(v) for v, _, _ in rows] == list(range(3, 1000, 2))
+    below = []
+    for v, method, token in rows:
+        best = construct_best(int(v)).best
+        if _below(best.matrix.omega, parse_scalar(token)):
+            below.append((v, method, token, best.method, best.omega_float))
+    assert below == []
 
 
 def test_catalog_rejects_out_of_range():

@@ -129,6 +129,47 @@ def test_broken_menon_core_fails_its_consumers(capsys, monkeypatch):
     assert "failed verification" in capsys.readouterr().err
 
 
+def test_broken_design_fails_the_bordered_consumers(capsys, monkeypatch):
+    # the bordered route checks no design: a flipped incidence entry gives
+    # matrices, and the code that relies on them refuses each one
+    from cretan import catalog
+    from cretan.constructions import bordered_solver
+    from cretan.designs import qr_difference_set
+    from cretan.verify import verify_cretan
+
+    sb = qr_difference_set(7).develop()
+    sb.incidence[0, 0] ^= 1
+    monkeypatch.setattr(catalog, "design_sources",
+                        lambda v: [("paley-sbibd", "", lambda: sb)])
+    mats = bordered_solver(sb)
+    assert mats
+    assert not any(verify_cretan(m, mode="relaxed").relaxed for m in mats)
+    assert main(["construct", "--method", "bordered", "--order", "8"]) == 1
+    assert capsys.readouterr().err == \
+        "constructed matrix failed verification\n"
+
+
+def test_no_route_validates_a_design(tmp_path, capsys, monkeypatch):
+    # each design's one check is the census of its difference set, so no
+    # route runs Sbibd.validate's O(v^3) Gram product on it again
+    from cretan import catalog
+    from cretan.designs import FIXTURE_DIR_ENV, Sbibd
+
+    def refuse(self):
+        raise AssertionError("Sbibd.validate called on %s" % self.source)
+
+    monkeypatch.setattr(Sbibd, "validate", refuse)
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    monkeypatch.delenv(FIXTURE_DIR_ENV, raising=False)
+    golden = Path(__file__).parent / "data" / "catalog-199-diff.txt"
+    assert main(["catalog", "--max", "199", "--diff"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+    for method, n in (("sbibd", 983), ("bordered", 984)):
+        out = str(tmp_path / ("%s%d.txt" % (method, n)))
+        assert main(["construct", "--method", method, "--order", str(n),
+                     "--out", out]) == 0
+
+
 def test_design_routes_above_the_qr_cap(capsys):
     # 1019 is a prime 3 mod 4 above designs.QR_MAX_Q: no source is listed
     assert main(["construct", "--order", "1019", "--method", "sbibd"]) == 2
