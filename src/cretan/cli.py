@@ -131,21 +131,23 @@ _CONSTRUCTORS = {
 
 
 def _verify_any(m, strict: bool, tolerance: float):
-    """(passed, report lines) for any of the three matrix kinds."""
+    """(passed, report) for any of the three matrix kinds; report() gives
+    the lines `verify` prints.  Only they read the determinant, so a
+    caller that wants the verdict alone computes none."""
     if isinstance(m, LevelMatrix):
         cert = verify_cretan(m, mode="strict" if strict else "relaxed",
                              tolerance=tolerance)
-        lines = ["%-20s %s" % (k, v) for k, v in cert.summary_rows()]
-        return cert.passed, lines
+        return cert.passed, lambda: ["%-20s %s" % row
+                                     for row in cert.summary_rows()]
     if isinstance(m, ComplexLevelMatrix):
         ok = verify_complex(m, tolerance=tolerance)
-        return ok, ["order %d complex, radius %s: %s"
-                    % (m.order, m.omega, "pass" if ok else "FAIL")]
+        return ok, lambda: ["order %d complex, radius %s: %s"
+                            % (m.order, m.omega, "pass" if ok else "FAIL")]
     # a GroupMatrix, the third kind builders and load_matrix return
     rep = group_orthogonality_check(m)
-    return rep.passed, ["%s census over %d rows: %s"
-                        % (m.kind, m.order,
-                           "pass" if rep.passed else rep.message)]
+    return rep.passed, lambda: ["%s census over %d rows: %s"
+                                % (m.kind, m.order,
+                                   "pass" if rep.passed else rep.message)]
 
 
 def _write_all(files) -> None:
@@ -206,8 +208,8 @@ def _cmd_verify(args) -> int:
         raise CliError("no such file: %s" % args.file)
     except ParseError as exc:
         raise CliError("cannot parse %s: %s" % (args.file, exc))
-    ok, lines = _verify_any(m, args.strict, args.tolerance)
-    for ln in lines:
+    ok, report = _verify_any(m, args.strict, args.tolerance)
+    for ln in report():
         print(ln)
     return 0 if ok else 1
 

@@ -38,41 +38,27 @@ from functools import cache, cached_property
 import numpy as np
 
 # exact below 3.3e24, far above the 10^6 cap on field sizes
-from cretan.scalar import is_probable_prime as is_prime
+from cretan.scalar import factor, is_probable_prime as is_prime
 
 # make_field builds no field with more elements than this
 MAX_FIELD_SIZE = 10 ** 6
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    """Distinct prime factors, ascending."""
+    return sorted(factor(n))
 
 
 def is_prime_power(q: int) -> bool:
-    return len(prime_factors(q)) == 1
+    return len(factor(q)) == 1
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """q = p^j with p prime, or ValueError."""
-    ps = prime_factors(q)
-    if len(ps) != 1:
+    fs = factor(q)
+    if len(fs) != 1:
         raise ValueError("%d is not a prime power" % q)
-    p = ps[0]
-    j = 0
-    while q > 1:
-        q //= p
-        j += 1
+    [(p, j)] = fs.items()
     return p, j
 
 

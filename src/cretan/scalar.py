@@ -56,19 +56,21 @@ def exact_dtype(bound: int) -> str:
     return "object"
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 class IncompatibleRadicands(ArithmeticError):
     """Raised when exact arithmetic would mix sqrt(d1) and sqrt(d2)."""
 
 
-# trial division stops at this bound (or at the cube root of the
+# trial division stops at this bound (or at the square root of the
 # leftover); larger prime factors are found by Miller-Rabin and rho
 _TRIAL_LIMIT = 1000
-# Pollard-Brent steps allowed per radicand: finds any factor below 10^9
-# with room to spare, and gives up on two 14-digit primes in about a second
+# Pollard-Brent steps allowed per factorization: finds any factor below
+# 10^9 with room to spare (300 primes just below 10^9 took at most a
+# quarter of it).  A step costs more as the operand grows, so
+# parse_scalar takes radicands of at most _MAX_RADICAND_DIGITS digits:
+# 2^20 steps on two 25-digit primes give up in about 2 s on a shared
+# 2-vCPU host
 _RHO_BUDGET = 2 ** 20
+_MAX_RADICAND_DIGITS = 50
 # with these bases Miller-Rabin is exact below
 # 3,317,044,064,679,887,385,961,981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -150,48 +152,40 @@ def _odd_power_root(x: int, f: int) -> tuple[int, int] | None:
     return None
 
 
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n >= 0 as s*s*d with d squarefree; return (s, d).
+def factor(n: int) -> dict:
+    """The prime factorization {p: e} of n >= 0, the one factorizer of
+    the package; {} for 0 and 1.
 
+    Trial division takes the primes below _TRIAL_LIMIT; square roots,
+    odd roots, Miller-Rabin and Pollard-Brent rho split what is left.
     Raises ValueError when a large leftover cannot be split within the
     rho budget (such as p^2 q with p and q both about 10^14).
     """
     if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1):
-        return (1, n)
-    s, d = 1, 1
+        raise ValueError("cannot factor the negative %d" % n)
+    out: dict = {}
     m = n
-    for p in _SMALL_PRIMES:
-        while m % (p * p) == 0:
-            m //= p * p
-            s *= p
-        if m % p == 0:
-            m //= p
-            d *= p
-    f = 49
-    while f < _TRIAL_LIMIT and f * f * f <= m:
-        while m % (f * f) == 0:
-            m //= f * f
-            s *= f
-        if m % f == 0:
+    f = 2
+    while f < _TRIAL_LIMIT and f * f <= m:
+        while m % f == 0:
             m //= f
-            d *= f
-        f += 2
+            out[f] = out.get(f, 0) + 1
+        f += 1 if f == 2 else 2
     # every prime factor of m is at least f, so a factor of m below f^2
     # is 1 or a prime; larger ones are split until every part is prime
     if m < f * f:
-        return (s, d * m)
-    exponents: dict = {}
+        if m > 1:
+            out[m] = 1
+        return out
     budget = _RHO_BUDGET
     stack = [m]
     while stack:
         x = stack.pop()
         r = math.isqrt(x)
-        if r * r == x and r > 1:
+        if r * r == x:
             stack += [r, r]
         elif x < f * f or is_probable_prime(x):
-            exponents[x] = exponents.get(x, 0) + 1
+            out[x] = out.get(x, 0) + 1
         elif (power := _odd_power_root(x, f)) is not None:
             stack += [power[0]] * power[1]
         else:
@@ -200,11 +194,19 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             while x % g == 0:
                 x //= g
                 stack.append(g)
-            stack.append(x)
-    for x, e in exponents.items():
-        s *= x ** (e // 2)
-        d *= x ** (e % 2)
-    return (s, d)
+            if x > 1:
+                stack.append(x)
+    return out
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write n >= 0 as s*s*d with d squarefree; return (s, d).  Raises
+    ValueError as `factor` does."""
+    s = d = 1
+    for p, e in factor(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return (s, d if n else 0)
 
 
 def _sign(a: int, b: int, d: int) -> int:
@@ -538,8 +540,9 @@ def format_scalar(x: Scalar | FloatLevel) -> str:
 
 
 def parse_scalar(text: str) -> Scalar | FloatLevel:
-    """Inverse of format_scalar.  Raises ValueError on malformed tokens
-    and on exact tokens whose value is beyond float range."""
+    """Inverse of format_scalar.  Raises ValueError on malformed tokens,
+    on radicands longer than _MAX_RADICAND_DIGITS digits and on exact
+    tokens whose value is beyond float range."""
     text = text.strip()
     if text.startswith("f"):
         x = parse_float(text[1:])
@@ -549,6 +552,9 @@ def parse_scalar(text: str) -> Scalar | FloatLevel:
     m = _QUAD_RE.fullmatch(text)
     if m:
         p, sgn, q, d, r = m.groups()
+        if len(d.lstrip("0")) > _MAX_RADICAND_DIGITS:
+            raise ValueError("radicand longer than %d digits: %r"
+                             % (_MAX_RADICAND_DIGITS, text[:40]))
         qv = int(q) if sgn == "+" else -int(q)
         x = Scalar(int(p), qv, int(d), int(r))
     elif m := _RAT_RE.fullmatch(text):

@@ -300,6 +300,29 @@ def test_construct_writes_all_files_or_none(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_construct_computes_no_determinant(tmp_path, monkeypatch):
+    import cretan.verify as verify
+
+    calls = []
+
+    def refuse(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for name in ("check_det_identity", "exact_abs_det"):
+        monkeypatch.setattr(verify, name, refuse(name))
+    for n in (45, 459):
+        out = tmp_path / ("m%d.cm" % n)
+        assert main(["construct", "--order", str(n), "--out", str(out)]) == 0
+    assert calls == []
+
+
+def test_verify_radicand_past_the_cap_exits_2(capsys):
+    # a 51-digit product of two 26-digit primes: refused unfactored
+    path = Path(__file__).parent / "data" / "radicand-past-cap.txt"
+    assert main(["verify", str(path)]) == 2
+    assert "line 7: radicand longer than 50 digits" in capsys.readouterr().err
+
+
 def test_verify_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     rng = random.Random(18)
     f = tmp_path / "noise.cm"

@@ -61,6 +61,19 @@ def test_prime_helpers():
         factor_prime_power(12)
 
 
+def test_prime_helpers_match_sympy():
+    # each reads scalar.factor; sympy is the oracle
+    for n in range(1, 20001):
+        fs = sympy.factorint(n)
+        assert prime_factors(n) == sorted(fs), n
+        assert is_prime_power(n) == (len(fs) == 1), n
+        if len(fs) == 1:
+            assert factor_prime_power(n) == next(iter(fs.items())), n
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                factor_prime_power(n)
+
+
 def test_is_prime_matches_sympy():
     want = [n for n in range(10 ** 5) if sympy.isprime(n)]
     assert [n for n in range(10 ** 5) if is_prime(n)] == want

@@ -422,6 +422,17 @@ def test_parse_large_radicand_tokens():
     assert err.value.line == 9
 
 
+def test_parse_refuses_radicands_past_the_cap():
+    # refused before int(): Python 3.11 and later refuse 4400 digits
+    # themselves, 3.10 would factor them
+    text = v1_text(identity2()).replace("tau 2", "tau 3")
+    for digits in (51, 4400):
+        token = "(0+1*sqrt(%s))/1" % ("7" * digits)
+        with pytest.raises(ParseError, match="longer than 50 digits") as err:
+            parse_matrix(text.replace("0 1\n", "0 %s\n" % token))
+        assert err.value.line == 9
+
+
 def test_parse_rejects_non_finite_floats():
     text = v1_text(float_product())
     head, body = text.split("entries\n")

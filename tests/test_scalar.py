@@ -16,6 +16,7 @@ from cretan.scalar import (
     IncompatibleRadicands,
     Scalar,
     exact_dtype,
+    factor,
     format_scalar,
     parse_scalar,
     solve_quadratic,
@@ -205,6 +206,32 @@ def test_squarefree_decompose_matches_factorint(n):
     assert squarefree_decompose(n) == (s, d)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(0, 10 ** 18), radicands_with_large_tails()))
+def test_factor_matches_factorint(n):
+    assert factor(n) == (sympy.factorint(n) if n > 1 else {})
+
+
+def test_factor_edge_cases():
+    assert factor(0) == factor(1) == {}
+    # primes just past trial division, alone, squared and times a small one
+    for p in (1009, 1013, 1019):
+        assert factor(p) == {p: 1}
+        assert factor(p * p) == {p: 2}
+        assert factor(2 * p * 1021) == {2: 1, p: 1, 1021: 1}
+    # squares and cubes of 14-digit primes
+    for p in (sympy.nextprime(10 ** 13), sympy.prevprime(10 ** 14)):
+        assert factor(p ** 2) == {p: 2}
+        assert factor(3 * p ** 3) == {3: 1, p: 3}
+    # Carmichael numbers fool Fermat's test, not Miller-Rabin
+    assert factor(561) == {3: 1, 11: 1, 17: 1}
+    assert factor(41041) == {7: 1, 11: 1, 13: 1, 41: 1}
+    for n in (825265, 321197185, 5394826801):
+        assert factor(n) == sympy.factorint(n)
+    with pytest.raises(ValueError, match="negative"):
+        factor(-4)
+
+
 def test_large_prime_radicand_parses_fast():
     # a Miller-Rabin test, not trial division up to the square root
     d = 100000000000031
@@ -392,6 +419,49 @@ def test_unsplittable_leftover_raises_within_budget():
         with pytest.raises(ValueError, match="rho"):
             squarefree_decompose(n)
     assert time.perf_counter() - start < 20
+
+
+# -- radicands in files: at most 50 digits -------------------------------------
+
+def _token(d):
+    return "(0+1*sqrt(%d))/1" % d
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(10 ** 8, 10 ** 9).map(sympy.prevprime), st.integers(1, 3))
+@example(999999937, 1)
+def test_radicand_at_the_cap_finds_any_factor_below_1e9(p, e):
+    # a prime below 10^9 to the e-th power times a prime that brings the
+    # radicand to 50 digits: rho finds p within the budget
+    top = sympy.prevprime(10 ** 50 // p ** e)
+    d = p ** e * top
+    assert len(str(d)) == 50
+    x = parse_scalar(_token(d))
+    assert (x.q, x.d) == (p ** (e // 2), p ** (e % 2) * top)
+
+
+def test_hardest_radicand_at_the_cap_is_refused_in_seconds():
+    # two 25-digit primes: the whole rho budget is spent, and refused
+    p = sympy.prevprime(10 ** 25)
+    q = sympy.prevprime(p)
+    assert len(str(p * q)) == 50
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rho"):
+        parse_scalar(_token(p * q))
+    # about 2 s on a shared 2-vCPU host
+    assert time.perf_counter() - start < 10
+
+
+def test_radicand_past_the_cap_is_refused_at_once():
+    # 4400 digits is past the int() limit of Python 3.11 and later; the
+    # cap refuses it, by the same error, on every version
+    start = time.perf_counter()
+    for digits in (51, 1000, 4400):
+        with pytest.raises(ValueError, match="longer than 50 digits"):
+            parse_scalar("(0+1*sqrt(%s))/1" % ("9" * digits))
+    assert time.perf_counter() - start < 0.5
+    # leading zeros do not count
+    assert parse_scalar("(0+1*sqrt(%s3))/1" % ("0" * 60)) == Scalar(0, 1, 3)
 
 
 _below_1e9 = st.one_of(st.integers(50, 10 ** 5),
